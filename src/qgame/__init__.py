@@ -22,7 +22,6 @@ from .linalg import (
     basis_index,
     basis_state,
     entangler,
-    expectation,
     permutation_operator,
     su2,
     tensor,
@@ -31,9 +30,8 @@ from .ewl import (
     EwlGame,
     StrategySpace,
     ewl_payoffs,
-    final_state,
     parse_space,
-    payoff_operator,
+    profile_payoffs,
     two_param_payoff_closed_form,
     unrestricted_payoffs,
 )

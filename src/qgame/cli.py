@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ewl import (
-    EwlGame,
-    StrategySpace,
-    parse_space,
-    unrestricted_payoffs,
-)
+from .ewl import EwlGame, StrategySpace, parse_space
 from .games import (
     GameMapping,
     find_strong_isomorphisms,
@@ -29,7 +24,7 @@ from .games import (
 from .gamefile import GameFile, GameFileError, load_game_file
 from .lift import LIFT_TOL, lift, operator_identity_suite, verify_lift
 from .linalg import TWO_PI, SU2Params
-from .search import ParamGrid, grid_pure_ne
+from .search import ParamGrid, grid_payoff_tables, grid_pure_ne
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -237,15 +232,13 @@ def cmd_surface(args) -> int:
         raise GameFileError("grid steps must be positive")
     thetas = np.linspace(0.0, math.pi, t_steps) if t_steps > 1 else [0.0]
     alphas = np.linspace(0.0, TWO_PI, a_steps) if a_steps > 1 else [0.0]
+    grid = [(t, a) for t in thetas for a in alphas]
+    mine = [SU2Params(t, a, 0.0) for t, a in grid]
+    lists = [mine, [opponent]] if mover == 0 else [[opponent], mine]
+    u1, u2 = (t.reshape(-1) for t in grid_payoff_tables(game, lists))
     lines = ["theta,alpha,payoff1,payoff2"]
-    for t in thetas:
-        for a in alphas:
-            mine = SU2Params(t, a, 0.0)
-            profile = (mine, opponent) if mover == 0 else (opponent, mine)
-            u = unrestricted_payoffs(game, profile)
-            lines.append(
-                ",".join(format(v, ".15g") for v in (t, float(a) % TWO_PI, u[0], u[1]))
-            )
+    for (t, a), v1, v2 in zip(grid, u1, u2):
+        lines.append(",".join(format(v, ".15g") for v in (t, float(a) % TWO_PI, v1, v2)))
     text = "\n".join(lines) + "\n"
     if args.csv:
         try:

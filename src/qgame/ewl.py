@@ -4,6 +4,12 @@ A quantum game is a binary classical game plus one strategy-space
 restriction per player. Players pick SU(2) unitaries, the shared state
 is J^dag (U_1 x .. x U_n) J |0..0>, and payoffs are expectations of the
 diagonal observables carrying the classical payoff tensor.
+
+Payoffs are evaluated through a real quadratic form (Landsburg,
+"Quantum Game Theory", Notices AMS 51(4), 2004): writing
+U = q0 1 + q1 iZ + q2 iX + q3 iY with q a unit quaternion, each payoff
+is a fixed real tensor contracted with every player's ten symmetric
+features q_k q_l (k <= l).
 """
 
 from __future__ import annotations
@@ -82,17 +88,58 @@ def payoff_diagonal(g: ClassicalGame, player: int) -> np.ndarray:
     return g.payoffs[..., player].reshape(-1).copy()
 
 
-def payoff_operator(g: ClassicalGame, player: int) -> np.ndarray:
-    """Player's payoff observable sum_j a^i_j |j><j| as a dense matrix."""
-    return np.diag(payoff_diagonal(g, player)).astype(complex)
+# (theta, alpha, beta) of the quaternion units 1, iZ, iX, iY
+_UNIT_ANGLES = (
+    (0.0, 0.0, 0.0),
+    (0.0, 0.5 * math.pi, 0.0),
+    (math.pi, 0.0, 0.0),
+    (math.pi, 0.0, 1.5 * math.pi),
+)
+
+
+def _payoff_core(diags: np.ndarray) -> np.ndarray:
+    """Real tensor C of shape (n, 10, .., 10) with
+    u_i = sum C[i, p_1, .., p_n] f_1[p_1] .. f_n[p_n] for the features
+    f of `strategy_features`."""
+    n = diags.shape[0]
+    J = entangler(n)
+    units = np.stack([su2(SU2Params(*a)) for a in _UNIT_ANGLES])
+    # amps[a, j] = <j| J^dag (B_a1 x .. x B_an) J |0..0> for quaternion units B
+    amps = (tensor([units] * n) @ J[:, 0]) @ J.conj()
+    parts = np.concatenate([amps.real, amps.imag], axis=1)
+    fold = np.zeros((4, 4, 10))
+    k, l = np.triu_indices(4)
+    fold[k, l, np.arange(10)] = fold[l, k, np.arange(10)] = 1.0
+    core = []
+    for d in diags:
+        # Re(amps diag(d) amps^H) over axes (a_1, .., a_n, b_1, .., b_n);
+        # fold each player's 4x4 (a_k, b_k) block onto its upper
+        # triangle, C[k, l] + C[l, k] off the diagonal
+        gram = ((parts * np.tile(d, 2)) @ parts.T).reshape((4,) * (2 * n))
+        for step in range(n):
+            gram = np.tensordot(gram, fold, axes=([0, n - step], [0, 1]))
+        core.append(gram)
+    return np.stack(core)
+
+
+def strategy_features(angles) -> np.ndarray:
+    """(m, 3) array of (theta, alpha, beta) -> (m, 10) features q_k q_l,
+    k <= l, of the quaternions q = (c cos a, c sin a, s cos b, -s sin b)
+    with c, s = cos(theta/2), sin(theta/2)."""
+    theta, alpha, beta = np.asarray(angles, dtype=float).reshape(-1, 3).T
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    q = np.stack([c * np.cos(alpha), c * np.sin(alpha), s * np.cos(beta), -s * np.sin(beta)], 1)
+    k, l = np.triu_indices(4)
+    return q[:, k] * q[:, l]
 
 
 @dataclass(frozen=True, eq=False)
 class EwlGame:
     """Binary classical game with per-player strategy-space restrictions.
 
-    The diagonal payoff observables are derived once at construction;
-    the object is immutable afterwards and safe to share.
+    The diagonal payoff observables and the real payoff core are derived
+    once at construction; the object is immutable afterwards and safe to
+    share.
     """
 
     base: ClassicalGame
@@ -111,31 +158,44 @@ class EwlGame:
         if len(spaces) != n:
             raise ValueError("need one strategy space per player")
         diags = np.stack([payoff_diagonal(self.base, i) for i in range(n)])
+        core = _payoff_core(diags)
         diags.setflags(write=False)
+        core.setflags(write=False)
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "payoff_diagonals", diags)
+        object.__setattr__(self, "payoff_core", core)
 
     @property
     def n_players(self) -> int:
         return self.base.n_players
 
 
-def final_state(params: Sequence[SU2Params]) -> np.ndarray:
-    """Shared state J^dag (U_1 x .. x U_n) J |0..0> for the given strategies."""
-    n = len(params)
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"player count must be in [1, {MAX_QUBITS}], got {n}")
-    J = entangler(n)
-    U = tensor([su2(p) for p in params])
-    return J.conj().T @ (U @ J[:, 0])
+def profile_payoffs(game: EwlGame, profiles: Sequence[Sequence[SU2Params]]) -> np.ndarray:
+    """(P, n) payoffs of P profiles, ignoring the declared strategy spaces."""
+    n = game.n_players
+    if any(len(params) != n for params in profiles):
+        raise ValueError("need one strategy per player")
+    angles = np.array([[p.as_tuple() for p in params] for params in profiles]).reshape(-1, 3)
+    feats = strategy_features(angles).reshape(-1, n, 10)
+    # per-profile Kronecker products of the first and the last players'
+    # features; splitting in halves keeps the intermediates at P * 10^(n/2)
+    half = n // 2
+    left, right = _kron_rows(feats[:, :half]), _kron_rows(feats[:, half:])
+    core = game.payoff_core.reshape(n, left.shape[1], right.shape[1])
+    return np.stack([((left @ c) * right).sum(axis=1) for c in core], axis=1)
+
+
+def _kron_rows(feats: np.ndarray) -> np.ndarray:
+    """(P, k, 10) -> (P, 10^k): each row's Kronecker product over k."""
+    out = np.ones((len(feats), 1))
+    for k in range(feats.shape[1]):
+        out = (out[:, :, None] * feats[:, k, None, :]).reshape(len(feats), out.shape[1] * 10)
+    return out
 
 
 def unrestricted_payoffs(game: EwlGame, params: Sequence[SU2Params]) -> np.ndarray:
     """Payoff vector ignoring the declared strategy spaces."""
-    if len(params) != game.n_players:
-        raise ValueError("need one strategy per player")
-    probs = np.abs(final_state(params)) ** 2
-    return game.payoff_diagonals @ probs
+    return profile_payoffs(game, [params])[0]
 
 
 def ewl_payoffs(game: EwlGame, params: Sequence[SU2Params]) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ewl import EwlGame, StrategySpace, unrestricted_payoffs
+from .ewl import EwlGame, StrategySpace, profile_payoffs
 from .games import ClassicalGame, GameMapping, apply_mapping
 from .linalg import (
     ID2,
@@ -153,18 +153,11 @@ def verify_lift(
     if g2.n_players != n or len(lm.eta) != n:
         raise ValueError("mapping and games must agree on the player count")
     rng = np.random.default_rng(seed)
-    escapes: set[int] = set()
-    max_dev = 0.0
-    for _ in range(samples):
-        params = tuple(sample_strategy(g.spaces[i], rng) for i in range(n))
-        mapped = apply_lift(lm, params)
-        for k in range(n):
-            if not g2.spaces[k].contains(mapped[k]):
-                escapes.add(k)
-        u = unrestricted_payoffs(g, params)
-        u2 = unrestricted_payoffs(g2, mapped)
-        dev = max(abs(u[i] - u2[lm.eta[i]]) for i in range(n))
-        max_dev = max(max_dev, dev)
+    params = [tuple(sample_strategy(g.spaces[i], rng) for i in range(n)) for _ in range(samples)]
+    mapped = [apply_lift(lm, p) for p in params]
+    escapes = {k for m in mapped for k in range(n) if not g2.spaces[k].contains(m[k])}
+    devs = profile_payoffs(g, params) - profile_payoffs(g2, mapped)[:, list(lm.eta)]
+    max_dev = float(np.abs(devs).max(initial=0.0))
     passed = not escapes and max_dev <= tol
     return LiftReport(passed, max_dev, tuple(sorted(escapes)), samples, seed, tol)
 

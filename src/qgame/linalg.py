@@ -100,19 +100,6 @@ def permutation_operator(perm: Sequence[int], n: int | None = None) -> np.ndarra
     return out
 
 
-def expectation(state: np.ndarray, obs: np.ndarray) -> float:
-    """<state|obs|state> for a Hermitian observable; the O(1e-12)
-    imaginary residue is discarded."""
-    state = np.asarray(state, dtype=complex)
-    obs = np.asarray(obs, dtype=complex)
-    if obs.shape != (state.size, state.size):
-        raise ValueError("observable / state dimension mismatch")
-    if not np.allclose(obs, obs.conj().T, atol=1e-12):
-        raise ValueError("observable must be Hermitian")
-    value = np.vdot(state, obs @ state)
-    return float(value.real)
-
-
 def basis_state(n: int, bits: Sequence[int]) -> np.ndarray:
     """Computational basis ket |b1 b2 .. bn>."""
     out = np.zeros(2**n, dtype=complex)
@@ -134,7 +121,3 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
         return False
     return bool(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= tol)
 
-
-def is_state(v: np.ndarray, tol: float = 1e-12) -> bool:
-    v = np.asarray(v)
-    return abs(float(np.sum(np.abs(v) ** 2)) - 1.0) <= tol

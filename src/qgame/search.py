@@ -15,12 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ewl import EwlGame, StrategySpace
-from .linalg import TWO_PI, SU2Params, entangler, su2
-
-_PROFILE_AXES = "ijkl"
-_STATE_AXES = "abcd"
-_SUM_AXES = "efgh"
+from .ewl import EwlGame, StrategySpace, strategy_features
+from .linalg import TWO_PI, SU2Params
 
 
 @dataclass(frozen=True)
@@ -87,35 +83,23 @@ class EpsEquilibrium:
 
 def grid_payoff_tables(game: EwlGame, strategy_lists) -> list[np.ndarray]:
     """One payoff array of shape (m_1, .., m_n) per player, covering
-    every grid profile. Vectorized over profiles, chunked on the first
-    player's axis to bound memory."""
-    n = game.n_players
+    every grid profile: the game's payoff core contracted with each
+    player's strategy features, one GEMM per player."""
     dims = [len(s) for s in strategy_lists]
+    if len(dims) != game.n_players:
+        raise ValueError("need one strategy list per player")
     if any(d == 0 for d in dims):
         raise ValueError("empty strategy grid")
-    us = [np.stack([su2(p) for p in pts]) for pts in strategy_lists]
-    J = entangler(n)
-    jdag_right = J.conj()  # (J^dag)^T, for right-multiplying row batches
-    psi0 = J[:, 0].reshape((2,) * n)
-    subs = (
-        ",".join(_PROFILE_AXES[i] + _STATE_AXES[i] + _SUM_AXES[i] for i in range(n))
-        + ","
-        + _SUM_AXES[:n]
-        + "->"
-        + _PROFILE_AXES[:n]
-        + _STATE_AXES[:n]
-    )
-    out = [np.empty(dims) for _ in range(n)]
-    rest = int(np.prod(dims[1:], dtype=np.int64)) if n > 1 else 1
-    chunk = max(1, (1 << 21) // max(1, rest * 2**n))
-    for lo in range(0, dims[0], chunk):
-        hi = min(dims[0], lo + chunk)
-        amps = np.einsum(subs, us[0][lo:hi], *us[1:], psi0, optimize=True)
-        amps = amps.reshape(hi - lo, *dims[1:], 2**n) @ jdag_right
-        probs = np.abs(amps) ** 2
-        for i in range(n):
-            out[i][lo:hi] = probs @ game.payoff_diagonals[i]
-    return out
+    # players go shortest list first, which keeps every intermediate no
+    # larger than the core or the tables; each step replaces the first
+    # remaining feature axis (10 entries) by a strategy axis at the end
+    order = sorted(range(len(dims)), key=dims.__getitem__)
+    out = game.payoff_core.transpose([0] + [1 + k for k in order])
+    for k in order:
+        feats = strategy_features([p.as_tuple() for p in strategy_lists[k]])
+        out = np.tensordot(out, feats, axes=(1, 1))
+    out = out.transpose([0] + [1 + order.index(k) for k in range(len(dims))])
+    return list(np.ascontiguousarray(out))
 
 
 def grid_pure_ne(
@@ -132,24 +116,22 @@ def grid_pure_ne(
     strategy_lists = [grid.strategies(i, game.spaces[i]) for i in range(n)]
     tables = grid_payoff_tables(game, strategy_lists)
     bests = [t.max(axis=i, keepdims=True) for i, t in enumerate(tables)]
-    mask = np.ones([len(s) for s in strategy_lists], dtype=bool)
+    mask = np.ones(tables[0].shape, dtype=bool)
     for i in range(n):
         mask &= tables[i] >= bests[i] - eps
-    found = []
-    for idx in np.argwhere(mask):
-        t = tuple(int(v) for v in idx)
-        improvement = max(
-            float(bests[i][tuple(0 if k == i else t[k] for k in range(n))] - tables[i][t])
-            for i in range(n)
+    idx = np.nonzero(mask)
+    improvements = np.max(
+        [np.broadcast_to(b, mask.shape)[idx] - t[idx] for b, t in zip(bests, tables)], axis=0
+    )
+    payoffs = np.stack([t[idx] for t in tables], axis=1)
+    return [
+        EpsEquilibrium(
+            profile=tuple(strategy_lists[i][k] for i, k in enumerate(ks)),
+            eps=improvement,
+            payoffs=tuple(pays),
         )
-        found.append(
-            EpsEquilibrium(
-                profile=tuple(strategy_lists[i][t[i]] for i in range(n)),
-                eps=improvement,
-                payoffs=tuple(float(tables[i][t]) for i in range(n)),
-            )
-        )
-    return found
+        for *ks, improvement, pays in zip(*idx, improvements.tolist(), payoffs.tolist())
+    ]
 
 
 def best_reply_two_param(opponent) -> SU2Params:

@@ -8,7 +8,9 @@ from itertools import product
 
 import numpy as np
 
-from qgame import ClassicalGame, GameMapping
+from qgame import ClassicalGame, GameMapping, entangler, su2, tensor
+from qgame.ewl import payoff_diagonal
+from qgame.linalg import MAX_QUBITS
 
 GAMES_DIR_NAME = "games"
 
@@ -72,3 +74,43 @@ def classical_mixed_payoffs(g: ClassicalGame, probs) -> np.ndarray:
         w = math.prod(probs[i] if s[i] == 0 else 1.0 - probs[i] for i in range(n))
         out += w * g.payoffs[s]
     return out
+
+
+# Dense Kronecker/entangler construction of the EWL game, kept as the
+# independent oracle for the library's quaternion payoff core.
+
+
+def final_state(params) -> np.ndarray:
+    """Shared state J^dag (U_1 x .. x U_n) J |0..0> for the given strategies."""
+    n = len(params)
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"player count must be in [1, {MAX_QUBITS}], got {n}")
+    J = entangler(n)
+    U = tensor([su2(p) for p in params])
+    return J.conj().T @ (U @ J[:, 0])
+
+
+def payoff_operator(g: ClassicalGame, player: int) -> np.ndarray:
+    """Player's payoff observable sum_j a^i_j |j><j| as a dense matrix."""
+    return np.diag(payoff_diagonal(g, player)).astype(complex)
+
+
+def expectation(state: np.ndarray, obs: np.ndarray) -> float:
+    """<state|obs|state> for a Hermitian observable; the O(1e-12)
+    imaginary residue is discarded."""
+    state = np.asarray(state, dtype=complex)
+    obs = np.asarray(obs, dtype=complex)
+    if obs.shape != (state.size, state.size):
+        raise ValueError("observable / state dimension mismatch")
+    if not np.allclose(obs, obs.conj().T, atol=1e-12):
+        raise ValueError("observable must be Hermitian")
+    value = np.vdot(state, obs @ state)
+    return float(value.real)
+
+
+def oracle_payoffs(game, params) -> np.ndarray:
+    """Payoff vector of an EwlGame, <Psi|M_i|Psi> from the dense state."""
+    state = final_state(params)
+    return np.array(
+        [expectation(state, payoff_operator(game.base, i)) for i in range(game.n_players)]
+    )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import classical_mixed_payoffs, random_game
+from helpers import classical_mixed_payoffs, final_state, payoff_operator, random_game
 from qgame import (
     ClassicalGame,
     EwlGame,
@@ -12,9 +12,7 @@ from qgame import (
     basis_state,
     bimatrix,
     ewl_payoffs,
-    final_state,
     parse_space,
-    payoff_operator,
     pd_game,
     su2,
     tensor,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_game, random_mapping
+from helpers import oracle_payoffs, random_game, random_mapping
 from qgame import (
     FLIP,
     KEEP,
@@ -24,6 +24,7 @@ from qgame import (
     unrestricted_payoffs,
     verify_lift,
 )
+from qgame.lift import sample_strategy
 from qgame.linalg import PAULI_X, TWO_PI
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
@@ -191,6 +192,28 @@ class TestVerifyLift:
                     if t1 is KEEP and t2 is KEEP:
                         assert res.space_escapes == ()
                         assert res.max_deviation > 0.1
+
+    def test_batched_check_uses_the_sampling_loop_profiles(self):
+        # g2 is no image of g, so the worst deviation depends on every
+        # sampled profile; mixed spaces make the number of draws per
+        # player differ, which pins the RNG order
+        rng = np.random.default_rng(13)
+        g = EwlGame(random_game(rng, (2, 2, 2)), (D, F, StrategySpace.ONE_PARAM))
+        g2 = EwlGame(random_game(rng, (2, 2, 2)), (FULL, D, F))
+        lm = LiftedMapping((1, 2, 0), (FLIP, KEEP, FLIP))
+        res = verify_lift(lm, g, g2, samples=40, seed=9)
+
+        draws = np.random.default_rng(9)
+        profiles = [tuple(sample_strategy(s, draws) for s in g.spaces) for _ in range(40)]
+        escapes, worst = set(), 0.0
+        for params in profiles:
+            mapped = apply_lift(lm, params)
+            escapes |= {k for k in range(3) if not g2.spaces[k].contains(mapped[k])}
+            u, u2 = oracle_payoffs(g, params), oracle_payoffs(g2, mapped)
+            worst = max(worst, max(abs(u[i] - u2[lm.eta[i]]) for i in range(3)))
+        assert res.space_escapes == tuple(sorted(escapes)) != ()
+        assert worst > 0.1
+        assert abs(res.max_deviation - worst) <= 1e-12
 
     def test_flip_escape_reported_not_raised(self):
         lm = lift(COLUMN_SWAP, PD)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import expectation
 from qgame.linalg import (
     ID2,
     PAULI_X,
@@ -14,7 +15,6 @@ from qgame.linalg import (
     basis_index,
     basis_state,
     entangler,
-    expectation,
     is_unitary,
     permutation_operator,
     su2,

@@ -1,0 +1,104 @@
+"""The quaternion payoff core against the dense Kronecker/entangler oracle.
+
+Every batched payoff path (`grid_payoff_tables`, `profile_payoffs`) must
+agree with `helpers.oracle_payoffs` within 1e-12 for 2, 3 and 4 players,
+random payoffs, per-player strategy spaces and arbitrary strategy lists.
+"""
+
+import math
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import oracle_payoffs, random_game
+from qgame import EwlGame, StrategySpace, SU2Params, profile_payoffs
+from qgame.linalg import TWO_PI
+from qgame.search import grid_payoff_tables
+
+TOL = 1e-12
+
+# the quaternion units 1, iZ, iX, iY: theta = 0 or pi, alpha = pi/2, beta = 3pi/2
+UNITS = (
+    SU2Params(0.0, 0.0, 0.0),
+    SU2Params(0.0, math.pi / 2, 0.0),
+    SU2Params(math.pi, 0.0, 0.0),
+    SU2Params(math.pi, 0.0, 1.5 * math.pi),
+)
+
+
+def angle(special, high):
+    return st.one_of(st.sampled_from(special), st.floats(0.0, high, allow_nan=False))
+
+
+@st.composite
+def strategies_in(draw, space):
+    theta = draw(angle((0.0, math.pi), math.pi))
+    phases = (0.0, math.pi / 2, 1.5 * math.pi)
+    alpha = 0.0 if space.alpha_frozen else draw(angle(phases, TWO_PI))
+    beta = 0.0 if space.beta_frozen else draw(angle(phases, TWO_PI))
+    return SU2Params(theta, alpha, beta)
+
+
+@st.composite
+def games_and_grids(draw):
+    """A random n-player EWL game, one space per player, and a short
+    strategy list per player drawn from that player's space."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spaces = tuple(draw(st.sampled_from(list(StrategySpace))) for _ in range(n))
+    game = EwlGame(random_game(rng, (2,) * n, low=-10, high=10), spaces)
+    longest = {2: 4, 3: 3, 4: 2}[n]
+    lists = [draw(st.lists(strategies_in(s), min_size=1, max_size=longest)) for s in spaces]
+    return game, lists
+
+
+def assert_matches_oracle(game, profiles, got):
+    assert got.shape == (len(profiles), game.n_players)
+    for params, row in zip(profiles, got):
+        assert np.abs(row - oracle_payoffs(game, params)).max() <= TOL
+
+
+def grid_profiles(lists):
+    return [tuple(lists[i][k] for i, k in enumerate(idx)) for idx in product(*map(range, map(len, lists)))]
+
+
+@given(games_and_grids())
+@settings(max_examples=80, deadline=None)
+def test_grid_tables_match_the_dense_oracle(case):
+    game, lists = case
+    tables = grid_payoff_tables(game, lists)
+    dims = tuple(len(s) for s in lists)
+    assert [t.shape for t in tables] == [dims] * game.n_players
+    got = np.stack([t.reshape(-1) for t in tables], axis=1)
+    assert_matches_oracle(game, grid_profiles(lists), got)
+
+
+@given(games_and_grids())
+@settings(max_examples=80, deadline=None)
+def test_profile_payoffs_match_the_dense_oracle(case):
+    game, lists = case
+    profiles = grid_profiles(lists)
+    assert_matches_oracle(game, profiles, profile_payoffs(game, profiles))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_profile_of_quaternion_units(n):
+    game = EwlGame(random_game(np.random.default_rng(n), (2,) * n, low=-10, high=10))
+    profiles = list(product(UNITS, repeat=n))
+    assert_matches_oracle(game, profiles, profile_payoffs(game, profiles))
+    tables = grid_payoff_tables(game, [UNITS] * n)
+    assert_matches_oracle(game, profiles, np.stack([t.reshape(-1) for t in tables], axis=1))
+
+
+def test_empty_profile_list():
+    game = EwlGame(random_game(np.random.default_rng(0), (2, 2, 2)))
+    assert profile_payoffs(game, []).shape == (0, 3)
+
+
+def test_grid_needs_one_list_per_player():
+    game = EwlGame(random_game(np.random.default_rng(0), (2, 2, 2)))
+    with pytest.raises(ValueError):
+        grid_payoff_tables(game, [UNITS, UNITS])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qgame import (
+    ClassicalGame,
     EwlGame,
     ParamGrid,
     StrategySpace,
@@ -18,6 +19,7 @@ from qgame import (
     witness_deviation,
 )
 from qgame.linalg import TWO_PI
+from qgame.search import grid_payoff_tables
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
 RSTP = (R, S, T, P)
@@ -103,8 +105,6 @@ class TestGridPureNE:
         grid3 = ParamGrid.uniform(3, theta=2, alpha=1, beta=1)
         for _ in range(10):
             payoffs = rng.integers(0, 6, size=(2, 2, 2, 3)).astype(float)
-            from qgame import ClassicalGame
-
             g = ClassicalGame((("a", "b"), ("c", "d"), ("e", "f")), payoffs)
             game = EwlGame(g, (ONE,) * 3)
             found = grid_pure_ne(game, grid3, eps=1e-9)
@@ -123,6 +123,29 @@ class TestGridPureNE:
         game = EwlGame(PD)
         with pytest.raises(ValueError):
             grid_pure_ne(game, ParamGrid.uniform(3, 3, 3, 1))
+
+    def test_matches_the_per_row_loop_bitwise(self):
+        # eps near the payoff gaps keeps hundreds of rows; the reference
+        # computes each row's improvement with a per-player loop
+        rng = np.random.default_rng(12)
+        g = ClassicalGame((("a", "b"),) * 3, rng.uniform(0, 10, size=(2, 2, 2, 3)))
+        game = EwlGame(g, (D, ONE, StrategySpace.FULL_SU2))
+        grid = ParamGrid.uniform(3, 5, 5, 3)
+        found = grid_pure_ne(game, grid, eps=2.0)
+        lists = [grid.strategies(i, game.spaces[i]) for i in range(3)]
+        tables = grid_payoff_tables(game, lists)
+        bests = [t.max(axis=i, keepdims=True) for i, t in enumerate(tables)]
+        expected = []
+        for idx in np.argwhere(np.all([t >= b - 2.0 for t, b in zip(tables, bests)], axis=0)):
+            t = tuple(int(v) for v in idx)
+            improvement = max(
+                float(bests[i][tuple(0 if k == i else t[k] for k in range(3))] - tables[i][t])
+                for i in range(3)
+            )
+            profile = tuple(lists[i][t[i]] for i in range(3))
+            expected.append((profile, improvement, tuple(float(tables[i][t]) for i in range(3))))
+        assert 100 < len(expected) < math.prod(tables[0].shape)
+        assert [(eq.profile, eq.eps, eq.payoffs) for eq in found] == expected
 
 
 class TestBestReply:
