@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import ClassicalGame
-from .linalg import MAX_QUBITS, SU2Params, entangler, su2, tensor
+from .linalg import MAX_QUBITS, SU2Params, entangler, su2
 
 CLOSED_FORM_TOL = 1e-12
 
@@ -97,29 +97,45 @@ _UNIT_ANGLES = (
 )
 
 
+def _unit_amplitudes(n: int) -> np.ndarray:
+    """(4^n, 2^n) amplitudes <j| J^dag (B_a1 x .. x B_an) J |0..0> for the
+    quaternion units B, with each player's four units applied to its own
+    qubit."""
+    J = entangler(n)
+    units = np.stack([su2(SU2Params(*a)) for a in _UNIT_ANGLES])
+    state = J[:, 0].reshape((2,) * n)
+    for _ in range(n):
+        state = np.tensordot(state, units, axes=([0], [2]))
+    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    return state.transpose(order).reshape(4**n, 2**n) @ J.conj()
+
+
 def _payoff_core(diags: np.ndarray) -> np.ndarray:
     """Real tensor C of shape (n, 10, .., 10) with
     u_i = sum C[i, p_1, .., p_n] f_1[p_1] .. f_n[p_n] for the features
     f of `strategy_features`."""
     n = diags.shape[0]
-    J = entangler(n)
-    units = np.stack([su2(SU2Params(*a)) for a in _UNIT_ANGLES])
-    # amps[a, j] = <j| J^dag (B_a1 x .. x B_an) J |0..0> for quaternion units B
-    amps = (tensor([units] * n) @ J[:, 0]) @ J.conj()
-    parts = np.concatenate([amps.real, amps.imag], axis=1)
-    fold = np.zeros((4, 4, 10))
+    amps = _unit_amplitudes(n)
+    # B_a maps |0..0> and |1..1> to complementary kets up to phase, so
+    # every row has one nonzero amplitude z[a] (the rest are rounding
+    # residue below 1e-15) on ket[a], and Re(amps diag(d) amps^H) only
+    # pairs rows on the same ket
+    ket = np.abs(amps).argmax(axis=1)
+    z = amps[np.arange(4**n), ket]
+    # pair (a, b) adds to the entry whose k-th index is player k's units
+    # (a_k, b_k) folded onto their upper triangle, C[k, l] + C[l, k]
+    fold = np.zeros((4, 4), dtype=int)
     k, l = np.triu_indices(4)
-    fold[k, l, np.arange(10)] = fold[l, k, np.arange(10)] = 1.0
-    core = []
-    for d in diags:
-        # Re(amps diag(d) amps^H) over axes (a_1, .., a_n, b_1, .., b_n);
-        # fold each player's 4x4 (a_k, b_k) block onto its upper
-        # triangle, C[k, l] + C[l, k] off the diagonal
-        gram = ((parts * np.tile(d, 2)) @ parts.T).reshape((4,) * (2 * n))
-        for step in range(n):
-            gram = np.tensordot(gram, fold, axes=([0, n - step], [0, 1]))
-        core.append(gram)
-    return np.stack(core)
+    fold[k, l] = fold[l, k] = np.arange(10)
+    unit_of = np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
+    places = 10 ** np.arange(n - 1, -1, -1)
+    core = np.zeros((n, 10**n))
+    for j in range(2**n):
+        r = np.flatnonzero(ket == j)
+        entry = fold[unit_of[r, None], unit_of[None, r]] @ places
+        weight = (z[r, None] * z[None, r].conj()).real
+        np.add.at(core, (slice(None), entry.ravel()), diags[:, j, None] * weight.ravel())
+    return core.reshape((n,) + (10,) * n)
 
 
 def strategy_features(angles) -> np.ndarray:

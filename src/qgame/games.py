@@ -185,39 +185,75 @@ def _shapes_compatible(f: GameMapping, g: ClassicalGame, g2: ClassicalGame) -> b
     return True
 
 
+def _pull_back(payoffs: np.ndarray, eta, phi) -> np.ndarray:
+    """Payoff tensor `payoffs` of an image game read through (eta, phi):
+    out[s][i] = payoffs[f(s)][eta(i)], with f(s)_{eta(i)} = phi_i(s_i).
+
+    One transpose puts the image players in source order, one gather
+    applies the strategy bijections and picks each player's image column.
+    The image shape must match the mapping (see `_shapes_compatible`).
+    """
+    moved = np.transpose(payoffs, tuple(eta) + (len(eta),))
+    return moved[np.ix_(*phi, eta)]
+
+
 def is_strong_isomorphism(
     f: GameMapping, g: ClassicalGame, g2: ClassicalGame, tol: float = PAYOFF_TOL
 ) -> bool:
     """True iff u_i(s) = u'_{eta(i)}(f(s)) for every player and profile."""
     if not _shapes_compatible(f, g, g2):
         return False
-    for s in g.profiles():
-        t = apply_mapping(f, s)
-        for i in range(g.n_players):
-            if abs(g.payoffs[s][i] - g2.payoffs[t][f.eta[i]]) > tol:
-                return False
-    return True
+    return bool(np.abs(g.payoffs - _pull_back(g2.payoffs, f.eta, f.phi)).max() <= tol)
+
+
+def _strategy_signatures(g: ClassicalGame, player: int) -> np.ndarray:
+    """(m, prod(shape) / m) sorted own-payoff slices, one row per strategy."""
+    u = np.moveaxis(g.payoffs[..., player], player, 0)
+    return np.sort(u.reshape(g.shape[player], -1), axis=1)
 
 
 def find_strong_isomorphisms(g: ClassicalGame, g2: ClassicalGame) -> list[GameMapping]:
-    """Exhaustively enumerate all strong isomorphisms g -> g2.
+    """All strong isomorphisms g -> g2, by a signature-pruned search.
 
-    Candidates are generated in lexicographic order (eta outer, then the
+    Strategy k of player i may map to strategy k' of player j only when
+    the sorted own-payoff slices u_i(s | s_i = k) and u'_j(s | s_j = k')
+    agree within PAYOFF_TOL entrywise. The filter loses no isomorphism:
+    if some bijection pairs two multisets of reals within tol, so does
+    the sorted pairing. Each surviving candidate is checked on every
+    profile at PAYOFF_TOL, exactly as `is_strong_isomorphism` does.
+
+    Candidates come in lexicographic order (eta outer, then the
     per-player bijections), so the result order is deterministic. An
     empty list means the games are not isomorphic.
     """
-    if g.n_players != g2.n_players:
+    if sorted(g.shape) != sorted(g2.shape):
         return []
     n = g.n_players
+    sigs = [_strategy_signatures(g, i) for i in range(n)]
+    sigs2 = [_strategy_signatures(g2, j) for j in range(n)]
+    # bijections[i][j]: every phi_i allowed when eta(i) = j
+    bijections = [[_compatible_bijections(s, s2) for s2 in sigs2] for s in sigs]
     found = []
     for eta in permutations(range(n)):
-        if any(g2.shape[eta[i]] != g.shape[i] for i in range(n)):
+        choices = [bijections[i][eta[i]] for i in range(n)]
+        if not all(choices):
             continue
-        for phis in product(*(permutations(range(g.shape[i])) for i in range(n))):
-            f = GameMapping(eta, phis)
-            if is_strong_isomorphism(f, g, g2):
-                found.append(f)
+        for phis in product(*choices):
+            if np.abs(g.payoffs - _pull_back(g2.payoffs, eta, phis)).max() <= PAYOFF_TOL:
+                found.append(GameMapping(eta, phis))
     return found
+
+
+def _compatible_bijections(sig: np.ndarray, sig2: np.ndarray) -> list[tuple[int, ...]]:
+    """Bijections k -> k' with rows sig[k] and sig2[k'] within PAYOFF_TOL,
+    in lexicographic order; empty when the strategy counts differ."""
+    if sig.shape != sig2.shape:
+        return []
+    allowed = np.abs(sig[:, None, :] - sig2[None, :, :]).max(axis=2) <= PAYOFF_TOL
+    out = [()]
+    for row in allowed:
+        out = [p + (k,) for p in out for k in np.flatnonzero(row).tolist() if k not in p]
+    return out
 
 
 def image_game(f: GameMapping, g: ClassicalGame) -> ClassicalGame:
@@ -225,24 +261,20 @@ def image_game(f: GameMapping, g: ClassicalGame) -> ClassicalGame:
 
     Labels travel with the strategies they name.
     """
-    if not all(len(f.phi[i]) == g.shape[i] for i in range(g.n_players)):
+    if f.n_players != g.n_players or any(
+        len(f.phi[i]) != g.shape[i] for i in range(g.n_players)
+    ):
         raise ValueError("mapping does not match game shape")
     n = g.n_players
-    dims = [0] * n
-    for i in range(n):
-        dims[f.eta[i]] = g.shape[i]
     labels = [None] * n
     for i in range(n):
         lab = [None] * g.shape[i]
         for k in range(g.shape[i]):
             lab[f.phi[i][k]] = g.labels[i][k]
         labels[f.eta[i]] = tuple(lab)
-    out = np.zeros(tuple(dims) + (n,))
-    for s in g.profiles():
-        t = apply_mapping(f, s)
-        for i in range(n):
-            out[t][f.eta[i]] = g.payoffs[s][i]
-    return ClassicalGame(tuple(labels), out)
+    # the image's payoffs are g's read back through the inverse mapping
+    inv = f.inverse()
+    return ClassicalGame(tuple(labels), _pull_back(g.payoffs, inv.eta, inv.phi))
 
 
 def strategic_equivalence(

@@ -4,11 +4,11 @@ independent oracles kept deliberately separate from the library code."""
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
-from qgame import ClassicalGame, GameMapping, entangler, su2, tensor
+from qgame import ClassicalGame, GameMapping, apply_mapping, entangler, su2, tensor
 from qgame.ewl import payoff_diagonal
 from qgame.linalg import MAX_QUBITS
 
@@ -52,6 +52,28 @@ def brute_force_pure_nash(g: ClassicalGame, tol=1e-12):
         if ok:
             out.append(s)
     return out
+
+
+def brute_force_strong_isomorphisms(g: ClassicalGame, g2: ClassicalGame) -> list[GameMapping]:
+    """Every strong isomorphism g -> g2 by trying all n! * prod(m_i!)
+    candidates in lexicographic order (eta outer, then the per-player
+    bijections) and checking each profile by profile."""
+    if g.n_players != g2.n_players:
+        return []
+    n = g.n_players
+    found = []
+    for eta in permutations(range(n)):
+        if any(g2.shape[eta[i]] != g.shape[i] for i in range(n)):
+            continue
+        for phis in product(*(permutations(range(g.shape[i])) for i in range(n))):
+            f = GameMapping(eta, phis)
+            if all(
+                abs(g.payoffs[s][i] - g2.payoffs[apply_mapping(f, s)][eta[i]]) <= 1e-12
+                for s in product(*(range(m) for m in g.shape))
+                for i in range(n)
+            ):
+                found.append(f)
+    return found
 
 
 def is_mixed_equilibrium_2x2(g: ClassicalGame, p: float, q: float, tol=1e-9) -> bool:

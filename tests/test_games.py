@@ -1,10 +1,13 @@
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     brute_force_pure_nash,
+    brute_force_strong_isomorphisms,
     is_mixed_equilibrium_2x2,
     random_game,
     random_mapping,
@@ -185,6 +188,84 @@ class TestFindStrongIsomorphisms:
             g3 = image_game(f2, g2)
             combined = compose(f1, f2)
             assert combined in find_strong_isomorphisms(g, g3)
+
+
+class TestIsomorphismSearchAgainstOracle:
+    """`find_strong_isomorphisms` must return exactly the brute-force
+    oracle's list, order included, on tie-heavy games where the
+    signature filter prunes least."""
+
+    @pytest.mark.parametrize(
+        "kind, moved",
+        [("image", 0.0), ("image", 5e-13), ("image", 1e-11), ("unrelated", 0.0), ("other shape", 0.0)],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.lists(st.integers(2, 3), min_size=1, max_size=3).map(tuple),
+        high=st.sampled_from((2, 3, 10)),
+    )
+    @example(seed=0, shape=(2, 3, 2), high=2)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, kind, moved, seed, shape, high):
+        rng = np.random.default_rng(seed)
+        g = random_game(rng, shape, high=high)
+        # eta is any permutation, so the image may reorder unequal players
+        f = GameMapping(
+            tuple(rng.permutation(len(shape))), tuple(tuple(rng.permutation(m)) for m in shape)
+        )
+        g2 = image_game(f, g)
+        if moved:
+            payoffs = g2.payoffs.copy()
+            payoffs[tuple(int(rng.integers(0, m)) for m in payoffs.shape)] += moved
+            g2 = ClassicalGame(g2.labels, payoffs)
+        if kind == "unrelated":
+            g2 = random_game(rng, g2.shape, high=high)
+        elif kind == "other shape":
+            # same player count, one player's strategy count changed
+            g2 = random_game(rng, (5 - shape[0],) + shape[1:], high=high)
+        found = find_strong_isomorphisms(g, g2)
+        assert found == brute_force_strong_isomorphisms(g, g2)
+        if kind == "image":
+            # the 1e-11 move breaks f; within PAYOFF_TOL it survives
+            assert (f in found) == (moved < 1e-12)
+
+    def test_constant_game_returns_every_mapping(self):
+        g = ClassicalGame([("a", "b", "c")] * 3, np.full((3, 3, 3, 3), 2.0))
+        found = find_strong_isomorphisms(g, g)
+        assert len(found) == 6 * 6**3
+        assert found == brute_force_strong_isomorphisms(g, g)
+
+    def test_latin_square_with_equal_signatures(self):
+        i, j = np.indices((3, 3))
+        g = ClassicalGame([("a", "b", "c")] * 2, np.stack([(i + j) % 3, (i + 2 * j) % 3], -1))
+        # every strategy's own-payoff slice is {0, 1, 2}: nothing is pruned
+        g2 = image_game(GameMapping((1, 0), ((2, 0, 1), (1, 2, 0))), g)
+        for other in (g, g2):
+            found = find_strong_isomorphisms(g, other)
+            assert found
+            assert found == brute_force_strong_isomorphisms(g, other)
+
+    def test_equal_signatures_still_need_the_profile_check(self):
+        # swapping u1(t, l) and u1(t, r) keeps every signature, so only
+        # the per-profile check at PAYOFF_TOL rejects the identity
+        g = bimatrix(("t", "b"), ("l", "r"), [[(1, 0), (1 + 1e-11, 0)], [(0, 0), (0, 0)]])
+        g2 = bimatrix(("t", "b"), ("l", "r"), [[(1 + 1e-11, 0), (1, 0)], [(0, 0), (0, 0)]])
+        found = find_strong_isomorphisms(g, g2)
+        assert GameMapping.identity((2, 2)) not in found
+        assert found == brute_force_strong_isomorphisms(g, g2)
+
+    def test_four_players_four_strategies_stays_fast(self):
+        # 4! * (4!)^4, about 8M candidates for an exhaustive search
+        rng = np.random.default_rng(2024)
+        shape = (4, 4, 4, 4)
+        g = random_game(rng, shape)
+        f = random_mapping(rng, shape)
+        g2 = image_game(f, g)
+        start = time.perf_counter()
+        found = find_strong_isomorphisms(g, g2)
+        elapsed = time.perf_counter() - start
+        assert f in found
+        assert elapsed < 1.0
 
 
 class TestStrategicEquivalence:
