@@ -48,8 +48,10 @@ from .lift import (
 )
 from .search import (
     EpsEquilibrium,
+    GridEquilibria,
     ParamGrid,
     best_reply_two_param,
+    grid_equilibria,
     grid_pure_ne,
     witness_deviation,
 )

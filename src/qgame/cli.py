@@ -24,7 +24,7 @@ from .games import (
 from .gamefile import GameFile, GameFileError, load_game_file
 from .lift import LIFT_TOL, lift, operator_identity_suite, verify_lift
 from .linalg import TWO_PI, SU2Params
-from .search import ParamGrid, grid_payoff_tables, grid_pure_ne
+from .search import ParamGrid, grid_equilibria, grid_payoff_tables, grid_table_bytes
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -157,6 +157,18 @@ def _parse_spaces(spec: str, players: int) -> tuple[StrategySpace, ...]:
     return tuple(parse_space(s) for s in names)
 
 
+def _check_memory(dims) -> None:
+    """Refuse, before anything is allocated, a grid search whose payoff
+    tables and mask would take more than half of physical memory."""
+    need = grid_table_bytes(dims)
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    if need > budget:
+        raise ValueError(
+            f"grid needs about {need / 2**30:.3g} GiB for payoff tables and mask, "
+            f"more than half of physical memory ({budget / 2**30:.3g} GiB)"
+        )
+
+
 def cmd_ne(args) -> int:
     report = RunReport(
         command=f"ne {args.game}", tolerances={"eps": args.eps}
@@ -168,41 +180,48 @@ def cmd_ne(args) -> int:
         spaces = _parse_spaces(args.spaces, g.n_players)
     game = EwlGame(g, spaces)
     grid = _parse_grid(args.grid, g.n_players)
-    found = grid_pure_ne(game, grid, eps=args.eps)
+    _check_memory([grid.size(i, s) for i, s in enumerate(game.spaces)])
+    found = grid_equilibria(game, grid, eps=args.eps)
+    count = len(found.eps)
+    n = g.n_players
     space_names = ",".join(s.value for s in game.spaces)
-    report.lines.append(f"spaces: {space_names}; grid: {args.grid}; profiles found: {len(found)}")
-    rows = []
-    for eq in found:
-        angles = " ".join(
-            f"({p.theta:.6g},{p.alpha:.6g},{p.beta:.6g})" for p in eq.profile
-        )
-        pays = " ".join(f"{v:.10g}" for v in eq.payoffs)
-        report.lines.append(f"  {angles} payoffs [{pays}] improvement {eq.eps:.3e}")
-        rows.append((eq.profile, eq.payoffs, eq.eps))
-    report.verdict = f"{len(found)} equilibria" if found else "no equilibria"
+    report.lines.append(f"spaces: {space_names}; grid: {args.grid}; profiles found: {count}")
+    template = "  %s payoffs [%s] improvement %%.3e" % (
+        " ".join(["%s"] * n),
+        " ".join(["%.10g"] * n),
+    )
+    report.lines.extend(_ne_rows(found, "(%.6g,%.6g,%.6g)", template))
+    report.verdict = f"{count} equilibria" if count else "no equilibria"
     print(report.render())
     if args.csv:
         try:
-            _write_ne_csv(args.csv, g.n_players, rows)
+            _write_ne_csv(args.csv, found)
         except OSError as exc:
             print(f"cannot write {args.csv}: {exc}", file=sys.stderr)
             return EXIT_IO
-    return EXIT_OK if found else EXIT_NEGATIVE
+    return EXIT_OK if count else EXIT_NEGATIVE
 
 
-def _write_ne_csv(path, players, rows):
+def _ne_rows(found, strategy_fmt: str, template: str):
+    """`template % row` for each equilibrium, where a row holds every
+    player's strategy rendered with `strategy_fmt` (once per grid point
+    used), then the payoffs and the improvement."""
     cols = []
-    for i in range(1, players + 1):
-        cols += [f"theta{i}", f"alpha{i}", f"beta{i}"]
-    cols += [f"payoff{i}" for i in range(1, players + 1)] + ["improvement"]
+    for angles, col in zip(found.angles, found.index.T):
+        used, where = np.unique(col, return_inverse=True)
+        labels = np.array([strategy_fmt % tuple(a) for a in angles[used].tolist()], dtype=object)
+        cols.append(labels[where].tolist())
+    return map(template.__mod__, zip(*cols, *found.payoffs.T.tolist(), found.eps.tolist()))
+
+
+def _write_ne_csv(path, found):
+    n = len(found.angles)
+    cols = [f"theta{i},alpha{i},beta{i}" for i in range(1, n + 1)]
+    cols += [f"payoff{i}" for i in range(1, n + 1)] + ["improvement"]
+    template = ",".join(["%s"] * n + ["%.15g"] * (n + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for profile, payoffs, eps in rows:
-            vals = []
-            for p in profile:
-                vals += [p.theta, p.alpha, p.beta]
-            vals += list(payoffs) + [eps]
-            fh.write(",".join(format(v, ".15g") for v in vals) + "\n")
+        fh.writelines(_ne_rows(found, "%.15g,%.15g,%.15g", template))
 
 
 def _parse_params(spec: str) -> SU2Params:
@@ -230,25 +249,29 @@ def cmd_surface(args) -> int:
     t_steps, a_steps = parts
     if t_steps < 1 or a_steps < 1:
         raise GameFileError("grid steps must be positive")
-    thetas = np.linspace(0.0, math.pi, t_steps) if t_steps > 1 else [0.0]
-    alphas = np.linspace(0.0, TWO_PI, a_steps) if a_steps > 1 else [0.0]
-    grid = [(t, a) for t in thetas for a in alphas]
-    mine = [SU2Params(t, a, 0.0) for t, a in grid]
+    _check_memory([t_steps * a_steps, 1])
+    # unlike ParamGrid, the alpha axis keeps its 2pi endpoint (printed as 0)
+    thetas = np.linspace(0.0, math.pi, t_steps)
+    alphas = np.linspace(0.0, TWO_PI, a_steps) % TWO_PI
+    mine = np.stack(np.meshgrid(thetas, alphas, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
     lists = [mine, [opponent]] if mover == 0 else [[opponent], mine]
     u1, u2 = (t.reshape(-1) for t in grid_payoff_tables(game, lists))
-    lines = ["theta,alpha,payoff1,payoff2"]
-    for (t, a), v1, v2 in zip(grid, u1, u2):
-        lines.append(",".join(format(v, ".15g") for v in (t, float(a) % TWO_PI, v1, v2)))
-    text = "\n".join(lines) + "\n"
+    rows = map(
+        "%.15g,%.15g,%.15g,%.15g\n".__mod__,
+        zip(mine[:, 0].tolist(), mine[:, 1].tolist(), u1.tolist(), u2.tolist()),
+    )
+    header = "theta,alpha,payoff1,payoff2\n"
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.write(header)
+                fh.writelines(rows)
         except OSError as exc:
             print(f"cannot write {args.csv}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(header)
+        sys.stdout.writelines(rows)
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -54,21 +53,33 @@ class ParamGrid:
             )
         )
 
-    def strategies(self, player: int, space: StrategySpace) -> tuple[SU2Params, ...]:
+    def size(self, player: int, space: StrategySpace) -> int:
+        """Number of grid strategies of `player` in `space`, from the step
+        counts alone."""
+        t_steps, a_steps, b_steps = self.steps[player]
+        a = 1 if space.alpha_frozen else max(a_steps - 1, 1)
+        b = 1 if space.beta_frozen else max(b_steps - 1, 1)
+        return t_steps * a * b
+
+    def angles(self, player: int, space: StrategySpace) -> np.ndarray:
+        """(m, 3) array of the player's grid (theta, alpha, beta) rows,
+        theta outermost and beta innermost."""
         t_steps, a_steps, b_steps = self.steps[player]
         thetas = np.linspace(0.0, math.pi, t_steps)
         alphas = _phase_axis(1 if space.alpha_frozen else a_steps)
         betas = _phase_axis(1 if space.beta_frozen else b_steps)
-        return tuple(
-            SU2Params(t, a, b) for t, a, b in product(thetas, alphas, betas)
-        )
+        axes = np.meshgrid(thetas, alphas, betas, indexing="ij")
+        return np.stack(axes, axis=-1).reshape(-1, 3)
+
+    def strategies(self, player: int, space: StrategySpace) -> tuple[SU2Params, ...]:
+        return tuple(SU2Params(*row) for row in self.angles(player, space).tolist())
 
 
-def _phase_axis(steps: int) -> tuple[float, ...]:
+def _phase_axis(steps: int) -> np.ndarray:
     if steps == 1:
-        return (0.0,)
-    vals = [v % TWO_PI for v in np.linspace(0.0, TWO_PI, steps)]
-    return tuple(dict.fromkeys(vals))
+        return np.zeros(1)
+    # the 2pi endpoint reduces to 0 and is dropped
+    return (np.linspace(0.0, TWO_PI, steps) % TWO_PI)[:-1]
 
 
 @dataclass(frozen=True)
@@ -81,10 +92,30 @@ class EpsEquilibrium:
     payoffs: tuple[float, ...]
 
 
+@dataclass(frozen=True)
+class GridEquilibria:
+    """The k grid equilibria of an n-player search as arrays.
+
+    Row r is the profile whose player-i strategy is
+    `angles[i][index[r, i]]`; `eps[r]` is the largest improvement any
+    grid deviation offers there and `payoffs[r]` the payoff vector.
+    Rows come in row-major profile order.
+    """
+
+    angles: tuple[np.ndarray, ...]
+    index: np.ndarray
+    eps: np.ndarray
+    payoffs: np.ndarray
+
+
 def grid_payoff_tables(game: EwlGame, strategy_lists) -> list[np.ndarray]:
     """One payoff array of shape (m_1, .., m_n) per player, covering
     every grid profile: the game's payoff core contracted with each
-    player's strategy features, one GEMM per player."""
+    player's strategy features, one GEMM per player.
+
+    Each player's strategies are either a sequence of `SU2Params` or an
+    (m, 3) array of (theta, alpha, beta) rows.
+    """
     dims = [len(s) for s in strategy_lists]
     if len(dims) != game.n_players:
         raise ValueError("need one strategy list per player")
@@ -96,25 +127,35 @@ def grid_payoff_tables(game: EwlGame, strategy_lists) -> list[np.ndarray]:
     order = sorted(range(len(dims)), key=dims.__getitem__)
     out = game.payoff_core.transpose([0] + [1 + k for k in order])
     for k in order:
-        feats = strategy_features([p.as_tuple() for p in strategy_lists[k]])
+        feats = strategy_features(_angle_rows(strategy_lists[k]))
         out = np.tensordot(out, feats, axes=(1, 1))
     out = out.transpose([0] + [1 + order.index(k) for k in range(len(dims))])
     return list(np.ascontiguousarray(out))
 
 
-def grid_pure_ne(
-    game: EwlGame, grid: ParamGrid, eps: float = 1e-9
-) -> list[EpsEquilibrium]:
+def _angle_rows(strategies) -> np.ndarray:
+    if isinstance(strategies, np.ndarray):
+        return strategies
+    return np.array([p.as_tuple() for p in strategies], dtype=float)
+
+
+def grid_table_bytes(dims) -> int:
+    """Bytes of the payoff tables and the equilibrium mask of a search
+    over `dims[i]` strategies for player i."""
+    return (8 * len(dims) + 1) * math.prod(dims)
+
+
+def grid_equilibria(game: EwlGame, grid: ParamGrid, eps: float = 1e-9) -> GridEquilibria:
     """All grid profiles that survive unilateral grid deviations up to eps.
 
-    Results come in row-major profile order. Deviations outside the grid
-    are not considered; the grid is evidence, not proof.
+    Deviations outside the grid are not considered; the grid is
+    evidence, not proof.
     """
     n = game.n_players
     if len(grid.steps) != n:
         raise ValueError("grid does not match the game's player count")
-    strategy_lists = [grid.strategies(i, game.spaces[i]) for i in range(n)]
-    tables = grid_payoff_tables(game, strategy_lists)
+    angles = tuple(grid.angles(i, game.spaces[i]) for i in range(n))
+    tables = grid_payoff_tables(game, angles)
     bests = [t.max(axis=i, keepdims=True) for i, t in enumerate(tables)]
     mask = np.ones(tables[0].shape, dtype=bool)
     for i in range(n):
@@ -124,13 +165,22 @@ def grid_pure_ne(
         [np.broadcast_to(b, mask.shape)[idx] - t[idx] for b, t in zip(bests, tables)], axis=0
     )
     payoffs = np.stack([t[idx] for t in tables], axis=1)
+    return GridEquilibria(angles, np.stack(idx, axis=1), improvements, payoffs)
+
+
+def grid_pure_ne(
+    game: EwlGame, grid: ParamGrid, eps: float = 1e-9
+) -> list[EpsEquilibrium]:
+    """`grid_equilibria` as one `EpsEquilibrium` per row, in row-major
+    profile order."""
+    found = grid_equilibria(game, grid, eps)
+    params = []
+    for angles, col in zip(found.angles, found.index.T):
+        used = np.unique(col)
+        params.append(dict(zip(used.tolist(), (SU2Params(*a) for a in angles[used].tolist()))))
     return [
-        EpsEquilibrium(
-            profile=tuple(strategy_lists[i][k] for i, k in enumerate(ks)),
-            eps=improvement,
-            payoffs=tuple(pays),
-        )
-        for *ks, improvement, pays in zip(*idx, improvements.tolist(), payoffs.tolist())
+        EpsEquilibrium(tuple(p[k] for p, k in zip(params, ks)), e, tuple(pays))
+        for ks, e, pays in zip(found.index.tolist(), found.eps.tolist(), found.payoffs.tolist())
     ]
 
 

@@ -8,9 +8,10 @@ from itertools import permutations, product
 
 import numpy as np
 
-from qgame import ClassicalGame, GameMapping, apply_mapping, entangler, su2, tensor
+from qgame import ClassicalGame, GameMapping, SU2Params, apply_mapping, entangler, su2, tensor
 from qgame.ewl import payoff_diagonal
-from qgame.linalg import MAX_QUBITS
+from qgame.linalg import MAX_QUBITS, TWO_PI
+from qgame.search import grid_payoff_tables
 
 GAMES_DIR_NAME = "games"
 
@@ -136,3 +137,55 @@ def oracle_payoffs(game, params) -> np.ndarray:
     return np.array(
         [expectation(state, payoff_operator(game.base, i)) for i in range(game.n_players)]
     )
+
+
+# Per-field renderers of the `ne` and `surface` outputs: one SU2Params
+# per grid point, one f-string or `format` call per field. They are the
+# byte-exact references for the CLI's row-template rendering.
+
+
+def ne_stdout_oracle(game_path, eps, grid_spec, spaces, found) -> str:
+    """`qgame ne` stdout for the `grid_pure_ne` rows `found`."""
+    names = ",".join(s.value for s in spaces)
+    lines = [
+        f"# command: ne {game_path}",
+        f"# tolerances: eps={eps:g}",
+        f"spaces: {names}; grid: {grid_spec}; profiles found: {len(found)}",
+    ]
+    for eq in found:
+        angles = " ".join(f"({p.theta:.6g},{p.alpha:.6g},{p.beta:.6g})" for p in eq.profile)
+        pays = " ".join(f"{v:.10g}" for v in eq.payoffs)
+        lines.append(f"  {angles} payoffs [{pays}] improvement {eq.eps:.3e}")
+    lines.append(f"verdict: {len(found)} equilibria" if found else "verdict: no equilibria")
+    return "\n".join(lines) + "\n"
+
+
+def ne_csv_oracle(players, found) -> str:
+    """`qgame ne --csv` file contents for the `grid_pure_ne` rows `found`."""
+    cols = []
+    for i in range(1, players + 1):
+        cols += [f"theta{i}", f"alpha{i}", f"beta{i}"]
+    cols += [f"payoff{i}" for i in range(1, players + 1)] + ["improvement"]
+    lines = [",".join(cols)]
+    for eq in found:
+        vals = []
+        for p in eq.profile:
+            vals += [p.theta, p.alpha, p.beta]
+        vals += list(eq.payoffs) + [eq.eps]
+        lines.append(",".join(format(v, ".15g") for v in vals))
+    return "\n".join(lines) + "\n"
+
+
+def surface_csv_oracle(game, mover, opponent, t_steps, a_steps) -> str:
+    """`qgame surface` CSV: the mover's (theta, alpha) grid, alpha's 2pi
+    endpoint included, against the fixed `opponent` SU2Params."""
+    thetas = np.linspace(0.0, math.pi, t_steps) if t_steps > 1 else [0.0]
+    alphas = np.linspace(0.0, TWO_PI, a_steps) if a_steps > 1 else [0.0]
+    grid = [(t, a) for t in thetas for a in alphas]
+    mine = [SU2Params(t, a, 0.0) for t, a in grid]
+    lists = [mine, [opponent]] if mover == 0 else [[opponent], mine]
+    u1, u2 = (t.reshape(-1) for t in grid_payoff_tables(game, lists))
+    lines = ["theta,alpha,payoff1,payoff2"]
+    for (t, a), v1, v2 in zip(grid, u1, u2):
+        lines.append(",".join(format(v, ".15g") for v in (t, float(a) % TWO_PI, v1, v2)))
+    return "\n".join(lines) + "\n"

@@ -1,19 +1,30 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from helpers import ne_csv_oracle, ne_stdout_oracle, surface_csv_oracle
 from qgame import (
+    ClassicalGame,
+    EwlGame,
     GameFile,
     GameFileError,
+    ParamGrid,
     StrategySpace,
+    SU2Params,
+    grid_pure_ne,
     load_game_file,
     parse_game_file,
+    parse_space,
+    save_game_file,
     serialize_game_file,
     two_param_payoff_closed_form,
 )
+from qgame import cli
 from qgame.cli import main
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
@@ -225,6 +236,52 @@ class TestNeCommand:
         assert lines[0].startswith("theta1,alpha1,beta1,theta2")
         assert len(lines) == 2
 
+    # (game, --spaces, --grid, --eps, exit code, fewest rows); eps sits at
+    # the payoff gaps so that hundreds of rows survive. "rand4" is a
+    # seeded 4-player game written with its spaces in the file.
+    @pytest.mark.parametrize(
+        "game,spaces,grid,eps,code,rows",
+        [
+            ("pd.game", "alpha", "9,17,1", 1.0, 0, 500),
+            ("pd_swapped.game", "full", "5,5,3", 2.5, 0, 100),
+            ("antidiag.game", "beta", "9,9,9", 0.5, 0, 500),
+            ("pd.game", "one", "33,1,1", 1.0, 0, 500),
+            ("three_player.game", "alpha,one,full", "5,5,3", 2.5, 0, 500),
+            ("rand4", None, "3,5,3", 2.0, 0, 1000),
+            ("pd_swapped.game", "alpha", "9,17,1", 0.05, 1, 0),
+        ],
+    )
+    def test_output_bytes_match_the_per_field_renderer(
+        self, game, spaces, grid, eps, code, rows, tmp_path, capsys
+    ):
+        if game == "rand4":
+            path = tmp_path / "rand4.game"
+            rng = np.random.default_rng(3)
+            g = ClassicalGame((("a", "b"),) * 4, rng.uniform(0, 10, size=(2,) * 4 + (4,)))
+            names = ("full", "beta", "one", "alpha")
+            save_game_file(GameFile(g, tuple(parse_space(s) for s in names)), path)
+        else:
+            path = GAMES / game
+        csv_path = tmp_path / "ne.csv"
+        argv = ["ne", str(path), "--grid", grid, "--eps", repr(eps), "--csv", str(csv_path)]
+        if spaces:
+            argv += ["--spaces", spaces]
+        assert main(argv) == code
+        out = capsys.readouterr().out
+
+        gf = load_game_file(path)
+        n = gf.game.n_players
+        space_tuple = gf.spaces
+        if spaces:
+            names = spaces.split(",")
+            space_tuple = tuple(parse_space(s) for s in names * (n // len(names)))
+        game_q = EwlGame(gf.game, space_tuple)
+        t, a, b = (int(v) for v in grid.split(","))
+        found = grid_pure_ne(game_q, ParamGrid.uniform(n, t, a, b), eps)
+        assert len(found) >= rows
+        assert out == ne_stdout_oracle(path, eps, grid, game_q.spaces, found)
+        assert csv_path.read_bytes() == ne_csv_oracle(n, found).encode("utf-8")
+
 
 class TestSurfaceCommand:
     def test_three_by_three_grid(self, tmp_path, capsys):
@@ -296,6 +353,65 @@ class TestSurfaceCommand:
     def test_three_player_game_rejected(self, capsys):
         code = main(["surface", str(GAMES / "three_player.game"), "--grid", "2,2"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "player,opponent,grid",
+        [
+            (1, "0.3,5", "33,65"),
+            (2, "1,2,0.5", "17,33"),
+            (1, "0,0", "1,1"),
+            (2, "3,6.2", "4,1"),
+            (1, "2,1", "1,5"),
+        ],
+    )
+    def test_bytes_match_the_per_field_renderer(self, player, opponent, grid, tmp_path, capsys):
+        path = GAMES / "pd_swapped.game"
+        argv = ["surface", str(path), "--player", str(player), "--opponent", opponent, "--grid", grid]
+        csv_path = tmp_path / "surface.csv"
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main(argv + ["--csv", str(csv_path)]) == 0
+        game = EwlGame(load_game_file(path).game)
+        opp = SU2Params(*(float(v) for v in opponent.split(",")))
+        t_steps, a_steps = (int(v) for v in grid.split(","))
+        expected = surface_csv_oracle(game, player - 1, opp, t_steps, a_steps)
+        assert out == expected
+        assert csv_path.read_bytes() == expected.encode("utf-8")
+
+
+class TestPreflightMemoryCheck:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ne", str(GAMES / "pd.game"), "--spaces", "full", "--grid", "1000,1000,1000"],
+            ["surface", str(GAMES / "pd.game"), "--grid", "1000000,1000000"],
+        ],
+    )
+    def test_huge_grid_exits_2_before_allocating(self, argv, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid arrays built")
+
+        monkeypatch.setattr(ParamGrid, "angles", refuse)
+        monkeypatch.setattr(cli, "grid_payoff_tables", refuse)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        err = capsys.readouterr().err
+        assert "GiB for payoff tables and mask" in err and "physical memory" in err
+
+    def test_budget_is_half_of_physical_memory(self, capsys, monkeypatch):
+        # 2 x 2 profiles: two float64 tables plus a bool mask, 68 bytes
+        argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
+        for phys_bytes, code in [(136, 0), (135, 2)]:
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
+            monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+            assert main(argv) == code
+        capsys.readouterr()
 
 
 class TestIdentitiesCommand:

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qgame import (
     witness_deviation,
 )
 from qgame.linalg import TWO_PI
-from qgame.search import grid_payoff_tables
+from qgame.search import grid_equilibria, grid_payoff_tables, grid_table_bytes
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
 RSTP = (R, S, T, P)
@@ -28,6 +29,7 @@ PD_SWAPPED = bimatrix(("t", "b"), ("l", "r"), [[(S, T), (R, R)], [(P, P), (T, S)
 
 D = StrategySpace.TWO_PARAM_ALPHA
 ONE = StrategySpace.ONE_PARAM
+SPACES = tuple(StrategySpace)
 
 RNG = np.random.default_rng(55)
 
@@ -60,6 +62,73 @@ class TestParamGrid:
             ParamGrid.uniform(1, theta=1)
         with pytest.raises(ValueError):
             ParamGrid.uniform(1, alpha=0)
+
+
+def product_grid(steps, space) -> list[list[float]]:
+    """The grid as first defined: the theta linspace times each phase
+    linspace reduced mod 2pi and deduplicated in order."""
+
+    def phase(n):
+        if n == 1:
+            return (0.0,)
+        return tuple(dict.fromkeys(v % TWO_PI for v in np.linspace(0.0, TWO_PI, n)))
+
+    t, a, b = steps
+    alphas = phase(1 if space.alpha_frozen else a)
+    betas = phase(1 if space.beta_frozen else b)
+    thetas = np.linspace(0.0, math.pi, t)
+    return [[float(x), float(y), float(z)] for x, y, z in product(thetas, alphas, betas)]
+
+
+class TestGridConsistency:
+    @pytest.mark.parametrize("space", SPACES)
+    @pytest.mark.parametrize("steps", [(2, 1, 1), (2, 2, 2), (5, 9, 3), (17, 33, 33), (4, 1, 7)])
+    def test_angles_match_the_product_grid_and_strategies(self, space, steps):
+        grid = ParamGrid((steps,))
+        angles = grid.angles(0, space)
+        assert angles.shape == (grid.size(0, space), 3)
+        assert angles.tolist() == product_grid(steps, space)
+        # SU2Params keeps the grid values as they are
+        assert [list(p.as_tuple()) for p in grid.strategies(0, space)] == angles.tolist()
+
+    def test_tables_from_angles_equal_tables_from_params(self):
+        rng = np.random.default_rng(21)
+        g = ClassicalGame((("a", "b"),) * 3, rng.uniform(0, 10, size=(2, 2, 2, 3)))
+        game = EwlGame(g, SPACES[:3])
+        grid = ParamGrid(((3, 5, 3), (4, 3, 5), (2, 7, 2)))
+        angles = [grid.angles(i, game.spaces[i]) for i in range(3)]
+        params = [grid.strategies(i, game.spaces[i]) for i in range(3)]
+        for a, b in zip(grid_payoff_tables(game, angles), grid_payoff_tables(game, params)):
+            assert np.array_equal(a, b)
+
+    def test_table_bytes_estimate_matches_the_arrays(self):
+        game = EwlGame(PD, (StrategySpace.FULL_SU2, D))
+        grid = ParamGrid.uniform(2, 5, 5, 3)
+        dims = [grid.size(i, s) for i, s in enumerate(game.spaces)]
+        tables = grid_payoff_tables(game, [grid.angles(i, s) for i, s in enumerate(game.spaces)])
+        assert grid_table_bytes(dims) == sum(t.nbytes for t in tables) + tables[0].size
+
+    @pytest.mark.parametrize("eps", [1e-9, 2.0])
+    def test_rows_rebuilt_from_the_arrays(self, eps):
+        rng = np.random.default_rng(13)
+        g = ClassicalGame((("a", "b"),) * 3, rng.uniform(0, 10, size=(2, 2, 2, 3)))
+        game = EwlGame(g, (StrategySpace.TWO_PARAM_BETA, ONE, StrategySpace.FULL_SU2))
+        grid = ParamGrid.uniform(3, 5, 5, 3)
+        arrays = grid_equilibria(game, grid, eps)
+        k = len(arrays.eps)
+        assert arrays.index.shape == (k, 3) and arrays.payoffs.shape == (k, 3)
+        rebuilt = [
+            (
+                tuple(SU2Params(*arrays.angles[i][row[i]]) for i in range(3)),
+                float(arrays.eps[r]),
+                tuple(float(v) for v in arrays.payoffs[r]),
+            )
+            for r, row in enumerate(arrays.index)
+        ]
+        assert [(eq.profile, eq.eps, eq.payoffs) for eq in grid_pure_ne(game, grid, eps)] == rebuilt
+        # row-major profile order
+        index = arrays.index.tolist()
+        assert index == sorted(index)
 
 
 class TestGridPureNE:
