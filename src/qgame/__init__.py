@@ -7,7 +7,6 @@ from .games import (
     MixedProfile2x2,
     apply_mapping,
     bimatrix,
-    compose,
     equilibrium_transport_check,
     find_strong_isomorphisms,
     image_game,
@@ -20,7 +19,6 @@ from .games import (
 from .linalg import (
     SU2Params,
     basis_index,
-    basis_state,
     entangler,
     permutation_operator,
     su2,
@@ -29,7 +27,6 @@ from .linalg import (
 from .ewl import (
     EwlGame,
     StrategySpace,
-    ewl_payoffs,
     parse_space,
     profile_payoffs,
     two_param_payoff_closed_form,

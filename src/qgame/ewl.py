@@ -191,8 +191,15 @@ def profile_payoffs(game: EwlGame, profiles: Sequence[Sequence[SU2Params]]) -> n
     n = game.n_players
     if any(len(params) != n for params in profiles):
         raise ValueError("need one strategy per player")
-    angles = np.array([[p.as_tuple() for p in params] for params in profiles]).reshape(-1, 3)
-    feats = strategy_features(angles).reshape(-1, n, 10)
+    angles = np.array([[p.as_tuple() for p in params] for params in profiles])
+    return _angle_payoffs(game, angles.reshape(-1, n, 3))
+
+
+def _angle_payoffs(game: EwlGame, angles: np.ndarray) -> np.ndarray:
+    """(P, n) payoffs of the profiles in a (P, n, 3) angle array, taken
+    as given (phases are not reduced, spaces not checked)."""
+    n = game.n_players
+    feats = strategy_features(angles.reshape(-1, 3)).reshape(-1, n, 10)
     # per-profile Kronecker products of the first and the last players'
     # features; splitting in halves keeps the intermediates at P * 10^(n/2)
     half = n // 2
@@ -212,18 +219,6 @@ def _kron_rows(feats: np.ndarray) -> np.ndarray:
 def unrestricted_payoffs(game: EwlGame, params: Sequence[SU2Params]) -> np.ndarray:
     """Payoff vector ignoring the declared strategy spaces."""
     return profile_payoffs(game, [params])[0]
-
-
-def ewl_payoffs(game: EwlGame, params: Sequence[SU2Params]) -> np.ndarray:
-    """Payoff vector <Psi|M_i|Psi>; every strategy must lie in its
-    player's declared space."""
-    for i, p in enumerate(params):
-        if not game.spaces[i].contains(p):
-            raise ValueError(
-                f"player {i + 1} strategy {p.as_tuple()} outside declared "
-                f"space {game.spaces[i].name}"
-            )
-    return unrestricted_payoffs(game, params)
 
 
 def two_param_payoff_closed_form(p1, p2, rstp) -> tuple[float, float]:

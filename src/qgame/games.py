@@ -151,18 +151,6 @@ class GameMapping:
         )
 
 
-def compose(first: GameMapping, second: GameMapping) -> GameMapping:
-    """Mapping applying `first` then `second` (g -> g2 -> g3)."""
-    if first.n_players != second.n_players:
-        raise ValueError("player counts differ")
-    eta = tuple(second.eta[first.eta[i]] for i in range(first.n_players))
-    phi = tuple(
-        tuple(second.phi[first.eta[i]][k] for k in first.phi[i])
-        for i in range(first.n_players)
-    )
-    return GameMapping(eta, phi)
-
-
 def apply_mapping(f: GameMapping, profile: Sequence[int]) -> StrategyProfile:
     """Image profile s' with s'_{eta(i)} = phi_i(s_i)."""
     s = tuple(int(k) for k in profile)

@@ -5,18 +5,21 @@ permuting players with eta and transforming each player's angles:
 strategy-preserving players keep (theta, alpha, beta), strategy-swapping
 players get the reflected angles (pi - theta, 2pi - beta, pi - alpha),
 whose matrix is -i sigma_x times the original. `verify_lift` checks the
-induced payoff equality numerically on random strategy profiles.
+induced payoff equality numerically on random strategy profiles, and
+`operator_identity_suite` the operator identities behind the lift; both
+work on arrays of all draws at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from itertools import permutations, product
+from typing import Sequence
 
 import numpy as np
 
-from .ewl import EwlGame, StrategySpace, profile_payoffs
+from .ewl import EwlGame, StrategySpace, _angle_payoffs
 from .games import ClassicalGame, GameMapping, apply_mapping
 from .linalg import (
     ID2,
@@ -26,7 +29,7 @@ from .linalg import (
     basis_index,
     entangler,
     permutation_operator,
-    su2,
+    su2_array,
     tensor,
 )
 
@@ -55,6 +58,17 @@ class AngleTransform:
         return SU2Params(
             math.pi - p.theta, self.alpha_shift - p.beta, self.beta_shift - p.alpha
         )
+
+    def angles(self, a: np.ndarray) -> np.ndarray:
+        """The map on a (..., 3) array of (theta, alpha, beta) rows, with
+        the phases reduced mod 2pi; each row is bitwise the `__call__`
+        result's `as_tuple()`."""
+        theta, alpha, beta = np.moveaxis(a, -1, 0)
+        if self.reflect:
+            theta, alpha, beta = math.pi - theta, self.alpha_shift - beta, self.beta_shift - alpha
+        else:
+            alpha, beta = alpha + self.alpha_shift, beta + self.beta_shift
+        return np.stack([theta, alpha % TWO_PI, beta % TWO_PI], axis=-1)
 
 
 KEEP = AngleTransform()
@@ -145,21 +159,43 @@ def verify_lift(
     """Check u_i(U) = u'_{eta(i)}(lifted U) on random strategy profiles.
 
     Profiles are drawn uniformly from g's declared spaces (product
-    measure over the angle boxes, reproducible from the seed). The check
-    passes when the worst payoff deviation stays within `tol` and no
-    transformed strategy escapes g2's declared spaces.
+    measure over the angle boxes, reproducible from the seed): the
+    values are bitwise those of calling `sample_strategy` for each
+    player of each profile in turn. The check passes when the worst
+    payoff deviation stays within `tol` and no transformed strategy
+    escapes g2's declared spaces.
     """
     n = g.n_players
     if g2.n_players != n or len(lm.eta) != n:
         raise ValueError("mapping and games must agree on the player count")
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    # one column per angle that sample_strategy draws, in its per-player
+    # theta, alpha, beta order; uniform(0, h) is h * next_double
+    box = np.ravel(
+        [
+            (math.pi, 0.0 if s.alpha_frozen else TWO_PI, 0.0 if s.beta_frozen else TWO_PI)
+            for s in g.spaces
+        ]
+    )
+    drawn = box > 0.0
     rng = np.random.default_rng(seed)
-    params = [tuple(sample_strategy(g.spaces[i], rng) for i in range(n)) for _ in range(samples)]
-    mapped = [apply_lift(lm, p) for p in params]
-    escapes = {k for m in mapped for k in range(n) if not g2.spaces[k].contains(m[k])}
-    devs = profile_payoffs(g, params) - profile_payoffs(g2, mapped)[:, list(lm.eta)]
-    max_dev = float(np.abs(devs).max(initial=0.0))
+    angles = np.zeros((samples, 3 * n))
+    angles[:, drawn] = rng.random((samples, int(drawn.sum()))) * box[drawn]
+    angles = angles.reshape(samples, n, 3)
+    angles[..., 1:] %= TWO_PI
+    mapped = np.empty_like(angles)
+    for i, t in enumerate(lm.transforms):
+        mapped[:, lm.eta[i]] = t.angles(angles[:, i])
+    escapes = tuple(
+        k
+        for k, s in enumerate(g2.spaces)
+        if (s.alpha_frozen and mapped[:, k, 1].any()) or (s.beta_frozen and mapped[:, k, 2].any())
+    )
+    devs = _angle_payoffs(g, angles) - _angle_payoffs(g2, mapped)[:, list(lm.eta)]
+    max_dev = float(np.abs(devs).max())
     passed = not escapes and max_dev <= tol
-    return LiftReport(passed, max_dev, tuple(sorted(escapes)), samples, seed, tol)
+    return LiftReport(passed, max_dev, escapes, samples, seed, tol)
 
 
 @dataclass(frozen=True)
@@ -189,6 +225,40 @@ class IdentitySuiteReport:
 # swapping strategies and player 1 keeping them
 _CYCLE = GameMapping(eta=(1, 2, 0), phi=((0, 1), (1, 0), (1, 0)))
 _X1X3 = tensor([PAULI_X, ID2, PAULI_X])
+_PERMS3 = tuple(permutations(range(3)))
+_BLOCK = 32
+
+_CHECK_NAMES = (
+    "(a) two-param reflection to -i sigma_x",
+    "(b) full reflection to -i sigma_x",
+    "(c) three-factor reduction",
+    "(d) qubit-permutation conjugation",
+    "(e) entangler commutators",
+    "(f) basis relabel on states",
+)
+
+
+def _identity_draws(draws: int, seed: int):
+    """The identity suite's random inputs: a (draws, 3, 3) array of three
+    players' (theta, alpha, beta), (draws,) indices into the six qubit
+    permutations of three players, and (draws, 8) random unit states."""
+    if draws < 1:
+        raise ValueError(f"need at least one draw, got {draws}")
+    rng = np.random.default_rng(seed)
+    angles = rng.random((draws, 3, 3)) * (math.pi, TWO_PI, TWO_PI)
+    picks = rng.integers(0, len(_PERMS3), draws)
+    psi = rng.normal(size=(draws, 8)) + 1j * rng.normal(size=(draws, 8))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return angles, picks, psi
+
+
+def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of three (k, 2, 2) stacks, (k, 8, 8)."""
+    return np.einsum("kab,kcd,kef->kacebdf", a, b, c).reshape(-1, 8, 8)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.abs(x).max())
 
 
 def operator_identity_suite(draws: int = 200, seed: int = 7) -> IdentitySuiteReport:
@@ -203,75 +273,50 @@ def operator_identity_suite(draws: int = 200, seed: int = 7) -> IdentitySuiteRep
     (f) |<f(j)| (X x 1 x X) S_eta |Psi>| = |<j|Psi>| for the worked
         3-player cycle f and random states
 
-    All must hold within 1e-12 entrywise over the seeded draws.
+    All must hold within 1e-12 entrywise over the seeded draws of
+    `_identity_draws`, which are checked as arrays, a block at a time.
     """
-    rng = np.random.default_rng(seed)
-    errs = {k: 0.0 for k in "abcdef"}
-
-    J3 = entangler(3)
-    perms3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    s_cycle = permutation_operator(_CYCLE.eta)
+    angles, picks, psi = _identity_draws(draws, seed)
+    # S M S^T is M with rows and columns gathered through perm^-1, which
+    # is where each row of S holds its one
+    ops = [permutation_operator(p) for p in _PERMS3]
+    back = np.stack([S.argmax(axis=1) for S in ops])[picks]
+    inv = np.argsort(np.array(_PERMS3), axis=1)[picks]
+    # (a)-(d) depend on the draws; taking them in blocks keeps the
+    # (k, 8, 8) operator stacks small
+    errs = [0.0] * 4
+    for lo in range(0, draws, _BLOCK):
+        a, b = angles[lo : lo + _BLOCK], back[lo : lo + _BLOCK]
+        u, f = su2_array(a), su2_array(FLIP.angles(a))
+        theta, alpha, zero = a[:, 0, 0], a[:, 0, 1], np.zeros(len(a))
+        two_param = su2_array(np.stack([theta, alpha, zero], axis=-1))
+        reflected = su2_array(np.stack([math.pi - theta, zero, (math.pi - alpha) % TWO_PI], -1))
+        k = np.arange(len(a))[:, None]
+        conj = _kron3(u[:, 0], u[:, 1], u[:, 2])[k[:, :, None], b[:, :, None], b[:, None, :]]
+        r = u[k, inv[lo : lo + _BLOCK]]
+        block = (
+            _max_abs(reflected - (-1j) * PAULI_X @ two_param),
+            _max_abs(f[:, 0] - (-1j) * PAULI_X @ u[:, 0]),
+            _max_abs(_kron3(f[:, 2], u[:, 0], f[:, 1]) + _X1X3 @ _kron3(u[:, 2], u[:, 0], u[:, 1])),
+            _max_abs(conj - _kron3(r[:, 0], r[:, 1], r[:, 2])),
+        )
+        errs = [max(e, x) for e, x in zip(errs, block)]
 
     # commutators are draw-independent
-    for S in (permutation_operator(p) for p in perms3):
-        errs["e"] = max(
-            errs["e"],
-            float(np.abs(J3.conj().T @ S - S @ J3.conj().T).max()),
-            float(np.abs(J3 @ S - S @ J3).max()),
+    J3 = entangler(3)
+    errs.append(
+        max(
+            _max_abs(J3.conj().T @ -_X1X3 - -_X1X3 @ J3.conj().T),
+            *(_max_abs(J3.conj().T @ S - S @ J3.conj().T) for S in ops),
+            *(_max_abs(J3 @ S - S @ J3) for S in ops),
         )
-    errs["e"] = max(
-        errs["e"], float(np.abs(J3.conj().T @ -_X1X3 - -_X1X3 @ J3.conj().T).max())
     )
 
-    for _ in range(draws):
-        ps = [
-            SU2Params(rng.uniform(0, math.pi), rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
-            for _ in range(3)
-        ]
-        us = [su2(p) for p in ps]
-        flipped = [su2(FLIP(p)) for p in ps]
+    relabel = [basis_index(apply_mapping(_CYCLE, bits)) for bits in product((0, 1), repeat=3)]
+    moved = psi @ (_X1X3 @ permutation_operator(_CYCLE.eta)).T
+    errs.append(_max_abs(np.abs(moved[:, relabel]) - np.abs(psi)))
 
-        errs["a"] = max(
-            errs["a"],
-            float(
-                np.abs(
-                    su2(SU2Params(math.pi - ps[0].theta, 0.0, math.pi - ps[0].alpha))
-                    - (-1j) * PAULI_X @ su2(SU2Params(ps[0].theta, ps[0].alpha, 0.0))
-                ).max()
-            ),
-        )
-        errs["b"] = max(
-            errs["b"], float(np.abs(flipped[0] - (-1j) * PAULI_X @ us[0]).max())
-        )
-
-        lhs = tensor([flipped[2], us[0], flipped[1]])
-        rhs = -_X1X3 @ tensor([us[2], us[0], us[1]])
-        errs["c"] = max(errs["c"], float(np.abs(lhs - rhs).max()))
-
-        perm = perms3[rng.integers(0, len(perms3))]
-        S = permutation_operator(perm)
-        inv = [perm.index(k) for k in range(3)]
-        conj = S @ tensor(us) @ S.T
-        errs["d"] = max(errs["d"], float(np.abs(conj - tensor([us[i] for i in inv])).max()))
-
-        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        psi /= np.linalg.norm(psi)
-        moved = _X1X3 @ (s_cycle @ psi)
-        for j in range(8):
-            bits = ((j >> 2) & 1, (j >> 1) & 1, j & 1)
-            fj = basis_index(apply_mapping(_CYCLE, bits))
-            errs["f"] = max(errs["f"], abs(abs(moved[fj]) - abs(psi[j])))
-
-    names = {
-        "a": "two-param reflection to -i sigma_x",
-        "b": "full reflection to -i sigma_x",
-        "c": "three-factor reduction",
-        "d": "qubit-permutation conjugation",
-        "e": "entangler commutators",
-        "f": "basis relabel on states",
-    }
     checks = tuple(
-        IdentityCheck(f"({k}) {names[k]}", errs[k], errs[k] <= IDENTITY_TOL)
-        for k in "abcdef"
+        IdentityCheck(name, e, e <= IDENTITY_TOL) for name, e in zip(_CHECK_NAMES, errs)
     )
     return IdentitySuiteReport(checks, draws, seed, IDENTITY_TOL)

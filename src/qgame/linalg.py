@@ -62,6 +62,16 @@ def su2(p: SU2Params) -> np.ndarray:
     )
 
 
+def su2_array(angles) -> np.ndarray:
+    """(..., 3) array of (theta, alpha, beta) -> (..., 2, 2) array of the
+    `su2` unitaries, row by row."""
+    theta, alpha, beta = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
+    rows = [ea * c, 1j * eb * s], [1j * eb.conj() * s, ea.conj() * c]
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
 def tensor(ms: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of the given matrices, left factor first."""
     if len(ms) == 0:
@@ -89,21 +99,12 @@ def permutation_operator(perm: Sequence[int], n: int | None = None) -> np.ndarra
         n = len(perm)
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of {n} positions: {perm}")
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        bits = [(x >> (n - 1 - i)) & 1 for i in range(n)]
-        y = 0
-        for i in range(n):
-            y |= bits[i] << (n - 1 - perm[i])
-        out[y, x] = 1.0
-    return out
-
-
-def basis_state(n: int, bits: Sequence[int]) -> np.ndarray:
-    """Computational basis ket |b1 b2 .. bn>."""
-    out = np.zeros(2**n, dtype=complex)
-    out[basis_index(bits)] = 1.0
+    # ket x has bit (n-1-i) = qubit i; S moves it to bit (n-1-perm[i])
+    x = np.arange(2**n)
+    bits = (x[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    y = (bits << (n - 1 - np.array(perm, dtype=int))).sum(axis=1)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    out[y, x] = 1.0
     return out
 
 
@@ -113,11 +114,3 @@ def basis_index(bits: Sequence[int]) -> int:
     for b in bits:
         idx = (idx << 1) | (int(b) & 1)
     return idx
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= tol)
-

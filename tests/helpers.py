@@ -8,12 +8,63 @@ from itertools import permutations, product
 
 import numpy as np
 
-from qgame import ClassicalGame, GameMapping, SU2Params, apply_mapping, entangler, su2, tensor
+from qgame import (
+    ClassicalGame,
+    GameMapping,
+    SU2Params,
+    apply_lift,
+    apply_mapping,
+    basis_index,
+    entangler,
+    profile_payoffs,
+    su2,
+    tensor,
+    unrestricted_payoffs,
+)
 from qgame.ewl import payoff_diagonal
-from qgame.linalg import MAX_QUBITS, TWO_PI
+from qgame.lift import FLIP, LiftReport, sample_strategy
+from qgame.linalg import ID2, MAX_QUBITS, PAULI_X, TWO_PI
 from qgame.search import grid_payoff_tables
 
 GAMES_DIR_NAME = "games"
+
+
+def compose(first: GameMapping, second: GameMapping) -> GameMapping:
+    """Mapping applying `first` then `second` (g -> g2 -> g3)."""
+    if first.n_players != second.n_players:
+        raise ValueError("player counts differ")
+    eta = tuple(second.eta[first.eta[i]] for i in range(first.n_players))
+    phi = tuple(
+        tuple(second.phi[first.eta[i]][k] for k in first.phi[i])
+        for i in range(first.n_players)
+    )
+    return GameMapping(eta, phi)
+
+
+def basis_state(n: int, bits) -> np.ndarray:
+    """Computational basis ket |b1 b2 .. bn>."""
+    out = np.zeros(2**n, dtype=complex)
+    out[basis_index(bits)] = 1.0
+    return out
+
+
+def is_unitary(m, tol: float = 1e-12) -> bool:
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    return bool(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= tol)
+
+
+def ewl_payoffs(game, params) -> np.ndarray:
+    """Payoff vector of an EwlGame; every strategy must lie in its
+    player's declared space."""
+    for i, p in enumerate(params):
+        if not game.spaces[i].contains(p):
+            raise ValueError(
+                f"player {i + 1} strategy {p.as_tuple()} outside declared "
+                f"space {game.spaces[i].name}"
+            )
+    return unrestricted_payoffs(game, params)
 
 
 def random_game(rng, shape, players=None, low=0, high=10) -> ClassicalGame:
@@ -137,6 +188,108 @@ def oracle_payoffs(game, params) -> np.ndarray:
     return np.array(
         [expectation(state, payoff_operator(game.base, i)) for i in range(game.n_players)]
     )
+
+
+def permutation_operator_oracle(perm, n=None) -> np.ndarray:
+    """Qubit-permutation matrix built one basis ket at a time: ket x goes
+    to the ket whose qubit perm[i] holds x's qubit i."""
+    perm = tuple(int(k) for k in perm)
+    if n is None:
+        n = len(perm)
+    if len(perm) != n or sorted(perm) != list(range(n)):
+        raise ValueError(f"not a permutation of {n} positions: {perm}")
+    dim = 2**n
+    out = np.zeros((dim, dim), dtype=complex)
+    for x in range(dim):
+        bits = [(x >> (n - 1 - i)) & 1 for i in range(n)]
+        y = 0
+        for i in range(n):
+            y |= bits[i] << (n - 1 - perm[i])
+        out[y, x] = 1.0
+    return out
+
+
+# Per-draw forms of the lift checks: one SU2Params, one dense operator,
+# one basis state at a time. They are the references for the array code
+# of `operator_identity_suite` and `verify_lift`.
+
+_CYCLE = GameMapping(eta=(1, 2, 0), phi=((0, 1), (1, 0), (1, 0)))
+_X1X3 = tensor([PAULI_X, ID2, PAULI_X])
+_PERMS3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+def identity_suite_oracle(angles, picks, psis) -> list[tuple[str, float]]:
+    """(name, max error) of identities (a)-(f), draw by draw, on the
+    pre-drawn (draws, 3, 3) angles, permutation picks and unit states."""
+    errs = {k: 0.0 for k in "abcdef"}
+
+    J3 = entangler(3)
+    s_cycle = permutation_operator_oracle(_CYCLE.eta)
+    for S in (permutation_operator_oracle(p) for p in _PERMS3):
+        errs["e"] = max(
+            errs["e"],
+            float(np.abs(J3.conj().T @ S - S @ J3.conj().T).max()),
+            float(np.abs(J3 @ S - S @ J3).max()),
+        )
+    errs["e"] = max(
+        errs["e"], float(np.abs(J3.conj().T @ -_X1X3 - -_X1X3 @ J3.conj().T).max())
+    )
+
+    for row, pick, psi in zip(angles, picks, psis):
+        ps = [SU2Params(*a) for a in row]
+        us = [su2(p) for p in ps]
+        flipped = [su2(FLIP(p)) for p in ps]
+
+        errs["a"] = max(
+            errs["a"],
+            float(
+                np.abs(
+                    su2(SU2Params(math.pi - ps[0].theta, 0.0, math.pi - ps[0].alpha))
+                    - (-1j) * PAULI_X @ su2(SU2Params(ps[0].theta, ps[0].alpha, 0.0))
+                ).max()
+            ),
+        )
+        errs["b"] = max(errs["b"], float(np.abs(flipped[0] - (-1j) * PAULI_X @ us[0]).max()))
+
+        lhs = tensor([flipped[2], us[0], flipped[1]])
+        rhs = -_X1X3 @ tensor([us[2], us[0], us[1]])
+        errs["c"] = max(errs["c"], float(np.abs(lhs - rhs).max()))
+
+        perm = _PERMS3[pick]
+        S = permutation_operator_oracle(perm)
+        inv = [perm.index(k) for k in range(3)]
+        conj = S @ tensor(us) @ S.T
+        errs["d"] = max(errs["d"], float(np.abs(conj - tensor([us[i] for i in inv])).max()))
+
+        moved = _X1X3 @ (s_cycle @ psi)
+        for j in range(8):
+            bits = ((j >> 2) & 1, (j >> 1) & 1, j & 1)
+            fj = basis_index(apply_mapping(_CYCLE, bits))
+            errs["f"] = max(errs["f"], abs(abs(moved[fj]) - abs(psi[j])))
+
+    names = {
+        "a": "two-param reflection to -i sigma_x",
+        "b": "full reflection to -i sigma_x",
+        "c": "three-factor reduction",
+        "d": "qubit-permutation conjugation",
+        "e": "entangler commutators",
+        "f": "basis relabel on states",
+    }
+    return [(f"({k}) {names[k]}", errs[k]) for k in "abcdef"]
+
+
+def verify_lift_oracle(lm, g, g2, samples, seed, tol) -> LiftReport:
+    """`verify_lift` profile by profile: `sample_strategy` per player,
+    `apply_lift` per profile, a space-membership test per strategy."""
+    n = g.n_players
+    rng = np.random.default_rng(seed)
+    params = [tuple(sample_strategy(g.spaces[i], rng) for i in range(n)) for _ in range(samples)]
+    mapped = [apply_lift(lm, p) for p in params]
+    escapes = {k for m in mapped for k in range(n) if not g2.spaces[k].contains(m[k])}
+    devs = profile_payoffs(g, params) - profile_payoffs(g2, mapped)[:, list(lm.eta)]
+    max_dev = float(np.abs(devs).max(initial=0.0))
+    passed = not escapes and max_dev <= tol
+    return LiftReport(passed, max_dev, tuple(sorted(escapes)), samples, seed, tol)
 
 
 # Per-field renderers of the `ne` and `surface` outputs: one SU2Params

@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     brute_force_pure_nash,
     classical_mixed_payoffs,
+    ewl_payoffs,
     random_game,
     random_mapping,
 )
@@ -25,7 +26,6 @@ from qgame import (
     best_reply_two_param,
     bimatrix,
     equilibrium_transport_check,
-    ewl_payoffs,
     find_strong_isomorphisms,
     image_game,
     lift,

@@ -162,6 +162,15 @@ class TestLiftVerifyCommand:
         out = capsys.readouterr().out
         assert "# seed: 123" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_sample_count_below_one_exit_2(self, samples, capsys):
+        args = [str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game"), "--samples", samples]
+        code = main(["lift-verify", *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: need at least one sample, got {samples}\n"
+
     def test_space_escape_reported(self, tmp_path, capsys):
         # both files restricted to the alpha plane: the lifted column
         # swap leaves the declared space, so verification cannot pass
@@ -421,6 +430,14 @@ class TestIdentitiesCommand:
         assert code == 0
         assert "all identities hold" in out
         assert out.count("pass") == 6
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_sample_count_below_one_exit_2(self, samples, capsys):
+        code = main(["identities", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: need at least one draw, got {samples}\n"
 
 
 class TestConsoleEntry:

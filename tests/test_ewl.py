@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from helpers import classical_mixed_payoffs, final_state, payoff_operator, random_game
+from helpers import (
+    basis_state,
+    classical_mixed_payoffs,
+    ewl_payoffs,
+    final_state,
+    payoff_operator,
+    random_game,
+)
 from qgame import (
     ClassicalGame,
     EwlGame,
     StrategySpace,
     SU2Params,
-    basis_state,
     bimatrix,
-    ewl_payoffs,
     parse_space,
     pd_game,
     su2,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     brute_force_pure_nash,
     brute_force_strong_isomorphisms,
+    compose,
     is_mixed_equilibrium_2x2,
     random_game,
     random_mapping,
@@ -18,7 +19,6 @@ from qgame import (
     MixedProfile2x2,
     apply_mapping,
     bimatrix,
-    compose,
     equilibrium_transport_check,
     find_strong_isomorphisms,
     image_game,

@@ -1,9 +1,18 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import oracle_payoffs, random_game, random_mapping
+from helpers import (
+    identity_suite_oracle,
+    oracle_payoffs,
+    random_game,
+    random_mapping,
+    verify_lift_oracle,
+)
 from qgame import (
     FLIP,
     KEEP,
@@ -20,11 +29,12 @@ from qgame import (
     lift,
     operator_identity_suite,
     pd_game,
+    permutation_operator,
     su2,
     unrestricted_payoffs,
     verify_lift,
 )
-from qgame.lift import sample_strategy
+from qgame.lift import LIFT_TOL, _identity_draws, sample_strategy
 from qgame.linalg import PAULI_X, TWO_PI
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
@@ -66,6 +76,15 @@ class TestAngleTransform:
         for _ in range(50):
             p = SU2Params(RNG.uniform(0, math.pi), RNG.uniform(0, TWO_PI), RNG.uniform(0, TWO_PI))
             assert np.abs(su2(FLIP(p)) - (-1j) * PAULI_X @ su2(p)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "t", [KEEP, FLIP, AngleTransform(True, math.pi / 4, -1.3), AngleTransform(False, 2.5, -7.0)]
+    )
+    def test_array_form_is_the_call_row_by_row(self, t):
+        angles = RNG.uniform(0, 1, (60, 3)) * (math.pi, TWO_PI, TWO_PI)
+        angles[:10, 1:] = 0.0
+        rows = [tuple(r) for r in t.angles(angles.reshape(6, 10, 3)).reshape(-1, 3).tolist()]
+        assert rows == [t(SU2Params(*a)).as_tuple() for a in angles]
 
     def test_flip_on_two_param_alpha_lands_in_two_param_beta(self):
         # exact escape: alpha becomes exactly 0, beta becomes pi - alpha mod 2pi
@@ -215,6 +234,40 @@ class TestVerifyLift:
         assert worst > 0.1
         assert abs(res.max_deviation - worst) <= 1e-12
 
+    @given(
+        st.data(),
+        st.integers(2, 4),
+        st.booleans(),
+        st.integers(1, 60),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_report_equals_the_per_profile_oracle(self, data, n, image, samples, seed):
+        # mixed spaces on both sides make escapes common; images of the
+        # classical game give deviations near 1e-15, other pairs large ones
+        rng = np.random.default_rng(seed)
+        g = random_game(rng, (2,) * n)
+        if image:
+            f = random_mapping(rng, (2,) * n)
+            g2, lm = image_game(f, g), lift(f, g)
+        else:
+            g2 = random_game(rng, (2,) * n)
+            transforms = st.sampled_from([KEEP, FLIP]) | st.builds(
+                AngleTransform, st.booleans(), st.floats(-7, 7), st.floats(-7, 7)
+            )
+            eta = data.draw(st.permutations(range(n)))
+            lm = LiftedMapping(eta, tuple(data.draw(transforms) for _ in range(n)))
+        spaces = st.lists(st.sampled_from(list(StrategySpace)), min_size=n, max_size=n)
+        qa, qb = EwlGame(g, data.draw(spaces)), EwlGame(g2, data.draw(spaces))
+        report = verify_lift(lm, qa, qb, samples=samples, seed=seed)
+        assert report == verify_lift_oracle(lm, qa, qb, samples, seed, LIFT_TOL)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_below_one_rejected(self, samples):
+        lm = lift(COLUMN_SWAP, PD)
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify_lift(lm, EwlGame(PD), EwlGame(PD_SWAPPED), samples=samples)
+
     def test_flip_escape_reported_not_raised(self):
         lm = lift(COLUMN_SWAP, PD)
         qa = EwlGame(PD, (D, D))
@@ -261,6 +314,36 @@ class TestOperatorIdentitySuite:
         us = [su2(p) for p in random_full_params(RNG, 3)]
         S = permutation_operator((0, 1, 2))
         assert np.abs(S @ tensor(us) @ S.T - tensor(us)).max() < 1e-15
+
+    @pytest.mark.parametrize("draws", [1, 200])
+    @pytest.mark.parametrize("seed", [0, 7, 901])
+    def test_matches_the_per_draw_loop(self, draws, seed):
+        report = operator_identity_suite(draws=draws, seed=seed)
+        oracle = identity_suite_oracle(*_identity_draws(draws, seed))
+        assert [c.name for c in report.checks] == [name for name, _ in oracle]
+        for check, (_, error) in zip(report.checks, oracle):
+            assert abs(check.max_error - error) <= 1e-15
+
+    def test_checks_fail_on_a_wrong_reflection_or_permutation(self, monkeypatch):
+        lift_module = importlib.import_module("qgame.lift")
+
+        def failing():
+            return [c.name[:3] for c in operator_identity_suite(50, 1).checks if not c.passed]
+
+        monkeypatch.setattr(lift_module, "FLIP", AngleTransform(True, TWO_PI, math.pi + 1e-6))
+        assert failing() == ["(b)", "(c)"]
+        monkeypatch.undo()
+        def transposed(perm, n=None):
+            # for a 3-cycle, the operator of the opposite cycle
+            return permutation_operator(perm, n).T
+
+        monkeypatch.setattr(lift_module, "permutation_operator", transposed)
+        assert failing() == ["(d)", "(f)"]
+
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_draw_count_below_one_rejected(self, draws):
+        with pytest.raises(ValueError, match="at least one draw"):
+            operator_identity_suite(draws=draws)
 
     def test_report_is_deterministic(self):
         a = operator_identity_suite(draws=50, seed=3)

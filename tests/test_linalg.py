@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import expectation
+from helpers import basis_state, expectation, is_unitary, permutation_operator_oracle
 from qgame.linalg import (
     ID2,
     PAULI_X,
     TWO_PI,
     SU2Params,
     basis_index,
-    basis_state,
     entangler,
-    is_unitary,
     permutation_operator,
     su2,
+    su2_array,
     tensor,
 )
 
@@ -65,6 +64,14 @@ class TestSU2Matrix:
             lhs = su2(SU2Params(math.pi - t, 0.0, math.pi - a))
             rhs = -1j * PAULI_X @ su2(SU2Params(t, a, 0.0))
             assert np.abs(lhs - rhs).max() < 1e-12
+
+    def test_array_form_matches_su2(self):
+        angles = RNG.uniform(0, 1, (40, 3)) * (math.pi, TWO_PI, TWO_PI)
+        angles[:4] = [(0, 0, 0), (math.pi, 0, 0), (0, TWO_PI / 4, 0), (math.pi, 0, 3 * math.pi / 2)]
+        stack = su2_array(angles.reshape(8, 5, 3))
+        assert stack.shape == (8, 5, 2, 2)
+        for a, u in zip(angles, stack.reshape(-1, 2, 2)):
+            assert np.abs(u - su2(SU2Params(*a))).max() <= 1e-15
 
     def test_unitary_and_det_one_many_draws(self):
         for _ in range(1000):
@@ -180,9 +187,21 @@ class TestPermutationOperator:
             assert row[basis_index(inv_bits)] == 1.0
             assert row.sum() == 1.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_per_ket_loop_bitwise(self, n):
+        for perm in permutations(range(n)):
+            for fast, slow in [
+                (permutation_operator(perm), permutation_operator_oracle(perm)),
+                (permutation_operator(list(perm), n), permutation_operator_oracle(perm, n)),
+            ]:
+                assert fast.dtype == slow.dtype == complex
+                assert np.array_equal(fast, slow)
+
     def test_invalid_permutation(self):
         with pytest.raises(ValueError):
             permutation_operator((0, 0, 1))
+        with pytest.raises(ValueError):
+            permutation_operator((0, 1), 3)
 
 
 class TestExpectation:
