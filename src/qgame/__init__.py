@@ -39,7 +39,6 @@ from .lift import (
     LiftedMapping,
     LiftReport,
     apply_lift,
-    lift,
     operator_identity_suite,
     verify_lift,
 )

@@ -8,6 +8,7 @@ stable: 0 success/affirmative, 1 negative finding, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -104,6 +105,8 @@ def cmd_iso(args) -> int:
 
 
 def cmd_lift_verify(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"need at least one sample, got {args.samples}")
     seed = _default_seed(args.seed)
     report = RunReport(
         command=f"lift-verify {args.game_a} {args.game_b}",
@@ -237,18 +240,18 @@ def cmd_surface(args) -> int:
     gf = _load(args.game)
     g = gf.game
     if g.n_players != 2:
-        raise GameFileError("surface needs a 2-player game")
+        raise ValueError("surface needs a 2-player game")
     game = EwlGame(g)
     mover = args.player - 1
     if mover not in (0, 1):
-        raise GameFileError("player must be 1 or 2")
+        raise ValueError("player must be 1 or 2")
     opponent = _parse_params(args.opponent)
     parts = [int(v) for v in args.grid.split(",") if v.strip()]
     if len(parts) != 2:
-        raise GameFileError(f"surface grid must be theta_steps,alpha_steps, got {args.grid!r}")
+        raise ValueError(f"surface grid must be theta_steps,alpha_steps, got {args.grid!r}")
     t_steps, a_steps = parts
     if t_steps < 1 or a_steps < 1:
-        raise GameFileError("grid steps must be positive")
+        raise ValueError("grid steps must be positive")
     _check_memory([t_steps * a_steps, 1])
     # unlike ParamGrid, the alpha axis keeps its 2pi endpoint (printed as 0)
     thetas = np.linspace(0.0, math.pi, t_steps)
@@ -292,7 +295,9 @@ def cmd_identities(args) -> int:
     return EXIT_OK if res.passed else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="qgame",
         description="EWL quantum games: isomorphism search, lifted mappings, equilibria.",
@@ -302,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="find all strong isomorphisms between two games")
     p.add_argument("game_a")
     p.add_argument("game_b")
-    p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser(
         "lift-verify", help="lift every strong isomorphism and verify payoff equality"
@@ -311,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game_b")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_lift_verify)
 
     p = sub.add_parser("ne", help="grid search for pure equilibria of the quantum game")
     p.add_argument("game")
@@ -319,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="17,33,1", help="theta,alpha,beta step counts")
     p.add_argument("--eps", type=float, default=1e-9)
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_ne)
 
     p = sub.add_parser("surface", help="payoff landscape CSV for one player's (theta, alpha)")
     p.add_argument("game")
@@ -327,22 +329,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--opponent", default="0,0", help="fixed opponent theta,alpha[,beta]")
     p.add_argument("--grid", default="17,33", help="theta,alpha step counts")
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("identities", help="run the operator identity checks")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_identities)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the handler is looked up on every call, not stored in the cached
+    # parser, so a replaced module attribute takes effect
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
-    except (GameFileError, ValueError) as exc:
+        return handler(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,9 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import ClassicalGame
-from .linalg import MAX_QUBITS, SU2Params, entangler, su2
-
-CLOSED_FORM_TOL = 1e-12
+from .linalg import MAX_QUBITS, TWO_PI, SU2Params, entangler, su2
 
 
 class StrategySpace(Enum):
@@ -244,7 +242,9 @@ def two_param_payoff_closed_form(p1, p2, rstp) -> tuple[float, float]:
 
 
 def _theta_alpha(p) -> tuple[float, float]:
+    """(theta, alpha) of an `SU2Params` or a (theta, alpha) pair, with
+    alpha reduced mod 2pi as `SU2Params` does."""
     if isinstance(p, SU2Params):
         return (p.theta, p.alpha)
     t, a = p
-    return (float(t), float(a))
+    return (float(t), float(a) % TWO_PI)

@@ -78,14 +78,9 @@ class ClassicalGame:
         return f"ClassicalGame(players={self.n_players}, shape={self.shape})"
 
 
-def bimatrix(rows, cols, cells, row_labels=None, col_labels=None) -> ClassicalGame:
-    """2-player game from a nested list cells[i][j] = (u1, u2).
-
-    `rows`/`cols` are the strategy labels; keyword aliases are accepted
-    for call-site clarity.
-    """
-    rows = row_labels or rows
-    cols = col_labels or cols
+def bimatrix(rows, cols, cells) -> ClassicalGame:
+    """2-player game from a nested list cells[i][j] = (u1, u2), with
+    strategy labels `rows` and `cols`."""
     arr = np.array(cells, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("cells must be a rows x cols table of payoff pairs")
@@ -185,13 +180,12 @@ def _pull_back(payoffs: np.ndarray, eta, phi) -> np.ndarray:
     return moved[np.ix_(*phi, eta)]
 
 
-def is_strong_isomorphism(
-    f: GameMapping, g: ClassicalGame, g2: ClassicalGame, tol: float = PAYOFF_TOL
-) -> bool:
-    """True iff u_i(s) = u'_{eta(i)}(f(s)) for every player and profile."""
+def is_strong_isomorphism(f: GameMapping, g: ClassicalGame, g2: ClassicalGame) -> bool:
+    """True iff u_i(s) = u'_{eta(i)}(f(s)) within PAYOFF_TOL for every
+    player and profile."""
     if not _shapes_compatible(f, g, g2):
         return False
-    return bool(np.abs(g.payoffs - _pull_back(g2.payoffs, f.eta, f.phi)).max() <= tol)
+    return bool(np.abs(g.payoffs - _pull_back(g2.payoffs, f.eta, f.phi)).max() <= PAYOFF_TOL)
 
 
 def _strategy_signatures(g: ClassicalGame, player: int) -> np.ndarray:
@@ -265,10 +259,9 @@ def image_game(f: GameMapping, g: ClassicalGame) -> ClassicalGame:
     return ClassicalGame(tuple(labels), _pull_back(g.payoffs, inv.eta, inv.phi))
 
 
-def strategic_equivalence(
-    g: ClassicalGame, g2: ClassicalGame, tol: float = AFFINE_TOL
-) -> list[tuple[float, float]] | None:
-    """Per-player (alpha_i > 0, beta_i) with v_i = alpha_i u_i + beta_i, or None.
+def strategic_equivalence(g: ClassicalGame, g2: ClassicalGame) -> list[tuple[float, float]] | None:
+    """Per-player (alpha_i > 0, beta_i) with v_i = alpha_i u_i + beta_i
+    within AFFINE_TOL, or None.
 
     Both games must have the same shape and the same label lists. When a
     player's payoff is constant in the first game any alpha fits; the
@@ -283,14 +276,14 @@ def strategic_equivalence(
         v = g2.payoffs[..., i].reshape(-1)
         spread = np.argsort(u)
         lo, hi = spread[0], spread[-1]
-        if abs(u[hi] - u[lo]) <= tol:
+        if abs(u[hi] - u[lo]) <= AFFINE_TOL:
             alpha, beta = 1.0, float(v[0] - u[0])
         else:
             alpha = float((v[hi] - v[lo]) / (u[hi] - u[lo]))
             beta = float(v[lo] - alpha * u[lo])
         if alpha <= 0:
             return None
-        if np.abs(v - (alpha * u + beta)).max() > tol:
+        if np.abs(v - (alpha * u + beta)).max() > AFFINE_TOL:
             return None
         fits.append((alpha, beta))
     return fits
@@ -323,7 +316,7 @@ class MixedProfile2x2:
     continuum: bool = False
 
 
-def mixed_nash_2x2(g: ClassicalGame, tol: float = PAYOFF_TOL) -> list[MixedProfile2x2]:
+def mixed_nash_2x2(g: ClassicalGame) -> list[MixedProfile2x2]:
     """All Nash equilibria of a 2x2 bimatrix game by support enumeration.
 
     Pure equilibria are reported as degenerate mixed profiles, in
@@ -345,52 +338,52 @@ def mixed_nash_2x2(g: ClassicalGame, tol: float = PAYOFF_TOL) -> list[MixedProfi
 
     # pure supports
     for i, j in product(range(2), range(2)):
-        if A[i, j] >= A[1 - i, j] - tol and B[i, j] >= B[i, 1 - j] - tol:
+        if A[i, j] >= A[1 - i, j] - PAYOFF_TOL and B[i, j] >= B[i, 1 - j] - PAYOFF_TOL:
             emit(1.0 - i, 1.0 - j)
 
     # player 1 pure, player 2 mixed with full support (degenerate games
     # only); the interval is already expressed as q, the weight on
     # player 2's first strategy
     for i in range(2):
-        if abs(B[i, 0] - B[i, 1]) <= tol:
-            lo, hi = _best_reply_interval(A[i], A[1 - i], tol)
-            if lo is not None and hi - lo > tol:
+        if abs(B[i, 0] - B[i, 1]) <= PAYOFF_TOL:
+            lo, hi = _best_reply_interval(A[i], A[1 - i])
+            if lo is not None and hi - lo > PAYOFF_TOL:
                 emit(1.0 - i, lo, continuum=True)
                 emit(1.0 - i, hi, continuum=True)
 
     # player 2 pure, player 1 mixed with full support
     for j in range(2):
-        if abs(A[0, j] - A[1, j]) <= tol:
-            lo, hi = _best_reply_interval(B[:, j], B[:, 1 - j], tol)
-            if lo is not None and hi - lo > tol:
+        if abs(A[0, j] - A[1, j]) <= PAYOFF_TOL:
+            lo, hi = _best_reply_interval(B[:, j], B[:, 1 - j])
+            if lo is not None and hi - lo > PAYOFF_TOL:
                 emit(lo, 1.0 - j, continuum=True)
                 emit(hi, 1.0 - j, continuum=True)
 
     # full supports: both players indifferent
     den_q = A[0, 0] - A[1, 0] - A[0, 1] + A[1, 1]
     den_p = B[0, 0] - B[0, 1] - B[1, 0] + B[1, 1]
-    if abs(den_q) > tol and abs(den_p) > tol:
+    if abs(den_q) > PAYOFF_TOL and abs(den_p) > PAYOFF_TOL:
         q = (A[1, 1] - A[0, 1]) / den_q
         p = (B[1, 1] - B[1, 0]) / den_p
-        if -tol <= p <= 1 + tol and -tol <= q <= 1 + tol:
+        if -PAYOFF_TOL <= p <= 1 + PAYOFF_TOL and -PAYOFF_TOL <= q <= 1 + PAYOFF_TOL:
             emit(min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0))
     return out
 
 
-def _best_reply_interval(u_own, u_other, tol):
+def _best_reply_interval(u_own, u_other):
     """Opponent mix weights w (on their first strategy) keeping `own`
     weakly best: solve w*u_own[0]+(1-w)*u_own[1] >= w*u_other[0]+(1-w)*u_other[1]."""
     a = (u_own[0] - u_other[0]) - (u_own[1] - u_other[1])
     b = u_own[1] - u_other[1]
     # condition a*w + b >= 0 on [0, 1]
-    if abs(a) <= tol:
-        return (0.0, 1.0) if b >= -tol else (None, None)
+    if abs(a) <= PAYOFF_TOL:
+        return (0.0, 1.0) if b >= -PAYOFF_TOL else (None, None)
     root = -b / a
     if a > 0:
         lo, hi = max(0.0, root), 1.0
     else:
         lo, hi = 0.0, min(1.0, root)
-    if lo > hi + tol:
+    if lo > hi + PAYOFF_TOL:
         return (None, None)
     return (min(lo, 1.0), max(hi, 0.0))
 

@@ -149,12 +149,7 @@ def sample_strategy(space: StrategySpace, rng: np.random.Generator) -> SU2Params
 
 
 def verify_lift(
-    lm: LiftedMapping,
-    g: EwlGame,
-    g2: EwlGame,
-    samples: int = 100,
-    seed: int = 0,
-    tol: float = LIFT_TOL,
+    lm: LiftedMapping, g: EwlGame, g2: EwlGame, samples: int = 100, seed: int = 0
 ) -> LiftReport:
     """Check u_i(U) = u'_{eta(i)}(lifted U) on random strategy profiles.
 
@@ -162,7 +157,7 @@ def verify_lift(
     measure over the angle boxes, reproducible from the seed): the
     values are bitwise those of calling `sample_strategy` for each
     player of each profile in turn. The check passes when the worst
-    payoff deviation stays within `tol` and no transformed strategy
+    payoff deviation stays within LIFT_TOL and no transformed strategy
     escapes g2's declared spaces.
     """
     n = g.n_players
@@ -194,8 +189,8 @@ def verify_lift(
     )
     devs = _angle_payoffs(g, angles) - _angle_payoffs(g2, mapped)[:, list(lm.eta)]
     max_dev = float(np.abs(devs).max())
-    passed = not escapes and max_dev <= tol
-    return LiftReport(passed, max_dev, escapes, samples, seed, tol)
+    passed = not escapes and max_dev <= LIFT_TOL
+    return LiftReport(passed, max_dev, escapes, samples, seed, LIFT_TOL)
 
 
 @dataclass(frozen=True)
@@ -277,23 +272,19 @@ def operator_identity_suite(draws: int = 200, seed: int = 7) -> IdentitySuiteRep
     `_identity_draws`, which are checked as arrays, a block at a time.
     """
     angles, picks, psi = _identity_draws(draws, seed)
-    # S M S^T is M with rows and columns gathered through perm^-1, which
-    # is where each row of S holds its one
-    ops = [permutation_operator(p) for p in _PERMS3]
-    back = np.stack([S.argmax(axis=1) for S in ops])[picks]
+    ops = np.stack([permutation_operator(p) for p in _PERMS3])
     inv = np.argsort(np.array(_PERMS3), axis=1)[picks]
     # (a)-(d) depend on the draws; taking them in blocks keeps the
     # (k, 8, 8) operator stacks small
     errs = [0.0] * 4
     for lo in range(0, draws, _BLOCK):
-        a, b = angles[lo : lo + _BLOCK], back[lo : lo + _BLOCK]
+        a, s = angles[lo : lo + _BLOCK], ops[picks[lo : lo + _BLOCK]]
         u, f = su2_array(a), su2_array(FLIP.angles(a))
         theta, alpha, zero = a[:, 0, 0], a[:, 0, 1], np.zeros(len(a))
         two_param = su2_array(np.stack([theta, alpha, zero], axis=-1))
         reflected = su2_array(np.stack([math.pi - theta, zero, (math.pi - alpha) % TWO_PI], -1))
-        k = np.arange(len(a))[:, None]
-        conj = _kron3(u[:, 0], u[:, 1], u[:, 2])[k[:, :, None], b[:, :, None], b[:, None, :]]
-        r = u[k, inv[lo : lo + _BLOCK]]
+        conj = s @ _kron3(u[:, 0], u[:, 1], u[:, 2]) @ s.transpose(0, 2, 1)
+        r = u[np.arange(len(a))[:, None], inv[lo : lo + _BLOCK]]
         block = (
             _max_abs(reflected - (-1j) * PAULI_X @ two_param),
             _max_abs(f[:, 0] - (-1j) * PAULI_X @ u[:, 0]),

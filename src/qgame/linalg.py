@@ -87,7 +87,7 @@ def entangler(n: int) -> np.ndarray:
     return (np.eye(2**n, dtype=complex) + 1j * xs) / math.sqrt(2.0)
 
 
-def permutation_operator(perm: Sequence[int], n: int | None = None) -> np.ndarray:
+def permutation_operator(perm: Sequence[int]) -> np.ndarray:
     """Permutation matrix S that moves qubit i to position perm[i] (0-based).
 
     Conjugation reorders tensor factors: S (U_1 x .. x U_n) S^T puts
@@ -95,9 +95,8 @@ def permutation_operator(perm: Sequence[int], n: int | None = None) -> np.ndarra
     composition: S_{p o q} = S_p S_q.
     """
     perm = tuple(int(k) for k in perm)
-    if n is None:
-        n = len(perm)
-    if len(perm) != n or sorted(perm) != list(range(n)):
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of {n} positions: {perm}")
     # ket x has bit (n-1-i) = qubit i; S moves it to bit (n-1-perm[i])
     x = np.arange(2**n)

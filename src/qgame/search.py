@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ewl import EwlGame, StrategySpace, strategy_features
+from .ewl import EwlGame, StrategySpace, _theta_alpha, strategy_features
 from .linalg import TWO_PI, SU2Params
 
 
@@ -191,7 +191,7 @@ def best_reply_two_param(opponent) -> SU2Params:
     [0, 3pi/2], else (theta, 7pi/2 - alpha); it earns exactly the
     temptation payoff in the column-swapped prisoner's dilemma.
     """
-    theta, alpha = _angles(opponent)
+    theta, alpha = _theta_alpha(opponent)
     if alpha <= 1.5 * math.pi:
         reply_alpha = 1.5 * math.pi - alpha
     else:
@@ -203,12 +203,5 @@ def witness_deviation(p1) -> SU2Params:
     """Player 2's deviation (0, 2pi - alpha_1) against a fixed player-1
     two-parameter strategy; it earns player 2 strictly more than the
     sucker payoff, so player 1 falls short of the temptation payoff."""
-    _, alpha = _angles(p1)
+    _, alpha = _theta_alpha(p1)
     return SU2Params(0.0, (TWO_PI - alpha) % TWO_PI, 0.0)
-
-
-def _angles(p) -> tuple[float, float]:
-    if isinstance(p, SU2Params):
-        return (p.theta, p.alpha)
-    t, a = p
-    return (float(t), float(a) % TWO_PI)

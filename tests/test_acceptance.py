@@ -28,7 +28,6 @@ from qgame import (
     equilibrium_transport_check,
     find_strong_isomorphisms,
     image_game,
-    lift,
     load_game_file,
     mixed_nash_2x2,
     operator_identity_suite,
@@ -39,6 +38,7 @@ from qgame import (
     verify_lift,
     witness_deviation,
 )
+from qgame.lift import lift
 from qgame.linalg import TWO_PI
 from qgame.search import grid_payoff_tables, grid_pure_ne
 

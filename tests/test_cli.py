@@ -163,8 +163,11 @@ class TestLiftVerifyCommand:
         assert "# seed: 123" in out
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
-    def test_sample_count_below_one_exit_2(self, samples, capsys):
-        args = [str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game"), "--samples", samples]
+    @pytest.mark.parametrize(
+        "pair", [("pd.game", "pd_swapped.game"), ("antidiag.game", "antidiag_swapped.game")]
+    )
+    def test_sample_count_below_one_exit_2(self, pair, samples, capsys):
+        args = [str(GAMES / pair[0]), str(GAMES / pair[1]), "--samples", samples]
         code = main(["lift-verify", *args])
         captured = capsys.readouterr()
         assert code == 2
@@ -438,6 +441,31 @@ class TestIdentitiesCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: need at least one draw, got {samples}\n"
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("env", [None, "123"])
+    def test_no_argument_values_carry_over(self, env, capsys, monkeypatch):
+        if env is None:
+            monkeypatch.delenv("QGAME_SEED", raising=False)
+        else:
+            monkeypatch.setenv("QGAME_SEED", env)
+        assert main(["identities", "--samples", "5", "--seed", "3"]) == 0
+        assert "# seed: 3\n" in capsys.readouterr().out
+        assert main(["identities"]) == 0
+        out = capsys.readouterr().out
+        assert f"# seed: {env or 0}\n" in out
+        assert "# command: identities" in out
+
+    def test_handler_is_looked_up_per_call(self, capsys, monkeypatch):
+        cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_iso", lambda args: seen.append(args.game_a) or 7)
+        assert main(["iso", "a.game", "b.game"]) == 7
+        assert seen == ["a.game"]
 
 
 class TestConsoleEntry:

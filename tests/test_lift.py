@@ -1,5 +1,6 @@
 import importlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from qgame import (
     bimatrix,
     image_game,
     is_strong_isomorphism,
-    lift,
     operator_identity_suite,
     pd_game,
     permutation_operator,
@@ -34,7 +34,7 @@ from qgame import (
     unrestricted_payoffs,
     verify_lift,
 )
-from qgame.lift import LIFT_TOL, _identity_draws, sample_strategy
+from qgame.lift import LIFT_TOL, _identity_draws, lift, sample_strategy
 from qgame.linalg import PAULI_X, TWO_PI
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
@@ -126,6 +126,13 @@ class TestLift:
         f = GameMapping(eta=(0, 1), phi=((0, 1, 2), (0, 1)))
         with pytest.raises(ValueError):
             lift(f, g)
+
+    def test_module_name_binds_the_module(self):
+        import qgame.lift as lift_module
+
+        assert isinstance(lift_module, types.ModuleType)
+        assert lift_module is importlib.import_module("qgame.lift")
+        assert lift_module.lift is lift
 
 
 class TestApplyLift:
@@ -333,9 +340,9 @@ class TestOperatorIdentitySuite:
         monkeypatch.setattr(lift_module, "FLIP", AngleTransform(True, TWO_PI, math.pi + 1e-6))
         assert failing() == ["(b)", "(c)"]
         monkeypatch.undo()
-        def transposed(perm, n=None):
+        def transposed(perm):
             # for a 3-cycle, the operator of the opposite cycle
-            return permutation_operator(perm, n).T
+            return permutation_operator(perm).T
 
         monkeypatch.setattr(lift_module, "permutation_operator", transposed)
         assert failing() == ["(d)", "(f)"]

@@ -259,6 +259,23 @@ class TestBestReply:
                 assert reply_payoff >= unrestricted_payoffs(game, (alt, opp))[0] - 1e-10
 
 
+class TestAngleReader:
+    @pytest.mark.parametrize("alpha", [0.0, 1.25, 3.0, 5.5])
+    def test_pairs_and_params_agree_bitwise(self, alpha):
+        # for these alphas, reducing alpha + 2pi mod 2pi gives alpha back exactly
+        assert (alpha + TWO_PI) % TWO_PI == alpha
+        forms = [(0.75, alpha), (0.75, alpha + TWO_PI), SU2Params(0.75, alpha)]
+        fixed = (2.0, 4.5)
+        for fn in (
+            lambda p: two_param_payoff_closed_form(p, fixed, RSTP),
+            lambda p: two_param_payoff_closed_form(fixed, p, RSTP),
+            best_reply_two_param,
+            witness_deviation,
+        ):
+            results = [fn(p) for p in forms]
+            assert results[1] == results[0] and results[2] == results[0]
+
+
 class TestWitnessDeviation:
     def test_worked_values(self):
         w = witness_deviation((0.0, math.pi / 2))
