@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +24,7 @@ from .games import (
     find_strong_isomorphisms,
     strategic_equivalence,
 )
-from .gamefile import GameFile, GameFileError, load_game_file
+from .gamefile import GameFileError, load_game_file
 from .lift import LIFT_TOL, lift, operator_identity_suite, verify_lift
 from .linalg import TWO_PI, SU2Params
 from .search import ParamGrid, grid_equilibria, grid_payoff_tables, grid_table_bytes
@@ -32,6 +34,8 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 
+LINES_PER_WRITE = 1024
+
 
 @dataclass
 class RunReport:
@@ -40,20 +44,27 @@ class RunReport:
     command: str
     seed: int | None = None
     tolerances: dict = field(default_factory=dict)
-    lines: list[str] = field(default_factory=list)
+    lines: Iterable[str] = field(default_factory=list)
     verdict: str = ""
 
-    def render(self) -> str:
+    def write(self, out) -> None:
+        """Write the `#` lines (command, seed, tolerances), then `lines`,
+        then the verdict to `out`, one per line. `lines` may be any
+        iterable; it goes out `LINES_PER_WRITE` lines per write, so a long
+        body is never held whole and an unbuffered stream is not written
+        line by line."""
         head = [f"# command: {self.command}"]
         if self.seed is not None:
             head.append(f"# seed: {self.seed}")
         if self.tolerances:
             tols = " ".join(f"{k}={v:g}" for k, v in self.tolerances.items())
             head.append(f"# tolerances: {tols}")
-        body = list(self.lines)
+        out.write("\n".join(head) + "\n")
+        lines = iter(self.lines)
+        while block := list(itertools.islice(lines, LINES_PER_WRITE)):
+            out.write("\n".join(block) + "\n")
         if self.verdict:
-            body.append(f"verdict: {self.verdict}")
-        return "\n".join(head + body)
+            out.write(f"verdict: {self.verdict}\n")
 
 
 def _default_seed(value) -> int:
@@ -100,7 +111,7 @@ def cmd_iso(args) -> int:
             )
             report.lines.append(f"strategic equivalence: {pairs}")
     report.verdict = "isomorphic" if isos else "not isomorphic"
-    print(report.render())
+    report.write(sys.stdout)
     return EXIT_OK if isos else EXIT_NEGATIVE
 
 
@@ -118,7 +129,7 @@ def cmd_lift_verify(args) -> int:
     isos = find_strong_isomorphisms(ga, gb)
     if not isos:
         report.verdict = "no strong isomorphism to lift"
-        print(report.render())
+        report.write(sys.stdout)
         return EXIT_NEGATIVE
     qa = EwlGame(ga, fa.spaces)
     qb = EwlGame(gb, fb.spaces)
@@ -139,7 +150,7 @@ def cmd_lift_verify(args) -> int:
         )
         all_ok &= res.passed
     report.verdict = "all lifted mappings verified" if all_ok else "verification failed"
-    print(report.render())
+    report.write(sys.stdout)
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
 
@@ -160,15 +171,49 @@ def _parse_spaces(spec: str, players: int) -> tuple[StrategySpace, ...]:
     return tuple(parse_space(s) for s in names)
 
 
+PROC_SELF_CGROUP = "/proc/self/cgroup"
+CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _cgroup_memory_limit() -> int | None:
+    """Bytes of this process's cgroup v2 memory limit: the lowest number
+    held by `memory.max` in its cgroup (the `0::` line of
+    /proc/self/cgroup) or any ancestor up to the root. None when there is
+    no such line, or every file is missing or holds `max` (no limit)."""
+    try:
+        with open(PROC_SELF_CGROUP, encoding="utf-8") as fh:
+            cgroup = next(line[3:].strip() for line in fh if line.startswith("0::"))
+    except (OSError, StopIteration):
+        return None
+    parts = [p for p in cgroup.split("/") if p]
+    limits = []
+    for depth in range(len(parts) + 1):
+        path = os.path.join(CGROUP_ROOT, *parts[:depth], "memory.max")
+        try:
+            with open(path, encoding="ascii") as fh:
+                text = fh.read().strip()
+        except OSError:
+            continue
+        if text.isdigit():
+            limits.append(int(text))
+    return min(limits, default=None)
+
+
 def _check_memory(dims) -> None:
     """Refuse, before anything is allocated, a grid search whose payoff
-    tables and mask would take more than half of physical memory."""
+    tables and mask would take more than half of physical memory or of
+    the cgroup memory limit, whichever is lower."""
     need = grid_table_bytes(dims)
-    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = _cgroup_memory_limit()
+    if limit is not None:
+        memory = min(memory, limit)
+    budget = memory // 2
     if need > budget:
         raise ValueError(
             f"grid needs about {need / 2**30:.3g} GiB for payoff tables and mask, "
-            f"more than half of physical memory ({budget / 2**30:.3g} GiB)"
+            f"more than half of physical memory or the cgroup limit, whichever "
+            f"is lower ({budget / 2**30:.3g} GiB)"
         )
 
 
@@ -188,14 +233,12 @@ def cmd_ne(args) -> int:
     count = len(found.eps)
     n = g.n_players
     space_names = ",".join(s.value for s in game.spaces)
-    report.lines.append(f"spaces: {space_names}; grid: {args.grid}; profiles found: {count}")
-    template = "  %s payoffs [%s] improvement %%.3e" % (
-        " ".join(["%s"] * n),
-        " ".join(["%.10g"] * n),
-    )
-    report.lines.extend(_ne_rows(found, "(%.6g,%.6g,%.6g)", template))
+    summary = f"spaces: {space_names}; grid: {args.grid}; profiles found: {count}"
+    template = "  %s payoffs [%s] improvement %%s" % (" ".join(["%s"] * n), " ".join(["%s"] * n))
+    rows = _ne_rows(found, "(%.6g,%.6g,%.6g)", "%.10g", "%.3e", template)
+    report.lines = itertools.chain([summary], rows)
     report.verdict = f"{count} equilibria" if count else "no equilibria"
-    print(report.render())
+    report.write(sys.stdout)
     if args.csv:
         try:
             _write_ne_csv(args.csv, found)
@@ -205,26 +248,40 @@ def cmd_ne(args) -> int:
     return EXIT_OK if count else EXIT_NEGATIVE
 
 
-def _ne_rows(found, strategy_fmt: str, template: str):
+def _labels(values, fmt: str) -> np.ndarray:
+    """Object array of `fmt % v` for the float64 `values`, formatting each
+    distinct bit pattern once (so -0.0 and 0.0 stay apart)."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    distinct, where = np.unique(values.view(np.int64).reshape(-1), return_inverse=True)
+    # one `%` over a newline-joined template formats them all in one call;
+    # no float format prints a newline
+    text = "\n".join([fmt] * len(distinct)) % tuple(distinct.view(np.float64).tolist())
+    return np.array(text.split("\n"), dtype=object)[where].reshape(values.shape)
+
+
+def _ne_rows(found, strategy_fmt: str, value_fmt: str, eps_fmt: str, template: str):
     """`template % row` for each equilibrium, where a row holds every
     player's strategy rendered with `strategy_fmt` (once per grid point
-    used), then the payoffs and the improvement."""
+    used), then the payoffs rendered with `value_fmt` and the improvement
+    with `eps_fmt` (once per distinct value)."""
     cols = []
     for angles, col in zip(found.angles, found.index.T):
         used, where = np.unique(col, return_inverse=True)
         labels = np.array([strategy_fmt % tuple(a) for a in angles[used].tolist()], dtype=object)
-        cols.append(labels[where].tolist())
-    return map(template.__mod__, zip(*cols, *found.payoffs.T.tolist(), found.eps.tolist()))
+        cols.append(labels[where])
+    cols += list(_labels(found.payoffs, value_fmt).T)
+    cols.append(_labels(found.eps, eps_fmt))
+    return map(template.__mod__, zip(*(c.tolist() for c in cols)))
 
 
 def _write_ne_csv(path, found):
     n = len(found.angles)
     cols = [f"theta{i},alpha{i},beta{i}" for i in range(1, n + 1)]
     cols += [f"payoff{i}" for i in range(1, n + 1)] + ["improvement"]
-    template = ",".join(["%s"] * n + ["%.15g"] * (n + 1)) + "\n"
+    template = ",".join(["%s"] * (2 * n + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines(_ne_rows(found, "%.15g,%.15g,%.15g", template))
+        fh.writelines(_ne_rows(found, "%.15g,%.15g,%.15g", "%.15g", "%.15g", template))
 
 
 def _parse_params(spec: str) -> SU2Params:
@@ -259,10 +316,8 @@ def cmd_surface(args) -> int:
     mine = np.stack(np.meshgrid(thetas, alphas, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
     lists = [mine, [opponent]] if mover == 0 else [[opponent], mine]
     u1, u2 = (t.reshape(-1) for t in grid_payoff_tables(game, lists))
-    rows = map(
-        "%.15g,%.15g,%.15g,%.15g\n".__mod__,
-        zip(mine[:, 0].tolist(), mine[:, 1].tolist(), u1.tolist(), u2.tolist()),
-    )
+    cols = (_labels(v, "%.15g").tolist() for v in (mine[:, 0], mine[:, 1], u1, u2))
+    rows = map("%s,%s,%s,%s\n".__mod__, zip(*cols))
     header = "theta,alpha,payoff1,payoff2\n"
     if args.csv:
         try:
@@ -291,7 +346,7 @@ def cmd_identities(args) -> int:
             f"{c.name}: max error {c.max_error:.3e} -> {'pass' if c.passed else 'FAIL'}"
         )
     report.verdict = "all identities hold" if res.passed else "identity check failed"
-    print(report.render())
+    report.write(sys.stdout)
     return EXIT_OK if res.passed else EXIT_NEGATIVE
 
 

@@ -108,11 +108,11 @@ def _unit_amplitudes(n: int) -> np.ndarray:
     return state.transpose(order).reshape(4**n, 2**n) @ J.conj()
 
 
-def _payoff_core(diags: np.ndarray) -> np.ndarray:
-    """Real tensor C of shape (n, 10, .., 10) with
-    u_i = sum C[i, p_1, .., p_n] f_1[p_1] .. f_n[p_n] for the features
-    f of `strategy_features`."""
-    n = diags.shape[0]
+def _core_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(entry, ket, weight) of every term of the n-player payoff core:
+    term t adds d[ket[t]] * weight[t] to the flat core entry `entry[t]`
+    of a player with payoff diagonal d. Terms come ket by ket, so
+    accumulating them in order fixes the summation order."""
     amps = _unit_amplitudes(n)
     # B_a maps |0..0> and |1..1> to complementary kets up to phase, so
     # every row has one nonzero amplitude z[a] (the rest are rounding
@@ -127,12 +127,22 @@ def _payoff_core(diags: np.ndarray) -> np.ndarray:
     fold[k, l] = fold[l, k] = np.arange(10)
     unit_of = np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
     places = 10 ** np.arange(n - 1, -1, -1)
-    core = np.zeros((n, 10**n))
+    entries, kets, weights = [], [], []
     for j in range(2**n):
         r = np.flatnonzero(ket == j)
-        entry = fold[unit_of[r, None], unit_of[None, r]] @ places
-        weight = (z[r, None] * z[None, r].conj()).real
-        np.add.at(core, (slice(None), entry.ravel()), diags[:, j, None] * weight.ravel())
+        entries.append((fold[unit_of[r, None], unit_of[None, r]] @ places).ravel())
+        kets.append(np.full(len(r) ** 2, j))
+        weights.append((z[r, None] * z[None, r].conj()).real.ravel())
+    return tuple(np.concatenate(a) for a in (entries, kets, weights))
+
+
+def _payoff_core(diags: np.ndarray) -> np.ndarray:
+    """Real tensor C of shape (n, 10, .., 10) with
+    u_i = sum C[i, p_1, .., p_n] f_1[p_1] .. f_n[p_n] for the features
+    f of `strategy_features`."""
+    n = diags.shape[0]
+    entry, ket, weight = _core_terms(n)
+    core = np.stack([np.bincount(entry, d[ket] * weight, minlength=10**n) for d in diags])
     return core.reshape((n,) + (10,) * n)
 
 

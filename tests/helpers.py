@@ -21,10 +21,10 @@ from qgame import (
     tensor,
     unrestricted_payoffs,
 )
-from qgame.ewl import payoff_diagonal
+from qgame.ewl import _unit_amplitudes, payoff_diagonal
 from qgame.lift import FLIP, LiftReport, sample_strategy
 from qgame.linalg import ID2, MAX_QUBITS, PAULI_X, TWO_PI
-from qgame.search import grid_payoff_tables
+from qgame.search import GridEquilibria, grid_payoff_tables
 
 GAMES_DIR_NAME = "games"
 
@@ -190,13 +190,12 @@ def oracle_payoffs(game, params) -> np.ndarray:
     )
 
 
-def permutation_operator_oracle(perm, n=None) -> np.ndarray:
+def permutation_operator_oracle(perm) -> np.ndarray:
     """Qubit-permutation matrix built one basis ket at a time: ket x goes
     to the ket whose qubit perm[i] holds x's qubit i."""
     perm = tuple(int(k) for k in perm)
-    if n is None:
-        n = len(perm)
-    if len(perm) != n or sorted(perm) != list(range(n)):
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of {n} positions: {perm}")
     dim = 2**n
     out = np.zeros((dim, dim), dtype=complex)
@@ -342,3 +341,79 @@ def surface_csv_oracle(game, mover, opponent, t_steps, a_steps) -> str:
     for (t, a), v1, v2 in zip(grid, u1, u2):
         lines.append(",".join(format(v, ".15g") for v in (t, float(a) % TWO_PI, v1, v2)))
     return "\n".join(lines) + "\n"
+
+
+# Earlier forms of three production steps, kept as bitwise references:
+# the ket-by-ket accumulation of the payoff core, the n-d `np.nonzero`
+# gather of the grid equilibria and the float-template row rendering.
+
+
+def payoff_core_oracle(diags) -> np.ndarray:
+    """The (n, 10, .., 10) payoff core of the (n, 2^n) payoff diagonals,
+    accumulated ket by ket with `np.add.at`."""
+    n = diags.shape[0]
+    amps = _unit_amplitudes(n)
+    ket = np.abs(amps).argmax(axis=1)
+    z = amps[np.arange(4**n), ket]
+    fold = np.zeros((4, 4), dtype=int)
+    k, l = np.triu_indices(4)
+    fold[k, l] = fold[l, k] = np.arange(10)
+    unit_of = np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
+    places = 10 ** np.arange(n - 1, -1, -1)
+    core = np.zeros((n, 10**n))
+    for j in range(2**n):
+        r = np.flatnonzero(ket == j)
+        entry = fold[unit_of[r, None], unit_of[None, r]] @ places
+        weight = (z[r, None] * z[None, r].conj()).real
+        np.add.at(core, (slice(None), entry.ravel()), diags[:, j, None] * weight.ravel())
+    return core.reshape((n,) + (10,) * n)
+
+
+def grid_equilibria_oracle(game, grid, eps) -> GridEquilibria:
+    """`grid_equilibria` through `np.nonzero` on the n-d mask, gathering
+    with the index tuple."""
+    n = game.n_players
+    angles = tuple(grid.angles(i, game.spaces[i]) for i in range(n))
+    tables = grid_payoff_tables(game, angles)
+    bests = [t.max(axis=i, keepdims=True) for i, t in enumerate(tables)]
+    mask = np.ones(tables[0].shape, dtype=bool)
+    for i in range(n):
+        mask &= tables[i] >= bests[i] - eps
+    idx = np.nonzero(mask)
+    improvements = np.max(
+        [np.broadcast_to(b, mask.shape)[idx] - t[idx] for b, t in zip(bests, tables)], axis=0
+    )
+    payoffs = np.stack([t[idx] for t in tables], axis=1)
+    return GridEquilibria(angles, np.stack(idx, axis=1), improvements, payoffs)
+
+
+def ne_rows_oracle(found: GridEquilibria, csv: bool) -> list[str]:
+    """`ne` rows (stdout, or the CSV without line ends) as one float
+    template per row, each payoff and improvement formatted where it
+    occurs."""
+    n = len(found.angles)
+    if csv:
+        strategy_fmt = "%.15g,%.15g,%.15g"
+        template = ",".join(["%s"] * n + ["%.15g"] * (n + 1))
+    else:
+        strategy_fmt = "(%.6g,%.6g,%.6g)"
+        template = "  %s payoffs [%s] improvement %%.3e" % (
+            " ".join(["%s"] * n),
+            " ".join(["%.10g"] * n),
+        )
+    cols = []
+    for angles, col in zip(found.angles, found.index.T):
+        rows = angles.tolist()
+        cols.append([strategy_fmt % tuple(rows[k]) for k in col.tolist()])
+    return [
+        template % row
+        for row in zip(*cols, *found.payoffs.T.tolist(), found.eps.tolist())
+    ]
+
+
+def surface_rows_oracle(thetas, alphas, u1, u2) -> list[str]:
+    """`surface` CSV rows (without line ends) as one float template per row."""
+    return [
+        "%.15g,%.15g,%.15g,%.15g" % row
+        for row in zip(thetas.tolist(), alphas.tolist(), u1.tolist(), u2.tolist())
+    ]

@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ne_csv_oracle, ne_stdout_oracle, surface_csv_oracle
+from helpers import (
+    ne_csv_oracle,
+    ne_rows_oracle,
+    ne_stdout_oracle,
+    surface_csv_oracle,
+    surface_rows_oracle,
+)
 from qgame import (
     ClassicalGame,
     EwlGame,
@@ -26,6 +32,7 @@ from qgame import (
 )
 from qgame import cli
 from qgame.cli import main
+from qgame.search import GridEquilibria, grid_equilibria, grid_payoff_tables
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
 BUNDLED = sorted(GAMES.glob("*.game"))
@@ -391,6 +398,121 @@ class TestSurfaceCommand:
         assert csv_path.read_bytes() == expected.encode("utf-8")
 
 
+class TestRowTemplates:
+    """`ne` and `surface` bytes against one float template per row, on
+    real searches and on hand-built results with signed zeros and
+    repeated values."""
+
+    def run_ne(self, path, grid, eps, spaces, tmp_path, capsys):
+        csv_path = tmp_path / "ne.csv"
+        argv = ["ne", str(path), "--grid", grid, "--eps", repr(eps), "--csv", str(csv_path)]
+        argv += ["--spaces", spaces] if spaces else []
+        code = main(argv)
+        return code, capsys.readouterr().out, csv_path.read_text(encoding="utf-8")
+
+    def expected_ne(self, path, grid, eps, spaces, found):
+        k = len(found.eps)
+        n = len(found.angles)
+        head = [
+            f"# command: ne {path}",
+            f"# tolerances: eps={eps:g}",
+            f"spaces: {spaces}; grid: {grid}; profiles found: {k}",
+        ]
+        verdict = f"verdict: {k} equilibria" if k else "verdict: no equilibria"
+        stdout = "\n".join(head + ne_rows_oracle(found, csv=False) + [verdict]) + "\n"
+        cols = [f"theta{i},alpha{i},beta{i}" for i in range(1, n + 1)]
+        cols += [f"payoff{i}" for i in range(1, n + 1)] + ["improvement"]
+        csv = "".join(r + "\n" for r in [",".join(cols)] + ne_rows_oracle(found, csv=True))
+        return stdout, csv
+
+    @pytest.mark.parametrize(
+        "game,spaces,grid,eps",
+        [
+            ("pd.game", "alpha", "17,33,1", 1.0),
+            ("pd_swapped.game", "full", "5,5,3", 2.5),
+            ("three_player.game", "alpha,one,full", "5,5,3", 2.5),
+            ("pd_swapped.game", "alpha", "9,17,1", 0.05),
+        ],
+    )
+    def test_ne_bytes_match_the_float_templates(self, game, spaces, grid, eps, tmp_path, capsys):
+        path = GAMES / game
+        code, out, csv = self.run_ne(path, grid, eps, spaces, tmp_path, capsys)
+        gf = load_game_file(path)
+        n = gf.game.n_players
+        names = spaces.split(",")
+        game_q = EwlGame(gf.game, tuple(parse_space(s) for s in names * (n // len(names))))
+        t, a, b = (int(v) for v in grid.split(","))
+        found = grid_equilibria(game_q, ParamGrid.uniform(n, t, a, b), eps)
+        assert code == (0 if len(found.eps) else 1)
+        names = ",".join(s.value for s in game_q.spaces)
+        assert (out, csv) == self.expected_ne(path, grid, eps, names, found)
+
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    def test_ne_stdout_goes_out_in_blocks(self, block, monkeypatch):
+        argv = ["ne", str(GAMES / "pd.game"), "--spaces", "alpha", "--grid", "17,33,1"]
+        argv += ["--eps", "1.0"]
+
+        class Writes(list):
+            write = list.append
+
+        def run():
+            monkeypatch.setattr(sys, "stdout", Writes())
+            assert main(argv) == 0
+            return sys.stdout
+
+        monkeypatch.setattr(cli, "LINES_PER_WRITE", 1 << 30)
+        whole = run()
+        monkeypatch.setattr(cli, "LINES_PER_WRITE", block)
+        writes = run()
+        # the # lines, the summary and rows by blocks, then the verdict
+        body = "".join(whole[1:-1]).count("\n")
+        assert len(whole) == 3 and body > 1024
+        assert len(writes) == 2 + -(-body // block)
+        assert "".join(writes) == "".join(whole)
+
+    def test_ne_signed_zeros_and_repeats(self, tmp_path, capsys, monkeypatch):
+        angles = np.array([[0.0, -0.0, 0.0], [math.pi, 0.0, -0.0], [1.0, 2.0, 3.0]])
+        found = GridEquilibria(
+            (angles, angles[:2].copy()),
+            np.array([[0, 0], [1, 0], [2, 1], [0, 1], [1, 1], [2, 0]]),
+            np.array([0.0, -0.0, 1e-10, 1e-10, -0.0, 0.25]),
+            np.array(
+                [[0.0, -0.0], [-0.0, 0.0], [1.5, 1.5], [1.5, 1 / 3], [-0.0, -0.0], [1 / 3, 0.0]]
+            ),
+        )
+        monkeypatch.setattr(cli, "grid_equilibria", lambda game, grid, eps: found)
+        path = GAMES / "pd.game"
+        code, out, csv = self.run_ne(path, "3,3,1", 1.0, "alpha", tmp_path, capsys)
+        assert code == 0
+        assert (out, csv) == self.expected_ne(path, "3,3,1", 1.0, "alpha,alpha", found)
+        assert "\n  (3.14159,0,-0) (0,-0,0) payoffs [-0 0] improvement -0.000e+00\n" in out
+        assert "\n3.14159265358979,0,-0,0,-0,0,-0,0,-0\n" in csv
+
+    @pytest.mark.parametrize("hand_built", [False, True])
+    def test_surface_bytes_match_the_float_template(self, hand_built, tmp_path, capsys, monkeypatch):
+        t_steps, a_steps = 5, 9
+        if hand_built:
+            values = np.array([0.0, -0.0, 1 / 3, 1 / 3, -1.25, 0.0] * 8)[: t_steps * a_steps]
+            tables = [values.reshape(-1, 1), values[::-1].reshape(-1, 1).copy()]
+            monkeypatch.setattr(cli, "grid_payoff_tables", lambda game, lists: tables)
+        else:
+            game = EwlGame(load_game_file(GAMES / "pd_swapped.game").game)
+            mine = [
+                SU2Params(t, a, 0.0)
+                for t in np.linspace(0.0, math.pi, t_steps)
+                for a in np.linspace(0.0, 2 * math.pi, a_steps)
+            ]
+            tables = grid_payoff_tables(game, [mine, [SU2Params(1.0, 2.0, 0.0)]])
+        csv_path = tmp_path / "surface.csv"
+        argv = ["surface", str(GAMES / "pd_swapped.game"), "--opponent", "1,2"]
+        assert main(argv + ["--grid", f"{t_steps},{a_steps}", "--csv", str(csv_path)]) == 0
+        thetas = np.repeat(np.linspace(0.0, math.pi, t_steps), a_steps)
+        alphas = np.tile(np.linspace(0.0, 2 * math.pi, a_steps) % (2 * math.pi), t_steps)
+        rows = surface_rows_oracle(thetas, alphas, *(t.reshape(-1) for t in tables))
+        expected = "".join(r + "\n" for r in ["theta,alpha,payoff1,payoff2"] + rows)
+        assert csv_path.read_text(encoding="utf-8") == expected
+
+
 class TestPreflightMemoryCheck:
     @pytest.mark.parametrize(
         "argv",
@@ -424,6 +546,45 @@ class TestPreflightMemoryCheck:
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
             assert main(argv) == code
         capsys.readouterr()
+
+    def test_budget_is_half_of_a_lower_cgroup_limit(self, capsys, monkeypatch):
+        argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 40}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        for limit, code in [(136, 0), (135, 2), (None, 0)]:
+            monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
+            assert main(argv) == code
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "cgroup,files,limit",
+        [
+            # cgroup namespace: the process sits at the root of its view
+            ("0::/\n", {"": "4294967296\n"}, 4294967296),
+            # systemd slice without a namespace: the root has no memory.max
+            ("4:memory:/x\n0::/a.slice/b.scope\n", {"a.slice/b.scope": "1000\n"}, 1000),
+            # a limit set on an ancestor binds the child below it
+            ("0::/a/b\n", {"a/b": "max\n", "a": "2000\n", "": "3000\n"}, 2000),
+            ("0::/a/b\n", {"a/b": "5000\n", "a": "max\n"}, 5000),
+            ("0::/a\n", {"a": "max\n", "": "max\n"}, None),
+            ("0::/a\n", {}, None),
+            # cgroup v1 only: no unified hierarchy line
+            ("4:memory:/a\n", {"a": "1000\n"}, None),
+        ],
+        ids=["namespace", "slice", "ancestor", "leaf", "all-max", "no-files", "v1-only"],
+    )
+    def test_cgroup_limit_file(self, cgroup, files, limit, tmp_path, monkeypatch):
+        (tmp_path / "cgroup").write_text(cgroup)
+        for rel, text in files.items():
+            (tmp_path / "fs" / rel).mkdir(parents=True, exist_ok=True)
+            (tmp_path / "fs" / rel / "memory.max").write_text(text)
+        monkeypatch.setattr(cli, "PROC_SELF_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(cli, "CGROUP_ROOT", str(tmp_path / "fs"))
+        assert cli._cgroup_memory_limit() == limit
+
+    def test_cgroup_limit_without_a_proc_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "PROC_SELF_CGROUP", str(tmp_path / "missing"))
+        assert cli._cgroup_memory_limit() is None
 
 
 class TestIdentitiesCommand:

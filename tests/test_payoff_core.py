@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_payoffs, random_game
+from helpers import oracle_payoffs, payoff_core_oracle, random_game
 from qgame import EwlGame, StrategySpace, SU2Params, profile_payoffs
+from qgame.ewl import _payoff_core
 from qgame.linalg import TWO_PI
 from qgame.search import grid_payoff_tables
 
@@ -102,3 +103,31 @@ def test_grid_needs_one_list_per_player():
     game = EwlGame(random_game(np.random.default_rng(0), (2, 2, 2)))
     with pytest.raises(ValueError):
         grid_payoff_tables(game, [UNITS, UNITS])
+
+
+@st.composite
+def payoff_diagonals(draw):
+    """(n, 2^n) payoff diagonals for n = 1-4: scaled normals, all zeros,
+    all negative, or a mix with exact zeros and signed zeros."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, 2**n)
+    kind = draw(st.sampled_from(("scaled", "zero", "negative", "mixed")))
+    if kind == "zero":
+        return np.zeros(shape)
+    diags = rng.normal(size=shape) * 10.0 ** draw(st.integers(-8, 8))
+    if kind == "negative":
+        return -np.abs(diags)
+    if kind == "mixed":
+        diags[rng.random(shape) < 0.3] = 0.0
+        diags[rng.random(shape) < 0.1] = -0.0
+    return diags
+
+
+@given(payoff_diagonals())
+@settings(max_examples=120, deadline=None)
+def test_payoff_core_equals_the_ket_by_ket_oracle_bitwise(diags):
+    got, want = _payoff_core(diags), payoff_core_oracle(diags)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+

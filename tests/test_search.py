@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from helpers import grid_equilibria_oracle
 from qgame import (
     ClassicalGame,
     EwlGame,
@@ -129,6 +130,33 @@ class TestGridConsistency:
         # row-major profile order
         index = arrays.index.tolist()
         assert index == sorted(index)
+
+
+class TestFlatIndices:
+    @pytest.mark.parametrize("eps", [1e-9, 2.0])
+    @pytest.mark.parametrize(
+        "spaces,steps",
+        [
+            ((D, StrategySpace.FULL_SU2), (9, 9, 3)),
+            ((StrategySpace.TWO_PARAM_BETA, ONE, StrategySpace.FULL_SU2), (5, 5, 3)),
+            ((StrategySpace.FULL_SU2, StrategySpace.TWO_PARAM_BETA, ONE, D), (3, 5, 3)),
+        ],
+    )
+    def test_arrays_equal_the_nonzero_gather(self, spaces, steps, eps):
+        n = len(spaces)
+        # a seed with rows at both eps in every case
+        rng = np.random.default_rng(3)
+        g = ClassicalGame((("a", "b"),) * n, rng.uniform(0, 10, size=(2,) * n + (n,)))
+        game = EwlGame(g, spaces)
+        grid = ParamGrid.uniform(n, *steps)
+        got, want = grid_equilibria(game, grid, eps), grid_equilibria_oracle(game, grid, eps)
+        for a, b in zip(got.angles, want.angles):
+            assert np.array_equal(a, b)
+        for name in ("index", "eps", "payoffs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert len(got.eps) > 0
 
 
 class TestGridPureNE:
