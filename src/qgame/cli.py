@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,59 @@ EXIT_IO = 3
 LINES_PER_WRITE = 1024
 
 
+@dataclass(frozen=True)
+class Rows:
+    """k text rows over deduplicated fields: row r is
+    `seps[0] + labels_0[where_0[r]] + seps[1] + .. + labels_m-1[where_m-1[r]] + seps[m]`
+    for the (labels, where) pairs of `columns`; `seps[m]` ends the line."""
+
+    seps: tuple[str, ...] = ("\n",)
+    columns: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+
+    def blocks(self, lead=()) -> Iterator[str]:
+        """The `lead` lines, then the rows, as text of `LINES_PER_WRITE`
+        lines per block; the lead lines count toward the first block.
+        Each block of rows is built in one (rows, 2m+1) object array,
+        separators in the even columns and labels in the odd ones, and
+        joined once."""
+        size = LINES_PER_WRITE
+        lines = [line + "\n" for line in lead]
+        k = len(self.columns[0][1]) if self.columns else 0
+        table = np.empty((min(size, k), 2 * len(self.columns) + 1), dtype=object)
+        table[:, 0::2] = np.array(self.seps, dtype=object)
+        start = 0
+        while lines or start < k:
+            head, lines = lines[:size], lines[size:]
+            stop = min(k, start + size - len(head))
+            block = table[: stop - start]
+            for j, (labels, where) in enumerate(self.columns):
+                block[:, 2 * j + 1] = labels[where[start:stop]]
+            yield "".join(head) + "".join(block.ravel().tolist())
+            start = stop
+
+
+def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values, inverse index) of the float64 `values`, distinct
+    by bit pattern, so -0.0 and 0.0 stay apart."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), where
+
+
+def _rows(seps, fmts, distinct) -> Rows:
+    """`Rows` over the (distinct values, where) pairs of `distinct`,
+    formatting the distinct values of field j with `fmts[j]`: one value,
+    or one row of a 2-d array, per `%`."""
+    columns = []
+    for fmt, (values, where) in zip(fmts, distinct):
+        # one `%` over a newline-joined template formats a whole field;
+        # no float format prints a newline
+        text = "\n".join([fmt] * len(values)) % tuple(values.ravel().tolist())
+        labels = np.array(text.split("\n") if len(values) else [], dtype=object)
+        columns.append((labels, where))
+    return Rows(tuple(seps), tuple(columns))
+
+
 @dataclass
 class RunReport:
     """Deterministic, printable record of one command invocation."""
@@ -44,15 +96,16 @@ class RunReport:
     command: str
     seed: int | None = None
     tolerances: dict = field(default_factory=dict)
-    lines: Iterable[str] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)
+    rows: Rows = field(default_factory=Rows)
     verdict: str = ""
 
     def write(self, out) -> None:
-        """Write the `#` lines (command, seed, tolerances), then `lines`,
-        then the verdict to `out`, one per line. `lines` may be any
-        iterable; it goes out `LINES_PER_WRITE` lines per write, so a long
-        body is never held whole and an unbuffered stream is not written
-        line by line."""
+        """Write the `#` lines (command, seed, tolerances), then `lines`
+        and `rows`, then the verdict to `out`, one per line. The body goes
+        out `LINES_PER_WRITE` lines per write (`Rows.blocks`), so a long
+        table is never held whole as text and an unbuffered stream is not
+        written line by line."""
         head = [f"# command: {self.command}"]
         if self.seed is not None:
             head.append(f"# seed: {self.seed}")
@@ -60,9 +113,8 @@ class RunReport:
             tols = " ".join(f"{k}={v:g}" for k, v in self.tolerances.items())
             head.append(f"# tolerances: {tols}")
         out.write("\n".join(head) + "\n")
-        lines = iter(self.lines)
-        while block := list(itertools.islice(lines, LINES_PER_WRITE)):
-            out.write("\n".join(block) + "\n")
+        for text in self.rows.blocks(self.lines):
+            out.write(text)
         if self.verdict:
             out.write(f"verdict: {self.verdict}\n")
 
@@ -218,6 +270,9 @@ def _check_memory(dims) -> None:
 
 
 def cmd_ne(args) -> int:
+    # nan and negative eps would find nothing, inf every grid profile
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        raise ValueError(f"eps must be a finite number >= 0, got {args.eps!r}")
     report = RunReport(
         command=f"ne {args.game}", tolerances={"eps": args.eps}
     )
@@ -232,56 +287,37 @@ def cmd_ne(args) -> int:
     found = grid_equilibria(game, grid, eps=args.eps)
     count = len(found.eps)
     n = g.n_players
+    # each field's distinct values, found once for both outputs: the
+    # strategies by grid index, payoffs and improvements by bit pattern
+    distinct = []
+    for angles, col in zip(found.angles, found.index.T):
+        used, where = np.unique(col, return_inverse=True)
+        distinct.append((angles[used], where))
+    distinct += [_distinct(v) for v in (*found.payoffs.T, found.eps)]
     space_names = ",".join(s.value for s in game.spaces)
-    summary = f"spaces: {space_names}; grid: {args.grid}; profiles found: {count}"
-    template = "  %s payoffs [%s] improvement %%s" % (" ".join(["%s"] * n), " ".join(["%s"] * n))
-    rows = _ne_rows(found, "(%.6g,%.6g,%.6g)", "%.10g", "%.3e", template)
-    report.lines = itertools.chain([summary], rows)
+    report.lines = [f"spaces: {space_names}; grid: {args.grid}; profiles found: {count}"]
+    seps = ("  ",) + (" ",) * (n - 1) + (" payoffs [",) + (" ",) * (n - 1)
+    fmts = ["(%.6g,%.6g,%.6g)"] * n + ["%.10g"] * n + ["%.3e"]
+    report.rows = _rows(seps + ("] improvement ", "\n"), fmts, distinct)
     report.verdict = f"{count} equilibria" if count else "no equilibria"
     report.write(sys.stdout)
     if args.csv:
+        cols = [f"theta{i},alpha{i},beta{i}" for i in range(1, n + 1)]
+        cols += [f"payoff{i}" for i in range(1, n + 1)] + ["improvement"]
+        fmts = ["%.15g,%.15g,%.15g"] * n + ["%.15g"] * (n + 1)
+        rows = _rows(("",) + (",",) * (2 * n) + ("\n",), fmts, distinct)
         try:
-            _write_ne_csv(args.csv, found)
+            _write_text(args.csv, rows.blocks([",".join(cols)]))
         except OSError as exc:
             print(f"cannot write {args.csv}: {exc}", file=sys.stderr)
             return EXIT_IO
     return EXIT_OK if count else EXIT_NEGATIVE
 
 
-def _labels(values, fmt: str) -> np.ndarray:
-    """Object array of `fmt % v` for the float64 `values`, formatting each
-    distinct bit pattern once (so -0.0 and 0.0 stay apart)."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    distinct, where = np.unique(values.view(np.int64).reshape(-1), return_inverse=True)
-    # one `%` over a newline-joined template formats them all in one call;
-    # no float format prints a newline
-    text = "\n".join([fmt] * len(distinct)) % tuple(distinct.view(np.float64).tolist())
-    return np.array(text.split("\n"), dtype=object)[where].reshape(values.shape)
-
-
-def _ne_rows(found, strategy_fmt: str, value_fmt: str, eps_fmt: str, template: str):
-    """`template % row` for each equilibrium, where a row holds every
-    player's strategy rendered with `strategy_fmt` (once per grid point
-    used), then the payoffs rendered with `value_fmt` and the improvement
-    with `eps_fmt` (once per distinct value)."""
-    cols = []
-    for angles, col in zip(found.angles, found.index.T):
-        used, where = np.unique(col, return_inverse=True)
-        labels = np.array([strategy_fmt % tuple(a) for a in angles[used].tolist()], dtype=object)
-        cols.append(labels[where])
-    cols += list(_labels(found.payoffs, value_fmt).T)
-    cols.append(_labels(found.eps, eps_fmt))
-    return map(template.__mod__, zip(*(c.tolist() for c in cols)))
-
-
-def _write_ne_csv(path, found):
-    n = len(found.angles)
-    cols = [f"theta{i},alpha{i},beta{i}" for i in range(1, n + 1)]
-    cols += [f"payoff{i}" for i in range(1, n + 1)] + ["improvement"]
-    template = ",".join(["%s"] * (2 * n + 1)) + "\n"
+def _write_text(path, blocks) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.writelines(_ne_rows(found, "%.15g,%.15g,%.15g", "%.15g", "%.15g", template))
+        for text in blocks:
+            fh.write(text)
 
 
 def _parse_params(spec: str) -> SU2Params:
@@ -316,20 +352,18 @@ def cmd_surface(args) -> int:
     mine = np.stack(np.meshgrid(thetas, alphas, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
     lists = [mine, [opponent]] if mover == 0 else [[opponent], mine]
     u1, u2 = (t.reshape(-1) for t in grid_payoff_tables(game, lists))
-    cols = (_labels(v, "%.15g").tolist() for v in (mine[:, 0], mine[:, 1], u1, u2))
-    rows = map("%s,%s,%s,%s\n".__mod__, zip(*cols))
-    header = "theta,alpha,payoff1,payoff2\n"
+    distinct = [_distinct(v) for v in (mine[:, 0], mine[:, 1], u1, u2)]
+    rows = _rows(("", ",", ",", ",", "\n"), ["%.15g"] * 4, distinct)
+    blocks = rows.blocks(["theta,alpha,payoff1,payoff2"])
     if args.csv:
         try:
-            with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(header)
-                fh.writelines(rows)
+            _write_text(args.csv, blocks)
         except OSError as exc:
             print(f"cannot write {args.csv}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.write(header)
-        sys.stdout.writelines(rows)
+        for text in blocks:
+            sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -127,13 +127,13 @@ def _core_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fold[k, l] = fold[l, k] = np.arange(10)
     unit_of = np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
     places = 10 ** np.arange(n - 1, -1, -1)
-    entries, kets, weights = [], [], []
-    for j in range(2**n):
-        r = np.flatnonzero(ket == j)
-        entries.append((fold[unit_of[r, None], unit_of[None, r]] @ places).ravel())
-        kets.append(np.full(len(r) ** 2, j))
-        weights.append((z[r, None] * z[None, r].conj()).real.ravel())
-    return tuple(np.concatenate(a) for a in (entries, kets, weights))
+    # every ket has 2^n rows: a stable sort groups them ket by ket, rows
+    # in ascending order, one group per row of `rows`
+    rows = np.argsort(ket, kind="stable").reshape(2**n, 2**n)
+    units, zr = unit_of[rows], z[rows]
+    entry = fold[units[:, :, None], units[:, None, :]] @ places
+    weight = (zr[:, :, None] * zr[:, None, :].conj()).real
+    return entry.ravel(), np.repeat(np.arange(2**n), 4**n), weight.ravel()
 
 
 def _payoff_core(diags: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ files; `space` names are the ones `qgame.ewl.parse_space` accepts.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,6 +104,8 @@ def parse_game_file(text: str) -> GameFile:
                 values = tuple(float(v) for v in m.group(2).split())
             except ValueError:
                 raise GameFileError("payoffs must be numbers", lineno)
+            if not all(math.isfinite(v) for v in values):
+                raise GameFileError("payoffs must be finite numbers", lineno)
             if len(values) != n:
                 raise GameFileError(f"need {n} payoff values", lineno)
             cells[profile] = values

@@ -343,15 +343,14 @@ def surface_csv_oracle(game, mover, opponent, t_steps, a_steps) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Earlier forms of three production steps, kept as bitwise references:
-# the ket-by-ket accumulation of the payoff core, the n-d `np.nonzero`
-# gather of the grid equilibria and the float-template row rendering.
+# Earlier forms of production steps, kept as bitwise references: the
+# ket-by-ket loop over the payoff-core terms and their accumulation, the
+# n-d `np.nonzero` gather of the grid equilibria and the float-template
+# row rendering.
 
 
-def payoff_core_oracle(diags) -> np.ndarray:
-    """The (n, 10, .., 10) payoff core of the (n, 2^n) payoff diagonals,
-    accumulated ket by ket with `np.add.at`."""
-    n = diags.shape[0]
+def core_terms_oracle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`ewl._core_terms(n)` built ket by ket, one `np.flatnonzero` per ket."""
     amps = _unit_amplitudes(n)
     ket = np.abs(amps).argmax(axis=1)
     z = amps[np.arange(4**n), ket]
@@ -360,12 +359,22 @@ def payoff_core_oracle(diags) -> np.ndarray:
     fold[k, l] = fold[l, k] = np.arange(10)
     unit_of = np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
     places = 10 ** np.arange(n - 1, -1, -1)
-    core = np.zeros((n, 10**n))
+    entries, kets, weights = [], [], []
     for j in range(2**n):
         r = np.flatnonzero(ket == j)
-        entry = fold[unit_of[r, None], unit_of[None, r]] @ places
-        weight = (z[r, None] * z[None, r].conj()).real
-        np.add.at(core, (slice(None), entry.ravel()), diags[:, j, None] * weight.ravel())
+        entries.append((fold[unit_of[r, None], unit_of[None, r]] @ places).ravel())
+        kets.append(np.full(len(r) ** 2, j))
+        weights.append((z[r, None] * z[None, r].conj()).real.ravel())
+    return tuple(np.concatenate(a) for a in (entries, kets, weights))
+
+
+def payoff_core_oracle(diags) -> np.ndarray:
+    """The (n, 10, .., 10) payoff core of the (n, 2^n) payoff diagonals,
+    accumulating the terms of `core_terms_oracle` in order with `np.add.at`."""
+    n = diags.shape[0]
+    entry, ket, weight = core_terms_oracle(n)
+    core = np.zeros((n, 10**n))
+    np.add.at(core, (slice(None), entry), diags[:, ket] * weight)
     return core.reshape((n,) + (10,) * n)
 
 

@@ -1,11 +1,18 @@
+import contextlib
+import io
+import itertools
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     ne_csv_oracle,
@@ -90,6 +97,17 @@ class TestGameFileFormat:
         text = "players: 2\nstrategies 1: t b\nstrategies 2: l r\npayoff (t,l): 3 3\n"
         with pytest.raises(GameFileError, match="incomplete"):
             parse_game_file(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_payoff_rejected(self, value):
+        text = (
+            "players: 2\nstrategies 1: t b\nstrategies 2: l r\n"
+            f"payoff (t,l): 3 3\npayoff (t,r): 0 {value}\n"
+            "payoff (b,l): 5 0\npayoff (b,r): 1 1\n"
+        )
+        with pytest.raises(GameFileError, match="payoffs must be finite numbers") as err:
+            parse_game_file(text)
+        assert err.value.line == 5
 
 
 class TestIsoCommand:
@@ -235,6 +253,16 @@ class TestNeCommand:
     def test_unknown_space_exit_2(self, capsys):
         code = main(["ne", str(GAMES / "pd.game"), "--spaces", "bogus"])
         assert code == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("game", ["pd.game", "missing.game"])
+    def test_eps_not_finite_and_non_negative_exit_2(self, eps, game, capsys):
+        # checked before the game is loaded, so a missing file does not mask it
+        code = main(["ne", str(GAMES / game), "--eps", eps])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: eps must be a finite number >= 0")
 
     def test_csv_output(self, tmp_path, capsys):
         out_path = tmp_path / "ne.csv"
@@ -398,6 +426,23 @@ class TestSurfaceCommand:
         assert csv_path.read_bytes() == expected.encode("utf-8")
 
 
+def expected_ne(path, grid, eps, spaces, found):
+    """`ne` stdout and CSV text for `found`, rows from `ne_rows_oracle`."""
+    k = len(found.eps)
+    n = len(found.angles)
+    head = [
+        f"# command: ne {path}",
+        f"# tolerances: eps={eps:g}",
+        f"spaces: {spaces}; grid: {grid}; profiles found: {k}",
+    ]
+    verdict = f"verdict: {k} equilibria" if k else "verdict: no equilibria"
+    stdout = "\n".join(head + ne_rows_oracle(found, csv=False) + [verdict]) + "\n"
+    cols = [f"theta{i},alpha{i},beta{i}" for i in range(1, n + 1)]
+    cols += [f"payoff{i}" for i in range(1, n + 1)] + ["improvement"]
+    csv = "".join(r + "\n" for r in [",".join(cols)] + ne_rows_oracle(found, csv=True))
+    return stdout, csv
+
+
 class TestRowTemplates:
     """`ne` and `surface` bytes against one float template per row, on
     real searches and on hand-built results with signed zeros and
@@ -409,21 +454,6 @@ class TestRowTemplates:
         argv += ["--spaces", spaces] if spaces else []
         code = main(argv)
         return code, capsys.readouterr().out, csv_path.read_text(encoding="utf-8")
-
-    def expected_ne(self, path, grid, eps, spaces, found):
-        k = len(found.eps)
-        n = len(found.angles)
-        head = [
-            f"# command: ne {path}",
-            f"# tolerances: eps={eps:g}",
-            f"spaces: {spaces}; grid: {grid}; profiles found: {k}",
-        ]
-        verdict = f"verdict: {k} equilibria" if k else "verdict: no equilibria"
-        stdout = "\n".join(head + ne_rows_oracle(found, csv=False) + [verdict]) + "\n"
-        cols = [f"theta{i},alpha{i},beta{i}" for i in range(1, n + 1)]
-        cols += [f"payoff{i}" for i in range(1, n + 1)] + ["improvement"]
-        csv = "".join(r + "\n" for r in [",".join(cols)] + ne_rows_oracle(found, csv=True))
-        return stdout, csv
 
     @pytest.mark.parametrize(
         "game,spaces,grid,eps",
@@ -445,7 +475,7 @@ class TestRowTemplates:
         found = grid_equilibria(game_q, ParamGrid.uniform(n, t, a, b), eps)
         assert code == (0 if len(found.eps) else 1)
         names = ",".join(s.value for s in game_q.spaces)
-        assert (out, csv) == self.expected_ne(path, grid, eps, names, found)
+        assert (out, csv) == expected_ne(path, grid, eps, names, found)
 
     @pytest.mark.parametrize("block", [1, 7, 1024])
     def test_ne_stdout_goes_out_in_blocks(self, block, monkeypatch):
@@ -484,7 +514,7 @@ class TestRowTemplates:
         path = GAMES / "pd.game"
         code, out, csv = self.run_ne(path, "3,3,1", 1.0, "alpha", tmp_path, capsys)
         assert code == 0
-        assert (out, csv) == self.expected_ne(path, "3,3,1", 1.0, "alpha,alpha", found)
+        assert (out, csv) == expected_ne(path, "3,3,1", 1.0, "alpha,alpha", found)
         assert "\n  (3.14159,0,-0) (0,-0,0) payoffs [-0 0] improvement -0.000e+00\n" in out
         assert "\n3.14159265358979,0,-0,0,-0,0,-0,0,-0\n" in csv
 
@@ -511,6 +541,92 @@ class TestRowTemplates:
         rows = surface_rows_oracle(thetas, alphas, *(t.reshape(-1) for t in tables))
         expected = "".join(r + "\n" for r in ["theta,alpha,payoff1,payoff2"] + rows)
         assert csv_path.read_text(encoding="utf-8") == expected
+
+
+def signed_pool(pool):
+    """The drawn floats plus both zeros, as float64."""
+    return np.array(pool + [0.0, -0.0])
+
+
+VALUE_POOLS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5)
+BLOCK = cli.LINES_PER_WRITE
+# no shrink phase: an example renders up to a thousand rows, and shrinking
+# the seed of a failing one can take minutes
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+class TestBlockRenderer:
+    """`ne` and `surface` bytes on hand-built results of every player
+    count, at the edges of the write blocks, with signed zeros and
+    values drawn from small pools (so they repeat), against one float
+    template per row."""
+
+    @staticmethod
+    def game_text(n):
+        strategies = "".join(f"strategies {i}: a b\n" for i in range(1, n + 1))
+        payoffs = "".join(
+            f"payoff ({','.join(p)}): {' '.join(['1'] * n)}\n"
+            for p in itertools.product("ab", repeat=n)
+        )
+        return f"players: {n}\n" + strategies + payoffs
+
+    @given(
+        n=st.integers(1, 4),
+        k=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1]),
+        pool=VALUE_POOLS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+    def test_ne_bytes_match_the_oracle(self, n, k, pool, seed):
+        rng = np.random.default_rng(seed)
+        pool = signed_pool(pool)
+        sizes = rng.integers(1, 5, n)
+        found = GridEquilibria(
+            tuple(rng.choice(pool, (m, 3)) for m in sizes),
+            np.stack([rng.integers(0, m, k) for m in sizes], axis=1),
+            rng.choice(pool, k),
+            rng.choice(pool, (k, n)),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path, csv_path = Path(tmp) / "hand.game", Path(tmp) / "ne.csv"
+            path.write_text(self.game_text(n), encoding="utf-8")
+            argv = ["ne", str(path), "--spaces", "one", "--grid", "3,1,1", "--eps", "1.0"]
+            out = io.StringIO()
+            with mock.patch.object(cli, "grid_equilibria", lambda game, grid, eps: found):
+                with contextlib.redirect_stdout(out):
+                    code = main(argv + ["--csv", str(csv_path)])
+            csv = csv_path.read_bytes()
+            stdout, want_csv = expected_ne(path, "3,1,1", 1.0, ",".join(["one"] * n), found)
+        assert code == (0 if k else 1)
+        assert out.getvalue() == stdout
+        assert csv == want_csv.encode("utf-8")
+
+    @given(
+        grid=st.sampled_from([(1, 1), (1, BLOCK - 1), (BLOCK, 1), (1, BLOCK + 1), (5, 9)]),
+        pool=VALUE_POOLS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+    def test_surface_bytes_match_the_oracle(self, grid, pool, seed):
+        # at least one row: surface grids have at least one step per axis
+        t_steps, a_steps = grid
+        rng = np.random.default_rng(seed)
+        tables = [rng.choice(signed_pool(pool), (t_steps * a_steps, 1)) for _ in range(2)]
+        argv = ["surface", str(GAMES / "pd_swapped.game"), "--grid", f"{t_steps},{a_steps}"]
+        thetas = np.repeat(np.linspace(0.0, math.pi, t_steps), a_steps)
+        alphas = np.tile(np.linspace(0.0, 2 * math.pi, a_steps) % (2 * math.pi), t_steps)
+        rows = surface_rows_oracle(thetas, alphas, *(t.reshape(-1) for t in tables))
+        expected = "".join(r + "\n" for r in ["theta,alpha,payoff1,payoff2"] + rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path = Path(tmp) / "surface.csv"
+            out = io.StringIO()
+            with mock.patch.object(cli, "grid_payoff_tables", lambda game, lists: tables):
+                with contextlib.redirect_stdout(out):
+                    assert main(argv) == 0
+                assert main(argv + ["--csv", str(csv_path)]) == 0
+            csv = csv_path.read_bytes()
+        assert out.getvalue() == expected
+        assert csv == expected.encode("utf-8")
 
 
 class TestPreflightMemoryCheck:

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_payoffs, payoff_core_oracle, random_game
+from helpers import core_terms_oracle, oracle_payoffs, payoff_core_oracle, random_game
 from qgame import EwlGame, StrategySpace, SU2Params, profile_payoffs
-from qgame.ewl import _payoff_core
+from qgame.ewl import _core_terms, _payoff_core
 from qgame.linalg import TWO_PI
 from qgame.search import grid_payoff_tables
 
@@ -131,3 +131,12 @@ def test_payoff_core_equals_the_ket_by_ket_oracle_bitwise(diags):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_core_terms_equal_the_ket_by_ket_loop(n):
+    got, want = _core_terms(n), core_terms_oracle(n)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+        assert g.tobytes() == w.tobytes()
