@@ -26,7 +26,14 @@ from .games import (
 from .gamefile import GameFileError, load_game_file
 from .lift import LIFT_TOL, lift, operator_identity_suite, verify_lift
 from .linalg import TWO_PI, SU2Params
-from .search import ParamGrid, grid_equilibria, grid_payoff_tables, grid_table_bytes
+from .search import (
+    ParamGrid,
+    grid_equilibria,
+    grid_payoff_tables,
+    grid_row_bytes,
+    grid_search_bytes,
+    grid_table_bytes,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -227,46 +234,66 @@ PROC_SELF_CGROUP = "/proc/self/cgroup"
 CGROUP_ROOT = "/sys/fs/cgroup"
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _cgroup_memory_limit() -> int | None:
-    """Bytes of this process's cgroup v2 memory limit: the lowest number
-    held by `memory.max` in its cgroup (the `0::` line of
-    /proc/self/cgroup) or any ancestor up to the root. None when there is
-    no such line, or every file is missing or holds `max` (no limit)."""
+    """Bytes of this process's cgroup memory limit: the lowest number held
+    by cgroup v2 `memory.max` in its cgroup (the `0::` line of
+    /proc/self/cgroup) or any ancestor up to the root, or by cgroup v1
+    `memory.limit_in_bytes` in its memory cgroup (the `N:memory:` line,
+    under `memory/`) or any ancestor. None when there is no such line, or
+    every file is missing or holds `max` or at least physical memory (no
+    limit)."""
     try:
         with open(PROC_SELF_CGROUP, encoding="utf-8") as fh:
-            cgroup = next(line[3:].strip() for line in fh if line.startswith("0::"))
-    except (OSError, StopIteration):
+            lines = fh.read().splitlines()
+    except OSError:
         return None
-    parts = [p for p in cgroup.split("/") if p]
     limits = []
-    for depth in range(len(parts) + 1):
-        path = os.path.join(CGROUP_ROOT, *parts[:depth], "memory.max")
-        try:
-            with open(path, encoding="ascii") as fh:
-                text = fh.read().strip()
-        except OSError:
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
             continue
-        if text.isdigit():
-            limits.append(int(text))
-    return min(limits, default=None)
+        number, controllers, cgroup = fields
+        if number == "0" and not controllers:
+            root, name = CGROUP_ROOT, "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = os.path.join(CGROUP_ROOT, "memory"), "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [p for p in cgroup.split("/") if p]
+        for depth in range(len(parts) + 1):
+            try:
+                with open(os.path.join(root, *parts[:depth], name), encoding="ascii") as fh:
+                    text = fh.read().strip()
+            except OSError:
+                continue
+            if text.isdigit():
+                limits.append(int(text))
+    # cgroup v1 writes "no limit" as a page-rounded 2^63 - 1
+    limit = min(limits, default=None)
+    return limit if limit is not None and limit < _physical_memory() else None
 
 
-def _check_memory(dims) -> None:
-    """Refuse, before anything is allocated, a grid search whose payoff
-    tables and mask would take more than half of physical memory or of
-    the cgroup memory limit, whichever is lower."""
-    need = grid_table_bytes(dims)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def _memory_left(need: int, what: str) -> int:
+    """Bytes left of the memory budget after `need` bytes for `what`, before
+    anything is allocated. The budget is half of physical memory or of the
+    cgroup memory limit, whichever is lower; a grid that needs more is
+    refused."""
+    memory = _physical_memory()
     limit = _cgroup_memory_limit()
     if limit is not None:
         memory = min(memory, limit)
     budget = memory // 2
     if need > budget:
         raise ValueError(
-            f"grid needs about {need / 2**30:.3g} GiB for payoff tables and mask, "
+            f"grid needs about {need / 2**30:.3g} GiB for {what}, "
             f"more than half of physical memory or the cgroup limit, whichever "
             f"is lower ({budget / 2**30:.3g} GiB)"
         )
+    return budget - need
 
 
 def cmd_ne(args) -> int:
@@ -283,8 +310,11 @@ def cmd_ne(args) -> int:
         spaces = _parse_spaces(args.spaces, g.n_players)
     game = EwlGame(g, spaces)
     grid = _parse_grid(args.grid, g.n_players)
-    _check_memory([grid.size(i, s) for i, s in enumerate(game.spaces)])
-    found = grid_equilibria(game, grid, eps=args.eps)
+    dims = [grid.size(i, s) for i, s in enumerate(game.spaces)]
+    left = _memory_left(
+        grid_search_bytes(dims), "one block of payoff tables and mask, and the best replies"
+    )
+    found = grid_equilibria(game, grid, eps=args.eps, max_rows=left // grid_row_bytes(len(dims)))
     count = len(found.eps)
     n = g.n_players
     # each field's distinct values, found once for both outputs: the
@@ -345,7 +375,7 @@ def cmd_surface(args) -> int:
     t_steps, a_steps = parts
     if t_steps < 1 or a_steps < 1:
         raise ValueError("grid steps must be positive")
-    _check_memory([t_steps * a_steps, 1])
+    _memory_left(grid_table_bytes([t_steps * a_steps, 1]), "payoff tables and mask")
     # unlike ParamGrid, the alpha axis keeps its 2pi endpoint (printed as 0)
     thetas = np.linspace(0.0, math.pi, t_steps)
     alphas = np.linspace(0.0, TWO_PI, a_steps) % TWO_PI
@@ -432,10 +462,27 @@ def main(argv=None) -> int:
     # parser, so a replaced module attribute takes effect
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        code = handler(args)
+        # a buffered stdout fails here, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:
+        # stdout failed; a closed pipe (`| head`) is the reader's choice and
+        # needs no message. What is still buffered goes to devnull, so the
+        # flush at interpreter exit cannot fail again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):
+            return EXIT_IO
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

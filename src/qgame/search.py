@@ -108,6 +108,11 @@ class GridEquilibria:
     payoffs: np.ndarray
 
 
+# Largest payoff-table block, in bytes, that `grid_equilibria` holds at
+# once; smaller blocks cost more Python overhead per profile.
+BLOCK_BYTES = 1 << 20
+
+
 def grid_payoff_tables(game: EwlGame, strategy_lists) -> list[np.ndarray]:
     """One payoff array of shape (m_1, .., m_n) per player, covering
     every grid profile: the game's payoff core contracted with each
@@ -121,15 +126,30 @@ def grid_payoff_tables(game: EwlGame, strategy_lists) -> list[np.ndarray]:
         raise ValueError("need one strategy list per player")
     if any(d == 0 for d in dims):
         raise ValueError("empty strategy grid")
+    feats = [strategy_features(_angle_rows(s)) for s in strategy_lists]
+    return _tables(game.payoff_core, feats, _contraction_order(dims))
+
+
+def _contraction_order(dims) -> list[int]:
     # players go shortest list first, which keeps every intermediate no
-    # larger than the core or the tables; each step replaces the first
-    # remaining feature axis (10 entries) by a strategy axis at the end
-    order = sorted(range(len(dims)), key=dims.__getitem__)
-    out = game.payoff_core.transpose([0] + [1 + k for k in order])
+    # larger than the core or the tables
+    return sorted(range(len(dims)), key=dims.__getitem__)
+
+
+def _tables(core: np.ndarray, feats, order) -> list[np.ndarray]:
+    """The (m_1, .., m_n) tables of each of the p players of a
+    (p, F_1, .., F_n) core, contracted with the (m_i, F_i) features of
+    each player in `order`."""
+    n = len(order)
+    out = core.transpose([0] + [1 + k for k in order])
+    # each step moves the first remaining feature axis to the end and
+    # replaces it by a strategy axis, as np.tensordot(out, f, (1, 1))
+    # does, without its per-call overhead
+    last = [0, *range(2, n + 1), 1]
     for k in order:
-        feats = strategy_features(_angle_rows(strategy_lists[k]))
-        out = np.tensordot(out, feats, axes=(1, 1))
-    out = out.transpose([0] + [1 + order.index(k) for k in range(len(dims))])
+        out = out.transpose(last)
+        out = np.dot(out.reshape(-1, out.shape[-1]), feats[k].T).reshape(*out.shape[:-1], -1)
+    out = out.transpose([0] + [1 + order.index(k) for k in range(n)])
     return list(np.ascontiguousarray(out))
 
 
@@ -145,28 +165,104 @@ def grid_table_bytes(dims) -> int:
     return (8 * len(dims) + 1) * math.prod(dims)
 
 
-def grid_equilibria(game: EwlGame, grid: ParamGrid, eps: float = 1e-9) -> GridEquilibria:
+def _block_strategies(dims, tables: int) -> int:
+    """Player-0 strategies per block of `grid_equilibria`: as many as keep
+    a block of `tables` payoff tables within `BLOCK_BYTES`, at least one."""
+    rest = math.prod(dims[1:])
+    return min(dims[0], max(1, BLOCK_BYTES // (8 * tables * rest)))
+
+
+def grid_search_bytes(dims) -> int:
+    """Bytes `grid_equilibria` holds besides its rows, over `dims[i]`
+    strategies for player i: one block of payoff tables and mask, and
+    every player's best replies, 8 * prod(dims) / dims[i] bytes each."""
+    total = math.prod(dims)
+    block = grid_table_bytes([_block_strategies(dims, len(dims)), *dims[1:]])
+    return block + sum(8 * (total // m) for m in dims)
+
+
+def grid_row_bytes(players: int) -> int:
+    """Bytes `grid_equilibria` holds per equilibrium row: the index,
+    payoffs and eps arrays (16n + 8 bytes), twice, since the block
+    pieces and their join exist together."""
+    return 2 * (16 * players + 8)
+
+
+def grid_equilibria(
+    game: EwlGame, grid: ParamGrid, eps: float = 1e-9, max_rows: int | None = None
+) -> GridEquilibria:
     """All grid profiles that survive unilateral grid deviations up to eps.
 
     Deviations outside the grid are not considered; the grid is
     evidence, not proof.
+
+    The search holds one block of payoff tables at a time, a run of
+    player 0's strategies taken whole for the other players. A grid that
+    fits one block takes its tables from `grid_payoff_tables`. Otherwise
+    a first pass keeps player 0's best replies, block by block, and a
+    second pass finds each block's rows. A search that would hold more
+    than `max_rows` rows raises ValueError before it gathers them.
     """
     n = game.n_players
     if len(grid.steps) != n:
         raise ValueError("grid does not match the game's player count")
     angles = tuple(grid.angles(i, game.spaces[i]) for i in range(n))
-    tables = grid_payoff_tables(game, angles)
-    bests = [t.max(axis=i, keepdims=True) for i, t in enumerate(tables)]
-    mask = np.ones(tables[0].shape, dtype=bool)
-    for i in range(n):
-        mask &= tables[i] >= bests[i] - eps
-    # flat indices: np.nonzero on the n-d mask costs about 12x more
-    flat = np.flatnonzero(mask)
-    idx = np.unravel_index(flat, mask.shape)
-    payoffs = np.stack([t.reshape(-1)[flat] for t in tables], axis=1)
-    best = np.stack([np.broadcast_to(b, mask.shape)[idx] for b in bests])
-    improvements = np.max(best - payoffs.T, axis=0)
-    return GridEquilibria(angles, np.stack(idx, axis=1), improvements, payoffs)
+    dims = [len(a) for a in angles]
+    step = _block_strategies(dims, n)
+    if step == dims[0]:
+        tables = grid_payoff_tables(game, angles)
+        best0 = tables[0].max(axis=0, keepdims=True)
+        blocks = [(0, tables)]
+    else:
+        feats = [strategy_features(a) for a in angles]
+        # feature columns that are zero for every strategy add nothing:
+        # 6 of 10 remain for alpha and beta spaces, 3 for one
+        keep = [np.flatnonzero(f.any(axis=0)) for f in feats]
+        feats = [f[:, k] for f, k in zip(feats, keep)]
+        core = game.payoff_core[np.ix_(range(n), *keep)]
+        order = _contraction_order(dims)
+
+        def block(start, count, players):
+            return _tables(core[:players], [feats[0][start : start + count], *feats[1:]], order)
+
+        # player 0's table alone fits n times the strategies in a block
+        first = _block_strategies(dims, 1)
+        best0 = np.full([1, *dims[1:]], -np.inf)
+        for start in range(0, dims[0], first):
+            np.maximum(best0, block(start, first, 1)[0].max(axis=0, keepdims=True), out=best0)
+        blocks = ((start, block(start, step, n)) for start in range(0, dims[0], step))
+    # empty pieces give a search without rows arrays of the right shapes
+    index, payoffs, improvements = [np.empty((0, n), np.intp)], [np.empty((0, n))], [np.empty(0)]
+    rows = 0
+    for start, tables in blocks:
+        shape = tables[0].shape
+        bests = [best0] + [t.max(axis=i, keepdims=True) for i, t in enumerate(tables) if i]
+        mask = tables[0] >= best0 - eps
+        for t, b in zip(tables[1:], bests[1:]):
+            mask &= t >= b - eps
+        # flat indices: np.nonzero on the n-d mask costs about 12x more
+        flat = np.flatnonzero(mask)
+        if not len(flat):
+            continue
+        rows += len(flat)
+        if max_rows is not None and rows > max_rows:
+            searched, total = (start + shape[0]) * math.prod(dims[1:]), math.prod(dims)
+            expected = rows * total / searched * grid_row_bytes(n)
+            raise ValueError(
+                f"more than {max_rows:,} equilibrium rows: {rows:,} in the first "
+                f"{searched:,} of {total:,} profiles, about {expected / 2**30:.3g} GiB "
+                f"for all rows at that rate"
+            )
+        idx = np.unravel_index(flat, shape)
+        pays = np.stack([t.reshape(-1)[flat] for t in tables], axis=1)
+        best = np.stack([np.broadcast_to(b, shape)[idx] for b in bests])
+        improvements.append(np.max(best - pays.T, axis=0))
+        idx[0][:] += start
+        index.append(np.stack(idx, axis=1))
+        payoffs.append(pays)
+    return GridEquilibria(
+        angles, np.concatenate(index), np.concatenate(improvements), np.concatenate(payoffs)
+    )
 
 
 def grid_pure_ne(

@@ -379,8 +379,9 @@ def payoff_core_oracle(diags) -> np.ndarray:
 
 
 def grid_equilibria_oracle(game, grid, eps) -> GridEquilibria:
-    """`grid_equilibria` through `np.nonzero` on the n-d mask, gathering
-    with the index tuple."""
+    """`grid_equilibria` over the whole payoff tables at once, through
+    `np.nonzero` on the n-d mask, gathering with the index tuple: the
+    dense search that the blocked one is checked against."""
     n = game.n_players
     angles = tuple(grid.angles(i, game.spaces[i]) for i in range(n))
     tables = grid_payoff_tables(game, angles)

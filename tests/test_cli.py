@@ -250,6 +250,12 @@ class TestNeCommand:
         assert code == 1
         assert "no equilibria" in out
 
+    def test_full_su2_north_star_grid_has_no_equilibrium(self, capsys):
+        # 17,408 strategies per player, searched one block at a time
+        code = main(["ne", str(GAMES / "pd.game"), "--spaces", "full", "--grid", "17,33,33"])
+        assert code == 1
+        assert "profiles found: 0" in capsys.readouterr().out
+
     def test_unknown_space_exit_2(self, capsys):
         code = main(["ne", str(GAMES / "pd.game"), "--spaces", "bogus"])
         assert code == 2
@@ -485,6 +491,9 @@ class TestRowTemplates:
         class Writes(list):
             write = list.append
 
+            def flush(self):
+                pass
+
         def run():
             monkeypatch.setattr(sys, "stdout", Writes())
             assert main(argv) == 0
@@ -510,7 +519,7 @@ class TestRowTemplates:
                 [[0.0, -0.0], [-0.0, 0.0], [1.5, 1.5], [1.5, 1 / 3], [-0.0, -0.0], [1 / 3, 0.0]]
             ),
         )
-        monkeypatch.setattr(cli, "grid_equilibria", lambda game, grid, eps: found)
+        monkeypatch.setattr(cli, "grid_equilibria", lambda game, grid, eps, max_rows: found)
         path = GAMES / "pd.game"
         code, out, csv = self.run_ne(path, "3,3,1", 1.0, "alpha", tmp_path, capsys)
         assert code == 0
@@ -592,7 +601,7 @@ class TestBlockRenderer:
             path.write_text(self.game_text(n), encoding="utf-8")
             argv = ["ne", str(path), "--spaces", "one", "--grid", "3,1,1", "--eps", "1.0"]
             out = io.StringIO()
-            with mock.patch.object(cli, "grid_equilibria", lambda game, grid, eps: found):
+            with mock.patch.object(cli, "grid_equilibria", lambda game, grid, eps, max_rows: found):
                 with contextlib.redirect_stdout(out):
                     code = main(argv + ["--csv", str(csv_path)])
             csv = csv_path.read_bytes()
@@ -631,13 +640,19 @@ class TestBlockRenderer:
 
 class TestPreflightMemoryCheck:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,what",
         [
-            ["ne", str(GAMES / "pd.game"), "--spaces", "full", "--grid", "1000,1000,1000"],
-            ["surface", str(GAMES / "pd.game"), "--grid", "1000000,1000000"],
+            (
+                ["ne", str(GAMES / "pd.game"), "--spaces", "full", "--grid", "1000,1000,1000"],
+                "one block of payoff tables and mask, and the best replies",
+            ),
+            (
+                ["surface", str(GAMES / "pd.game"), "--grid", "1000000,1000000"],
+                "payoff tables and mask",
+            ),
         ],
     )
-    def test_huge_grid_exits_2_before_allocating(self, argv, capsys, monkeypatch):
+    def test_huge_grid_exits_2_before_allocating(self, argv, what, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("grid arrays built")
 
@@ -652,22 +667,34 @@ class TestPreflightMemoryCheck:
         assert code == 2
         assert peak < 1 << 20
         err = capsys.readouterr().err
-        assert "GiB for payoff tables and mask" in err and "physical memory" in err
+        assert f"GiB for {what}" in err and "physical memory" in err
 
     def test_budget_is_half_of_physical_memory(self, capsys, monkeypatch):
-        # 2 x 2 profiles: two float64 tables plus a bool mask, 68 bytes
+        # 2 x 2 profiles in one block: two float64 tables plus a bool mask,
+        # 68 bytes, best replies of 2 float64 per player, 32 bytes, and the
+        # one equilibrium row, 80 bytes
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        for phys_bytes, code in [(136, 0), (135, 2)]:
+        for phys_bytes, code in [(360, 0), (359, 2)]:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
             assert main(argv) == code
         capsys.readouterr()
 
+    def test_rows_count_against_what_the_search_leaves(self, capsys, monkeypatch):
+        # a budget of 100 bytes holds the search of the test above, not its row
+        argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
+        for phys_bytes, text in [(200, "more than 0 equilibrium rows"), (199, "GiB for one block")]:
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
+            monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and text in err
+
     def test_budget_is_half_of_a_lower_cgroup_limit(self, capsys, monkeypatch):
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 40}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        for limit, code in [(136, 0), (135, 2), (None, 0)]:
+        for limit, code in [(360, 0), (359, 2), (None, 0)]:
             monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
             assert main(argv) == code
         capsys.readouterr()
@@ -697,6 +724,38 @@ class TestPreflightMemoryCheck:
         monkeypatch.setattr(cli, "PROC_SELF_CGROUP", str(tmp_path / "cgroup"))
         monkeypatch.setattr(cli, "CGROUP_ROOT", str(tmp_path / "fs"))
         assert cli._cgroup_memory_limit() == limit
+
+    @pytest.mark.parametrize(
+        "cgroup,files,limit",
+        [
+            # hybrid host: v1 memory controller, v2 root without memory.max
+            ("4:memory:/p/x\n0::/\n", {"p/x": "1000\n"}, 1000),
+            # v1 writes "no limit" as a page-rounded 2^63 - 1
+            ("4:memory:/p/x\n0::/\n", {"p/x": "9223372036854771712\n"}, None),
+            ("4:memory:/a/b\n", {"a/b": "9223372036854771712\n", "a": "2000\n"}, 2000),
+            ("3:cpu,memory:/a\n", {"a": "3000\n"}, 3000),
+            ("4:cpuset:/a\n", {"a": "3000\n"}, None),
+        ],
+        ids=["hybrid", "v1-unlimited", "v1-ancestor", "v1-joint", "v1-other-controller"],
+    )
+    def test_cgroup_v1_limit_file(self, cgroup, files, limit, tmp_path, monkeypatch):
+        (tmp_path / "cgroup").write_text(cgroup)
+        for rel, text in files.items():
+            (tmp_path / "fs" / "memory" / rel).mkdir(parents=True, exist_ok=True)
+            (tmp_path / "fs" / "memory" / rel / "memory.limit_in_bytes").write_text(text)
+        monkeypatch.setattr(cli, "PROC_SELF_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(cli, "CGROUP_ROOT", str(tmp_path / "fs"))
+        assert cli._cgroup_memory_limit() == limit
+
+    def test_lower_of_v1_and_v2_limits(self, tmp_path, monkeypatch):
+        (tmp_path / "cgroup").write_text("4:memory:/a\n0::/b\n")
+        (tmp_path / "fs" / "memory" / "a").mkdir(parents=True)
+        (tmp_path / "fs" / "memory" / "a" / "memory.limit_in_bytes").write_text("5000\n")
+        (tmp_path / "fs" / "b").mkdir(parents=True)
+        (tmp_path / "fs" / "b" / "memory.max").write_text("4000\n")
+        monkeypatch.setattr(cli, "PROC_SELF_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(cli, "CGROUP_ROOT", str(tmp_path / "fs"))
+        assert cli._cgroup_memory_limit() == 4000
 
     def test_cgroup_limit_without_a_proc_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "PROC_SELF_CGROUP", str(tmp_path / "missing"))
@@ -754,3 +813,40 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "verdict: isomorphic" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "game,argv,lines",
+        [
+            # about 870 KB of rows: the reader closes the pipe mid-write
+            ("antidiag.game", ["--spaces", "alpha", "--grid", "17,33,1", "--eps", "0.5"], 1),
+            # a few lines, still buffered when the pipe is found closed
+            ("pd.game", [], 0),
+        ],
+        ids=["mid-write", "buffered"],
+    )
+    def test_closed_stdout_exits_3_without_a_traceback(self, game, argv, lines):
+        argv = [sys.executable, "-m", "qgame", "ne", str(GAMES / game), *argv]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            for _ in range(lines):
+                assert proc.stdout.readline().startswith(b"# command: ne ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert code == 3
+        assert err == b""
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_device_exits_3_with_one_error_line(self):
+        argv = [sys.executable, "-m", "qgame", "ne", str(GAMES / "pd.game"), "--eps", "1"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+    def test_broken_pipe_without_a_file_descriptor_exits_3(self, monkeypatch):
+        def broken(args):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "cmd_iso", broken)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["iso", "a.game", "b.game"]) == 3

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import grid_equilibria_oracle
 from qgame import (
@@ -20,8 +24,16 @@ from qgame import (
     unrestricted_payoffs,
     witness_deviation,
 )
+from qgame import search
+from qgame.games import PAYOFF_TOL
 from qgame.linalg import TWO_PI
-from qgame.search import grid_equilibria, grid_payoff_tables, grid_table_bytes
+from qgame.search import (
+    grid_equilibria,
+    grid_payoff_tables,
+    grid_row_bytes,
+    grid_search_bytes,
+    grid_table_bytes,
+)
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
 RSTP = (R, S, T, P)
@@ -157,6 +169,97 @@ class TestFlatIndices:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
         assert len(got.eps) > 0
+
+
+def random_search(seed, spaces, steps):
+    n = len(spaces)
+    rng = np.random.default_rng(seed)
+    g = ClassicalGame((("a", "b"),) * n, rng.uniform(0, 10, size=(2,) * n + (n,)))
+    game = EwlGame(g, spaces)
+    grid = ParamGrid(tuple(steps))
+    return game, grid, [grid.size(i, s) for i, s in enumerate(spaces)]
+
+
+def blocks_of(dims, count) -> int:
+    """`BLOCK_BYTES` that splits a search over `dims` into `count` blocks:
+    1, 2 or, for any other count, one block per player-0 strategy."""
+    rest = 8 * len(dims) * math.prod(dims[1:])
+    if count == 1:
+        return rest * dims[0]
+    if count == 2:
+        return rest * -(-dims[0] // 2)
+    return 1
+
+
+class TestBlockedSearch:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        spaces=st.lists(st.sampled_from(SPACES), min_size=1, max_size=4),
+        steps=st.lists(
+            st.tuples(st.integers(2, 4), st.integers(1, 5), st.integers(1, 4)), min_size=4, max_size=4
+        ),
+        eps_share=st.floats(0.0, 1.2),
+        blocks=st.sampled_from([1, 2, "many"]),
+    )
+    @settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_rows_equal_the_dense_oracle(self, seed, spaces, steps, eps_share, blocks):
+        n = len(spaces)
+        game, grid, dims = random_search(seed, tuple(spaces), steps[:n])
+        assume(math.prod(dims) <= 5000)
+        # every profile with its improvement, from the whole tables
+        every = grid_equilibria_oracle(game, grid, math.inf)
+        span = float(every.payoffs.max() - every.payoffs.min())
+        eps = eps_share * span
+        with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)):
+            got = grid_equilibria(game, grid, eps)
+        improvement = dict(zip(map(tuple, every.index.tolist()), every.eps.tolist()))
+        rows = [tuple(r) for r in got.index.tolist()]
+        assert rows == sorted(set(rows))
+        want = {p for p, v in improvement.items() if v <= eps}
+        for p in want.symmetric_difference(rows):
+            assert abs(improvement[p] - eps) <= 1e-12
+        flat = np.ravel_multi_index(got.index.T, dims)
+        assert np.abs(got.payoffs - every.payoffs[flat]).max(initial=0.0) <= PAYOFF_TOL
+        assert np.abs(got.eps - every.eps[flat]).max(initial=0.0) <= PAYOFF_TOL
+        if blocks == 1:
+            want = grid_equilibria_oracle(game, grid, eps)
+            for name in ("index", "eps", "payoffs"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("blocks", [1, 2, "many"])
+    def test_row_limit_stops_before_the_rows_pass_it(self, blocks):
+        game, grid, dims = random_search(3, (D, StrategySpace.FULL_SU2), [(5, 5, 1), (3, 3, 3)])
+        with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)):
+            found = grid_equilibria(game, grid, 2.0)
+            k = len(found.eps)
+            assert k > 10
+            again = grid_equilibria(game, grid, 2.0, max_rows=k)
+            assert again.index.tobytes() == found.index.tobytes()
+            with pytest.raises(ValueError, match=f"more than {k - 1:,} equilibrium rows"):
+                grid_equilibria(game, grid, 2.0, max_rows=k - 1)
+
+    def test_search_bytes(self):
+        # one block: both tables and the mask of 9 x 6 profiles, and best
+        # replies of 6 and 9 float64
+        assert grid_search_bytes([9, 6]) == 17 * 54 + 8 * (6 + 9)
+        # 17,408 full-space strategies each: blocks of 3 strategies of player 0
+        m = 17 * 32 * 32
+        assert grid_search_bytes([m, m]) == 17 * 3 * m + 16 * m
+        assert grid_row_bytes(2) == 80
+
+    def test_full_su2_north_star_grid_runs_within_32_mib(self):
+        # Benjamin & Hayden: over full SU(2) the EWL prisoner's dilemma
+        # has no pure equilibrium; 303 million profiles
+        game = EwlGame(PD, (StrategySpace.FULL_SU2,) * 2)
+        grid = ParamGrid.uniform(2, 17, 33, 33)
+        tracemalloc.start()
+        try:
+            found = grid_equilibria(game, grid, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found.eps) == 0
+        assert peak < 32 * 2**20
 
 
 class TestGridPureNE:
