@@ -12,7 +12,6 @@ from .games import (
     image_game,
     is_strong_isomorphism,
     mixed_nash_2x2,
-    pd_game,
     pure_nash_equilibria,
     strategic_equivalence,
 )
@@ -28,7 +27,6 @@ from .ewl import (
     EwlGame,
     StrategySpace,
     parse_space,
-    profile_payoffs,
     two_param_payoff_closed_form,
     unrestricted_payoffs,
 )
@@ -38,7 +36,6 @@ from .lift import (
     AngleTransform,
     LiftedMapping,
     LiftReport,
-    apply_lift,
     operator_identity_suite,
     verify_lift,
 )
@@ -56,8 +53,6 @@ from .gamefile import (
     GameFileError,
     load_game_file,
     parse_game_file,
-    save_game_file,
-    serialize_game_file,
 )
 
 __version__ = "0.1.0"

@@ -17,14 +17,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ewl import EwlGame, StrategySpace, parse_space
+from .ewl import FEATURE_BYTES, EwlGame, StrategySpace, parse_space
 from .games import (
     GameMapping,
     find_strong_isomorphisms,
     strategic_equivalence,
 )
 from .gamefile import GameFileError, load_game_file
-from .lift import LIFT_TOL, lift, operator_identity_suite, verify_lift
+from .lift import (
+    IDENTITY_DRAW_BYTES,
+    LIFT_TOL,
+    lift,
+    operator_identity_suite,
+    verify_lift,
+    verify_lift_bytes,
+)
 from .linalg import TWO_PI, SU2Params
 from .search import (
     ParamGrid,
@@ -32,7 +39,6 @@ from .search import (
     grid_payoff_tables,
     grid_row_bytes,
     grid_search_bytes,
-    grid_table_bytes,
 )
 
 EXIT_OK = 0
@@ -80,6 +86,12 @@ def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
     return bits.view(np.float64), where
+
+
+# Bytes `_rows` holds per distinct value at most while it formats a field:
+# the label, a str of up to 22 characters (71), its object-array slot (8),
+# its slot in the split list (8) and its line of the joined text (23).
+LABEL_BYTES = 71 + 8 + 8 + 23
 
 
 def _rows(seps, fmts, distinct) -> Rows:
@@ -185,6 +197,10 @@ def cmd_lift_verify(args) -> int:
     )
     fa, fb = _load(args.game_a), _load(args.game_b)
     ga, gb = fa.game, fb.game
+    _memory_left(
+        args.samples * verify_lift_bytes(ga.n_players),
+        f"{args.samples:,} samples of angles and payoffs",
+    )
     isos = find_strong_isomorphisms(ga, gb)
     if not isos:
         report.verdict = "no strong isomorphism to lift"
@@ -280,7 +296,7 @@ def _cgroup_memory_limit() -> int | None:
 def _memory_left(need: int, what: str) -> int:
     """Bytes left of the memory budget after `need` bytes for `what`, before
     anything is allocated. The budget is half of physical memory or of the
-    cgroup memory limit, whichever is lower; a grid that needs more is
+    cgroup memory limit, whichever is lower; an input that needs more is
     refused."""
     memory = _physical_memory()
     limit = _cgroup_memory_limit()
@@ -289,7 +305,7 @@ def _memory_left(need: int, what: str) -> int:
     budget = memory // 2
     if need > budget:
         raise ValueError(
-            f"grid needs about {need / 2**30:.3g} GiB for {what}, "
+            f"input needs about {need / 2**30:.3g} GiB for {what}, "
             f"more than half of physical memory or the cgroup limit, whichever "
             f"is lower ({budget / 2**30:.3g} GiB)"
         )
@@ -359,6 +375,18 @@ def _parse_params(spec: str) -> SU2Params:
     return SU2Params(*parts)
 
 
+def _surface_bytes(t_steps: int, a_steps: int) -> int:
+    """Bytes `surface` holds for a t_steps x a_steps grid: the (theta,
+    alpha, beta) rows, and then the larger of their features being formed
+    and the rendering: both payoff tables, the four `_distinct` columns (an
+    index per point, and each distinct value) and the labels of their
+    distinct values (every payoff may be distinct)."""
+    points = t_steps * a_steps
+    distinct = 2 * points + t_steps + a_steps
+    render = 16 * points + 8 * (4 * points + distinct) + LABEL_BYTES * distinct
+    return 24 * points + max(FEATURE_BYTES * points, render)
+
+
 def cmd_surface(args) -> int:
     gf = _load(args.game)
     g = gf.game
@@ -375,12 +403,16 @@ def cmd_surface(args) -> int:
     t_steps, a_steps = parts
     if t_steps < 1 or a_steps < 1:
         raise ValueError("grid steps must be positive")
-    _memory_left(grid_table_bytes([t_steps * a_steps, 1]), "payoff tables and mask")
+    _memory_left(
+        _surface_bytes(t_steps, a_steps),
+        "payoff tables and mask, angles, features, distinct values and labels",
+    )
     # unlike ParamGrid, the alpha axis keeps its 2pi endpoint (printed as 0)
     thetas = np.linspace(0.0, math.pi, t_steps)
     alphas = np.linspace(0.0, TWO_PI, a_steps) % TWO_PI
     mine = np.stack(np.meshgrid(thetas, alphas, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
-    lists = [mine, [opponent]] if mover == 0 else [[opponent], mine]
+    theirs = np.array([opponent.as_tuple()])
+    lists = [mine, theirs] if mover == 0 else [theirs, mine]
     u1, u2 = (t.reshape(-1) for t in grid_payoff_tables(game, lists))
     distinct = [_distinct(v) for v in (mine[:, 0], mine[:, 1], u1, u2)]
     rows = _rows(("", ",", ",", ",", "\n"), ["%.15g"] * 4, distinct)
@@ -399,6 +431,9 @@ def cmd_surface(args) -> int:
 
 def cmd_identities(args) -> int:
     seed = _default_seed(args.seed)
+    _memory_left(
+        args.samples * IDENTITY_DRAW_BYTES, f"{args.samples:,} draws of the identity checks"
+    )
     res = operator_identity_suite(draws=args.samples, seed=seed)
     report = RunReport(
         command="identities",

@@ -47,13 +47,6 @@ class StrategySpace(Enum):
     def beta_frozen(self) -> bool:
         return self in (StrategySpace.TWO_PARAM_ALPHA, StrategySpace.ONE_PARAM)
 
-    def contains(self, p: SU2Params) -> bool:
-        if self.alpha_frozen and p.alpha != 0.0:
-            return False
-        if self.beta_frozen and p.beta != 0.0:
-            return False
-        return True
-
 
 _SPACE_NAMES = {
     "full": StrategySpace.FULL_SU2,
@@ -157,6 +150,12 @@ def strategy_features(angles) -> np.ndarray:
     return q[:, k] * q[:, l]
 
 
+# Bytes `strategy_features` holds per (theta, alpha, beta) row at its
+# peak: 36 float64, c and s, the quaternion q, and the two gathered (10,)
+# factors and their product.
+FEATURE_BYTES = 8 * (2 + 4 + 3 * 10)
+
+
 @dataclass(frozen=True, eq=False)
 class EwlGame:
     """Binary classical game with per-player strategy-space restrictions.
@@ -194,13 +193,15 @@ class EwlGame:
         return self.base.n_players
 
 
-def profile_payoffs(game: EwlGame, profiles: Sequence[Sequence[SU2Params]]) -> np.ndarray:
-    """(P, n) payoffs of P profiles, ignoring the declared strategy spaces."""
-    n = game.n_players
-    if any(len(params) != n for params in profiles):
-        raise ValueError("need one strategy per player")
-    angles = np.array([[p.as_tuple() for p in params] for params in profiles])
-    return _angle_payoffs(game, angles.reshape(-1, n, 3))
+def payoff_bytes(players: int) -> int:
+    """Bytes `_angle_payoffs` holds per profile at its peak: the n rows of
+    features while they are formed, or the features, both halves'
+    Kronecker rows, a player's two products the size of the larger half
+    and the n payoffs twice (the per-player columns and their stack)."""
+    half = players // 2
+    left, right = 10**half, 10 ** (players - half)
+    contract = 80 * players + 8 * (left + right) + 16 * right + 16 * players
+    return max(players * FEATURE_BYTES, contract)
 
 
 def _angle_payoffs(game: EwlGame, angles: np.ndarray) -> np.ndarray:
@@ -226,7 +227,9 @@ def _kron_rows(feats: np.ndarray) -> np.ndarray:
 
 def unrestricted_payoffs(game: EwlGame, params: Sequence[SU2Params]) -> np.ndarray:
     """Payoff vector ignoring the declared strategy spaces."""
-    return profile_payoffs(game, [params])[0]
+    if len(params) != game.n_players:
+        raise ValueError("need one strategy per player")
+    return _angle_payoffs(game, np.array([[p.as_tuple() for p in params]]))[0]
 
 
 def two_param_payoff_closed_form(p1, p2, rstp) -> tuple[float, float]:

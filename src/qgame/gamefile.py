@@ -136,24 +136,5 @@ def parse_game_file(text: str) -> GameFile:
     return GameFile(game, space_tuple)
 
 
-def serialize_game_file(gf: GameFile) -> str:
-    g = gf.game
-    lines = [f"players: {g.n_players}"]
-    for i, labs in enumerate(g.labels, start=1):
-        lines.append(f"strategies {i}: {' '.join(labs)}")
-    if gf.spaces is not None:
-        for i, sp in enumerate(gf.spaces, start=1):
-            lines.append(f"space {i}: {sp.value}")
-    for profile in g.profiles():
-        labs = ",".join(g.label_profile(profile))
-        vals = " ".join(format(v, ".17g") for v in g.payoff(profile))
-        lines.append(f"payoff ({labs}): {vals}")
-    return "\n".join(lines) + "\n"
-
-
 def load_game_file(path) -> GameFile:
     return parse_game_file(Path(path).read_text(encoding="utf-8"))
-
-
-def save_game_file(gf: GameFile, path) -> None:
-    Path(path).write_text(serialize_game_file(gf), encoding="utf-8", newline="\n")

@@ -87,13 +87,6 @@ def bimatrix(rows, cols, cells) -> ClassicalGame:
     return ClassicalGame((tuple(rows), tuple(cols)), arr)
 
 
-def pd_game(T=5.0, R=3.0, P=1.0, S=0.0) -> ClassicalGame:
-    """Prisoner's dilemma [[ (R,R), (S,T) ], [ (T,S), (P,P) ]]; enforces T > R > P > S."""
-    if not T > R > P > S:
-        raise ValueError(f"prisoner's dilemma needs T > R > P > S, got {(T, R, P, S)}")
-    return bimatrix(("t", "b"), ("l", "r"), [[(R, R), (S, T)], [(T, S), (P, P)]])
-
-
 @dataclass(frozen=True)
 class GameMapping:
     """Player permutation eta plus per-player strategy bijections phi.
@@ -138,12 +131,6 @@ class GameMapping:
                 p_inv[b] = a
             psi.append(tuple(p_inv))
         return GameMapping(tuple(eta_inv), tuple(psi))
-
-    @staticmethod
-    def identity(shape: Sequence[int]) -> "GameMapping":
-        return GameMapping(
-            tuple(range(len(shape))), tuple(tuple(range(m)) for m in shape)
-        )
 
 
 def apply_mapping(f: GameMapping, profile: Sequence[int]) -> StrategyProfile:

@@ -15,17 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Sequence
 
 import numpy as np
 
-from .ewl import EwlGame, StrategySpace, _angle_payoffs
+from .ewl import EwlGame, _angle_payoffs, payoff_bytes
 from .games import ClassicalGame, GameMapping, apply_mapping
 from .linalg import (
     ID2,
     PAULI_X,
     TWO_PI,
-    SU2Params,
     basis_index,
     entangler,
     permutation_operator,
@@ -52,17 +50,9 @@ class AngleTransform:
     alpha_shift: float = 0.0
     beta_shift: float = 0.0
 
-    def __call__(self, p: SU2Params) -> SU2Params:
-        if not self.reflect:
-            return SU2Params(p.theta, p.alpha + self.alpha_shift, p.beta + self.beta_shift)
-        return SU2Params(
-            math.pi - p.theta, self.alpha_shift - p.beta, self.beta_shift - p.alpha
-        )
-
     def angles(self, a: np.ndarray) -> np.ndarray:
         """The map on a (..., 3) array of (theta, alpha, beta) rows, with
-        the phases reduced mod 2pi; each row is bitwise the `__call__`
-        result's `as_tuple()`."""
+        the phases reduced mod 2pi as `SU2Params` reduces them."""
         theta, alpha, beta = np.moveaxis(a, -1, 0)
         if self.reflect:
             theta, alpha, beta = math.pi - theta, self.alpha_shift - beta, self.beta_shift - alpha
@@ -91,11 +81,6 @@ class LiftedMapping:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "transforms", tuple(self.transforms))
 
-    @property
-    def flips(self) -> tuple[bool, ...]:
-        """Which players use the strategy-swap reflection."""
-        return tuple(t.reflect for t in self.transforms)
-
 
 def lift(f: GameMapping, g: ClassicalGame) -> LiftedMapping:
     """Quantum mapping induced by a classical strong isomorphism.
@@ -110,16 +95,6 @@ def lift(f: GameMapping, g: ClassicalGame) -> LiftedMapping:
         raise ValueError("mapping does not match a binary game")
     transforms = tuple(KEEP if p == (0, 1) else FLIP for p in f.phi)
     return LiftedMapping(f.eta, transforms)
-
-
-def apply_lift(lm: LiftedMapping, params: Sequence[SU2Params]) -> tuple[SU2Params, ...]:
-    """Transformed profile: position eta(i) holds transform_i(params_i)."""
-    if len(params) != len(lm.eta):
-        raise ValueError("profile length does not match mapping")
-    out = [None] * len(params)
-    for i, p in enumerate(params):
-        out[lm.eta[i]] = lm.transforms[i](p)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -140,33 +115,27 @@ class LiftReport:
     tolerance: float
 
 
-def sample_strategy(space: StrategySpace, rng: np.random.Generator) -> SU2Params:
-    """Uniform draw from the angle box of the given space."""
-    theta = rng.uniform(0.0, math.pi)
-    alpha = 0.0 if space.alpha_frozen else rng.uniform(0.0, TWO_PI)
-    beta = 0.0 if space.beta_frozen else rng.uniform(0.0, TWO_PI)
-    return SU2Params(theta, alpha, beta)
-
-
 def verify_lift(
     lm: LiftedMapping, g: EwlGame, g2: EwlGame, samples: int = 100, seed: int = 0
 ) -> LiftReport:
     """Check u_i(U) = u'_{eta(i)}(lifted U) on random strategy profiles.
 
     Profiles are drawn uniformly from g's declared spaces (product
-    measure over the angle boxes, reproducible from the seed): the
-    values are bitwise those of calling `sample_strategy` for each
-    player of each profile in turn. The check passes when the worst
-    payoff deviation stays within LIFT_TOL and no transformed strategy
-    escapes g2's declared spaces.
+    measure over the angle boxes, reproducible from the seed) as one
+    (samples, n, 3) angle array: one random column per angle the space
+    leaves free, profile by profile, player by player, theta before
+    alpha before beta, with the phases reduced mod 2pi. Player i's
+    transform maps column i to column eta(i) of the image profiles. The
+    check passes when the worst payoff deviation stays within LIFT_TOL
+    and no transformed strategy escapes g2's declared spaces.
     """
     n = g.n_players
     if g2.n_players != n or len(lm.eta) != n:
         raise ValueError("mapping and games must agree on the player count")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    # one column per angle that sample_strategy draws, in its per-player
-    # theta, alpha, beta order; uniform(0, h) is h * next_double
+    # one column per free angle, in per-player theta, alpha, beta order,
+    # each h * next_double for its box width h
     box = np.ravel(
         [
             (math.pi, 0.0 if s.alpha_frozen else TWO_PI, 0.0 if s.beta_frozen else TWO_PI)
@@ -191,6 +160,13 @@ def verify_lift(
     max_dev = float(np.abs(devs).max())
     passed = not escapes and max_dev <= LIFT_TOL
     return LiftReport(passed, max_dev, escapes, samples, seed, LIFT_TOL)
+
+
+def verify_lift_bytes(players: int) -> int:
+    """Bytes `verify_lift` holds per sample: the drawn and the mapped
+    (n, 3) angle rows, one game's n payoffs and the other game's payoff
+    evaluation (`payoff_bytes`)."""
+    return 24 * players * 2 + 8 * players + payoff_bytes(players)
 
 
 @dataclass(frozen=True)
@@ -222,6 +198,12 @@ _CYCLE = GameMapping(eta=(1, 2, 0), phi=((0, 1), (1, 0), (1, 0)))
 _X1X3 = tensor([PAULI_X, ID2, PAULI_X])
 _PERMS3 = tuple(permutations(range(3)))
 _BLOCK = 32
+
+# Bytes `operator_identity_suite` holds per draw: the three players'
+# angles (72), the permutation pick (8), its inverse (24) and the complex
+# state (128) for the whole run, and at the peak of check (f) the moved
+# states (128), their relabelled copy (128) and its magnitudes (64).
+IDENTITY_DRAW_BYTES = 72 + 8 + 24 + 128 + 128 + 128 + 64
 
 _CHECK_NAMES = (
     "(a) two-param reflection to -i sigma_x",

@@ -29,9 +29,9 @@ ID2 = np.eye(2, dtype=complex)
 class SU2Params:
     """Angles (theta, alpha, beta) of one player's SU(2) strategy.
 
-    theta must lie in [0, pi]; values outside are rejected. alpha and
-    beta are reduced mod 2*pi on construction, so canonically equal
-    strategies compare equal.
+    theta must lie in [0, pi] and alpha and beta must be finite; other
+    values are rejected. alpha and beta are reduced mod 2*pi on
+    construction, so canonically equal strategies compare equal.
     """
 
     theta: float
@@ -42,9 +42,13 @@ class SU2Params:
         theta = float(self.theta)
         if not 0.0 <= theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
+        alpha, beta = float(self.alpha), float(self.beta)
+        # an infinite phase would reduce to nan
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise ValueError(f"alpha and beta must be finite, got {alpha!r}, {beta!r}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "alpha", float(self.alpha) % TWO_PI)
-        object.__setattr__(self, "beta", float(self.beta) % TWO_PI)
+        object.__setattr__(self, "alpha", alpha % TWO_PI)
+        object.__setattr__(self, "beta", beta % TWO_PI)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta, self.alpha, self.beta)

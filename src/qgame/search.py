@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,15 +42,6 @@ class ParamGrid:
     @classmethod
     def uniform(cls, players: int, theta: int = 17, alpha: int = 33, beta: int = 1):
         return cls(((theta, alpha, beta),) * players)
-
-    def refined(self, factor: int = 2) -> "ParamGrid":
-        """Grid with every multi-point axis subdivided `factor` times."""
-        return ParamGrid(
-            tuple(
-                tuple((s - 1) * factor + 1 if s > 1 else 1 for s in axes)
-                for axes in self.steps
-            )
-        )
 
     def size(self, player: int, space: StrategySpace) -> int:
         """Number of grid strategies of `player` in `space`, from the step
@@ -118,15 +108,15 @@ def grid_payoff_tables(game: EwlGame, strategy_lists) -> list[np.ndarray]:
     every grid profile: the game's payoff core contracted with each
     player's strategy features, one GEMM per player.
 
-    Each player's strategies are either a sequence of `SU2Params` or an
-    (m, 3) array of (theta, alpha, beta) rows.
+    Each player's strategies are an (m, 3) array of (theta, alpha, beta)
+    rows.
     """
     dims = [len(s) for s in strategy_lists]
     if len(dims) != game.n_players:
         raise ValueError("need one strategy list per player")
     if any(d == 0 for d in dims):
         raise ValueError("empty strategy grid")
-    feats = [strategy_features(_angle_rows(s)) for s in strategy_lists]
+    feats = [strategy_features(s) for s in strategy_lists]
     return _tables(game.payoff_core, feats, _contraction_order(dims))
 
 
@@ -151,12 +141,6 @@ def _tables(core: np.ndarray, feats, order) -> list[np.ndarray]:
         out = np.dot(out.reshape(-1, out.shape[-1]), feats[k].T).reshape(*out.shape[:-1], -1)
     out = out.transpose([0] + [1 + order.index(k) for k in range(n)])
     return list(np.ascontiguousarray(out))
-
-
-def _angle_rows(strategies) -> np.ndarray:
-    if isinstance(strategies, np.ndarray):
-        return strategies
-    return np.array([p.as_tuple() for p in strategies], dtype=float)
 
 
 def grid_table_bytes(dims) -> int:

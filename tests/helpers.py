@@ -5,28 +5,123 @@ from __future__ import annotations
 
 import math
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 
 from qgame import (
     ClassicalGame,
     GameMapping,
+    ParamGrid,
     SU2Params,
-    apply_lift,
     apply_mapping,
     basis_index,
+    bimatrix,
     entangler,
-    profile_payoffs,
     su2,
     tensor,
     unrestricted_payoffs,
 )
-from qgame.ewl import _unit_amplitudes, payoff_diagonal
-from qgame.lift import FLIP, LiftReport, sample_strategy
+from qgame.ewl import _angle_payoffs, _unit_amplitudes, payoff_diagonal
+from qgame.lift import FLIP, LiftReport
 from qgame.linalg import ID2, MAX_QUBITS, PAULI_X, TWO_PI
 from qgame.search import GridEquilibria, grid_payoff_tables
 
 GAMES_DIR_NAME = "games"
+
+
+# Per-object forms of the strategy API: one SU2Params per strategy, one
+# tuple of them per profile. The library works on (m, 3) angle arrays;
+# these are the references its array paths are checked against, plus the
+# builders of the tests' games, mappings, grids and game files.
+
+
+def pd_game(T=5.0, R=3.0, P=1.0, S=0.0) -> ClassicalGame:
+    """Prisoner's dilemma [[ (R,R), (S,T) ], [ (T,S), (P,P) ]]; enforces T > R > P > S."""
+    if not T > R > P > S:
+        raise ValueError(f"prisoner's dilemma needs T > R > P > S, got {(T, R, P, S)}")
+    return bimatrix(("t", "b"), ("l", "r"), [[(R, R), (S, T)], [(T, S), (P, P)]])
+
+
+def identity_mapping(shape) -> GameMapping:
+    """The mapping of a game of `shape` onto itself that moves nothing."""
+    return GameMapping(tuple(range(len(shape))), tuple(tuple(range(m)) for m in shape))
+
+
+def in_space(space, p: SU2Params) -> bool:
+    """Whether `p` lies in `space`: an exact zero test of each phase the
+    space freezes."""
+    return not (space.alpha_frozen and p.alpha != 0.0) and not (
+        space.beta_frozen and p.beta != 0.0
+    )
+
+
+def angle_rows(strategies) -> np.ndarray:
+    """The (m, 3) angle array of a sequence of SU2Params."""
+    return np.array([p.as_tuple() for p in strategies], dtype=float).reshape(-1, 3)
+
+
+def profile_payoffs(game, profiles) -> np.ndarray:
+    """(P, n) payoffs of P profiles of SU2Params, ignoring the declared
+    strategy spaces."""
+    n = game.n_players
+    if any(len(params) != n for params in profiles):
+        raise ValueError("need one strategy per player")
+    angles = np.array([[p.as_tuple() for p in params] for params in profiles])
+    return _angle_payoffs(game, angles.reshape(-1, n, 3))
+
+
+def transform_params(t, p: SU2Params) -> SU2Params:
+    """The AngleTransform `t` applied to one strategy."""
+    if not t.reflect:
+        return SU2Params(p.theta, p.alpha + t.alpha_shift, p.beta + t.beta_shift)
+    return SU2Params(math.pi - p.theta, t.alpha_shift - p.beta, t.beta_shift - p.alpha)
+
+
+def apply_lift(lm, params) -> tuple[SU2Params, ...]:
+    """Transformed profile: position eta(i) holds transform_i(params_i)."""
+    if len(params) != len(lm.eta):
+        raise ValueError("profile length does not match mapping")
+    out = [None] * len(params)
+    for i, p in enumerate(params):
+        out[lm.eta[i]] = transform_params(lm.transforms[i], p)
+    return tuple(out)
+
+
+def sample_strategy(space, rng: np.random.Generator) -> SU2Params:
+    """Uniform draw from the angle box of the given space."""
+    theta = rng.uniform(0.0, math.pi)
+    alpha = 0.0 if space.alpha_frozen else rng.uniform(0.0, TWO_PI)
+    beta = 0.0 if space.beta_frozen else rng.uniform(0.0, TWO_PI)
+    return SU2Params(theta, alpha, beta)
+
+
+def refined(grid: ParamGrid, factor: int = 2) -> ParamGrid:
+    """`grid` with every multi-point axis subdivided `factor` times."""
+    return ParamGrid(
+        tuple(tuple((s - 1) * factor + 1 if s > 1 else 1 for s in axes) for axes in grid.steps)
+    )
+
+
+def serialize_game_file(gf) -> str:
+    """The game file text of a `GameFile`, payoffs printed with 17
+    significant digits so that parsing it gives the same game."""
+    g = gf.game
+    lines = [f"players: {g.n_players}"]
+    for i, labs in enumerate(g.labels, start=1):
+        lines.append(f"strategies {i}: {' '.join(labs)}")
+    if gf.spaces is not None:
+        for i, sp in enumerate(gf.spaces, start=1):
+            lines.append(f"space {i}: {sp.value}")
+    for profile in g.profiles():
+        labs = ",".join(g.label_profile(profile))
+        vals = " ".join(format(v, ".17g") for v in g.payoff(profile))
+        lines.append(f"payoff ({labs}): {vals}")
+    return "\n".join(lines) + "\n"
+
+
+def save_game_file(gf, path) -> None:
+    Path(path).write_text(serialize_game_file(gf), encoding="utf-8", newline="\n")
 
 
 def compose(first: GameMapping, second: GameMapping) -> GameMapping:
@@ -59,7 +154,7 @@ def ewl_payoffs(game, params) -> np.ndarray:
     """Payoff vector of an EwlGame; every strategy must lie in its
     player's declared space."""
     for i, p in enumerate(params):
-        if not game.spaces[i].contains(p):
+        if not in_space(game.spaces[i], p):
             raise ValueError(
                 f"player {i + 1} strategy {p.as_tuple()} outside declared "
                 f"space {game.spaces[i].name}"
@@ -237,7 +332,7 @@ def identity_suite_oracle(angles, picks, psis) -> list[tuple[str, float]]:
     for row, pick, psi in zip(angles, picks, psis):
         ps = [SU2Params(*a) for a in row]
         us = [su2(p) for p in ps]
-        flipped = [su2(FLIP(p)) for p in ps]
+        flipped = [su2(transform_params(FLIP, p)) for p in ps]
 
         errs["a"] = max(
             errs["a"],
@@ -284,7 +379,7 @@ def verify_lift_oracle(lm, g, g2, samples, seed, tol) -> LiftReport:
     rng = np.random.default_rng(seed)
     params = [tuple(sample_strategy(g.spaces[i], rng) for i in range(n)) for _ in range(samples)]
     mapped = [apply_lift(lm, p) for p in params]
-    escapes = {k for m in mapped for k in range(n) if not g2.spaces[k].contains(m[k])}
+    escapes = {k for m in mapped for k in range(n) if not in_space(g2.spaces[k], m[k])}
     devs = profile_payoffs(g, params) - profile_payoffs(g2, mapped)[:, list(lm.eta)]
     max_dev = float(np.abs(devs).max(initial=0.0))
     passed = not escapes and max_dev <= tol
@@ -334,8 +429,9 @@ def surface_csv_oracle(game, mover, opponent, t_steps, a_steps) -> str:
     thetas = np.linspace(0.0, math.pi, t_steps) if t_steps > 1 else [0.0]
     alphas = np.linspace(0.0, TWO_PI, a_steps) if a_steps > 1 else [0.0]
     grid = [(t, a) for t in thetas for a in alphas]
-    mine = [SU2Params(t, a, 0.0) for t, a in grid]
-    lists = [mine, [opponent]] if mover == 0 else [[opponent], mine]
+    mine = angle_rows(SU2Params(t, a, 0.0) for t, a in grid)
+    theirs = angle_rows([opponent])
+    lists = [mine, theirs] if mover == 0 else [theirs, mine]
     u1, u2 = (t.reshape(-1) for t in grid_payoff_tables(game, lists))
     lines = ["theta,alpha,payoff1,payoff2"]
     for (t, a), v1, v2 in zip(grid, u1, u2):

@@ -11,9 +11,12 @@ import pytest
 from helpers import (
     brute_force_pure_nash,
     classical_mixed_payoffs,
+    angle_rows,
     ewl_payoffs,
+    pd_game,
     random_game,
     random_mapping,
+    refined,
 )
 from qgame import (
     AngleTransform,
@@ -31,7 +34,6 @@ from qgame import (
     load_game_file,
     mixed_nash_2x2,
     operator_identity_suite,
-    pd_game,
     pure_nash_equilibria,
     two_param_payoff_closed_form,
     unrestricted_payoffs,
@@ -126,7 +128,7 @@ def _ewl_range_equilibria(game, grid):
         tuple(s for s in grid.strategies(i, D) if s.alpha <= math.pi / 2 + 1e-12)
         for i in range(2)
     ]
-    tables = grid_payoff_tables(game, strategies)
+    tables = grid_payoff_tables(game, [angle_rows(s) for s in strategies])
     labels = [tuple(str(k) for k in range(len(s))) for s in strategies]
     table_game = ClassicalGame(labels, np.stack(tables, axis=-1))
     return strategies, table_game, pure_nash_equilibria(table_game, tol=1e-9)
@@ -156,7 +158,7 @@ def test_criterion_3_uniqueness_at_grid_resolution():
     grid = ParamGrid.uniform(2, 17, 33, 1)
 
     coarse = _ewl_range_equilibria(game, grid)
-    fine = _ewl_range_equilibria(game, grid.refined(2))
+    fine = _ewl_range_equilibria(game, refined(grid, 2))
     oracle = brute_force_pure_nash(coarse[1], tol=1e-9)
 
     full = grid_pure_ne(game, grid, eps=1e-9)
@@ -222,7 +224,7 @@ def test_criterion_4_swapped_pd_counterexample():
     # (iii) no grid equilibria at eps = 0.05, default and doubled grids
     grid = ParamGrid.uniform(2, 17, 33, 1)
     empty_default = grid_pure_ne(game, grid, eps=0.05) == []
-    empty_doubled = grid_pure_ne(game, grid.refined(2), eps=0.05) == []
+    empty_doubled = grid_pure_ne(game, refined(grid, 2), eps=0.05) == []
     ok = empty_default and empty_doubled
     _say(
         f"criterion 4: {'PASS' if ok else 'FAIL'} - best reply off by {worst_reply:.2e}, "

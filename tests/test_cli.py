@@ -15,9 +15,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    angle_rows,
     ne_csv_oracle,
     ne_rows_oracle,
     ne_stdout_oracle,
+    save_game_file,
+    serialize_game_file,
     surface_csv_oracle,
     surface_rows_oracle,
 )
@@ -33,8 +36,6 @@ from qgame import (
     load_game_file,
     parse_game_file,
     parse_space,
-    save_game_file,
-    serialize_game_file,
     two_param_payoff_closed_form,
 )
 from qgame import cli
@@ -407,6 +408,15 @@ class TestSurfaceCommand:
         code = main(["surface", str(GAMES / "three_player.game"), "--grid", "2,2"])
         assert code == 2
 
+    @pytest.mark.parametrize("opponent", ["1,inf", "1,nan,0", "1,0,-inf"])
+    def test_non_finite_opponent_phase_exit_2(self, opponent, capsys):
+        argv = ["surface", str(GAMES / "pd_swapped.game"), "--opponent", opponent, "--grid", "2,2"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "alpha and beta must be finite" in captured.err
+
     @pytest.mark.parametrize(
         "player,opponent,grid",
         [
@@ -536,12 +546,12 @@ class TestRowTemplates:
             monkeypatch.setattr(cli, "grid_payoff_tables", lambda game, lists: tables)
         else:
             game = EwlGame(load_game_file(GAMES / "pd_swapped.game").game)
-            mine = [
+            mine = angle_rows(
                 SU2Params(t, a, 0.0)
                 for t in np.linspace(0.0, math.pi, t_steps)
                 for a in np.linspace(0.0, 2 * math.pi, a_steps)
-            ]
-            tables = grid_payoff_tables(game, [mine, [SU2Params(1.0, 2.0, 0.0)]])
+            )
+            tables = grid_payoff_tables(game, [mine, np.array([[1.0, 2.0, 0.0]])])
         csv_path = tmp_path / "surface.csv"
         argv = ["surface", str(GAMES / "pd_swapped.game"), "--opponent", "1,2"]
         assert main(argv + ["--grid", f"{t_steps},{a_steps}", "--csv", str(csv_path)]) == 0
@@ -648,16 +658,27 @@ class TestPreflightMemoryCheck:
             ),
             (
                 ["surface", str(GAMES / "pd.game"), "--grid", "1000000,1000000"],
-                "payoff tables and mask",
+                "payoff tables and mask, angles, features, distinct values and labels",
+            ),
+            (
+                ["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")]
+                + ["--samples", "100000000000"],
+                "100,000,000,000 samples of angles and payoffs",
+            ),
+            (
+                ["identities", "--samples", "100000000000"],
+                "100,000,000,000 draws of the identity checks",
             ),
         ],
     )
     def test_huge_grid_exits_2_before_allocating(self, argv, what, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("grid arrays built")
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid arrays built or samples drawn")
 
         monkeypatch.setattr(ParamGrid, "angles", refuse)
         monkeypatch.setattr(cli, "grid_payoff_tables", refuse)
+        monkeypatch.setattr(cli, "verify_lift", refuse)
+        monkeypatch.setattr(cli, "operator_identity_suite", refuse)
         tracemalloc.start()
         try:
             code = main(argv)
@@ -698,6 +719,42 @@ class TestPreflightMemoryCheck:
             monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
             assert main(argv) == code
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv,samples,per_sample",
+        [
+            # two players: 48 bytes of drawn and 48 of mapped angles, 16 of
+            # one game's payoffs and 576 while the other game's strategy
+            # features are formed
+            (["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")], 100, 688),
+            (["identities"], 50, 552),
+        ],
+    )
+    def test_sample_budget_is_half_of_a_lower_cgroup_limit(
+        self, argv, samples, per_sample, capsys, monkeypatch
+    ):
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 40}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        need = samples * per_sample
+        for limit, code in [(2 * need, 0), (2 * need - 1, 2)]:
+            monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
+            assert main(argv + ["--samples", str(samples)]) == code
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("grid", [(101, 201), (1, 20001)])
+    def test_surface_peak_stays_within_the_estimate(self, grid, tmp_path, capsys):
+        # a 1 x a grid has a distinct label per alpha as well as per payoff
+        t_steps, a_steps = grid
+        argv = ["surface", str(GAMES / "pd_swapped.game"), "--opponent", "0.3,1.1"]
+        argv += ["--grid", f"{t_steps},{a_steps}", "--csv", str(tmp_path / "surface.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = cli._surface_bytes(t_steps, a_steps)
+        assert 0.6 * need < peak <= need + (512 << 10)
 
     @pytest.mark.parametrize(
         "cgroup,files,limit",

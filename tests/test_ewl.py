@@ -8,7 +8,9 @@ from helpers import (
     classical_mixed_payoffs,
     ewl_payoffs,
     final_state,
+    in_space,
     payoff_operator,
+    pd_game,
     random_game,
 )
 from qgame import (
@@ -18,7 +20,6 @@ from qgame import (
     SU2Params,
     bimatrix,
     parse_space,
-    pd_game,
     su2,
     tensor,
     two_param_payoff_closed_form,
@@ -43,18 +44,18 @@ class TestStrategySpace:
         f = SU2Params(1.0, 0.0, 2.0)
         one = SU2Params(1.0, 0.0, 0.0)
         full = SU2Params(1.0, 2.0, 3.0)
-        assert StrategySpace.FULL_SU2.contains(full)
-        assert StrategySpace.TWO_PARAM_ALPHA.contains(d)
-        assert not StrategySpace.TWO_PARAM_ALPHA.contains(f)
-        assert StrategySpace.TWO_PARAM_BETA.contains(f)
-        assert not StrategySpace.TWO_PARAM_BETA.contains(d)
-        assert StrategySpace.ONE_PARAM.contains(one)
-        assert not StrategySpace.ONE_PARAM.contains(d)
+        assert in_space(StrategySpace.FULL_SU2, full)
+        assert in_space(StrategySpace.TWO_PARAM_ALPHA, d)
+        assert not in_space(StrategySpace.TWO_PARAM_ALPHA, f)
+        assert in_space(StrategySpace.TWO_PARAM_BETA, f)
+        assert not in_space(StrategySpace.TWO_PARAM_BETA, d)
+        assert in_space(StrategySpace.ONE_PARAM, one)
+        assert not in_space(StrategySpace.ONE_PARAM, d)
 
     def test_every_space_contains_one_param_family(self):
         for space in StrategySpace:
             for theta in np.linspace(0, math.pi, 7):
-                assert space.contains(SU2Params(theta, 0.0, 0.0))
+                assert in_space(space, SU2Params(theta, 0.0, 0.0))
 
     def test_parse_space(self):
         assert parse_space("alpha") is StrategySpace.TWO_PARAM_ALPHA

@@ -9,7 +9,9 @@ from helpers import (
     brute_force_pure_nash,
     brute_force_strong_isomorphisms,
     compose,
+    identity_mapping,
     is_mixed_equilibrium_2x2,
+    pd_game,
     random_game,
     random_mapping,
 )
@@ -24,7 +26,6 @@ from qgame import (
     image_game,
     is_strong_isomorphism,
     mixed_nash_2x2,
-    pd_game,
     pure_nash_equilibria,
     strategic_equivalence,
 )
@@ -82,7 +83,7 @@ class TestGameMapping:
             assert apply_mapping(f.inverse(), apply_mapping(f, s)) == s
 
     def test_identity(self):
-        f = GameMapping.identity((2, 2))
+        f = identity_mapping((2, 2))
         assert apply_mapping(f, (1, 0)) == (1, 0)
 
 
@@ -121,7 +122,7 @@ class TestStrongIsomorphism:
 
     def test_identity_on_self(self):
         for g in (PD, ANTIDIAG):
-            assert is_strong_isomorphism(GameMapping.identity(g.shape), g, g)
+            assert is_strong_isomorphism(identity_mapping(g.shape), g, g)
 
     def test_antidiagonal_pair_has_no_isomorphism(self):
         shapes = [GameMapping(eta, (p1, p2))
@@ -141,7 +142,7 @@ class TestFindStrongIsomorphisms:
     def test_self_isomorphisms_contain_identity(self):
         g = random_game(np.random.default_rng(1), (2, 2))
         isos = find_strong_isomorphisms(g, g)
-        assert GameMapping.identity((2, 2)) in isos
+        assert identity_mapping((2, 2)) in isos
 
     def test_pd_pair_contains_column_swap(self):
         isos = find_strong_isomorphisms(PD, PD_SWAPPED)
@@ -251,7 +252,7 @@ class TestIsomorphismSearchAgainstOracle:
         g = bimatrix(("t", "b"), ("l", "r"), [[(1, 0), (1 + 1e-11, 0)], [(0, 0), (0, 0)]])
         g2 = bimatrix(("t", "b"), ("l", "r"), [[(1 + 1e-11, 0), (1, 0)], [(0, 0), (0, 0)]])
         found = find_strong_isomorphisms(g, g2)
-        assert GameMapping.identity((2, 2)) not in found
+        assert identity_mapping((2, 2)) not in found
         assert found == brute_force_strong_isomorphisms(g, g2)
 
     def test_four_players_four_strategies_stays_fast(self):
@@ -403,7 +404,7 @@ class TestEquilibriumTransport:
         assert equilibrium_transport_check(COLUMN_SWAP, PD, PD_SWAPPED)
 
     def test_identity(self):
-        f = GameMapping.identity((2, 2))
+        f = identity_mapping((2, 2))
         assert equilibrium_transport_check(f, ANTIDIAG, ANTIDIAG)
 
     def test_random_three_player_pair(self):

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -8,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    apply_lift,
+    identity_mapping,
     identity_suite_oracle,
+    in_space,
     oracle_payoffs,
+    pd_game,
     random_game,
     random_mapping,
+    sample_strategy,
+    transform_params,
     verify_lift_oracle,
 )
 from qgame import (
@@ -23,18 +30,16 @@ from qgame import (
     LiftedMapping,
     StrategySpace,
     SU2Params,
-    apply_lift,
     bimatrix,
     image_game,
     is_strong_isomorphism,
     operator_identity_suite,
-    pd_game,
     permutation_operator,
     su2,
     unrestricted_payoffs,
     verify_lift,
 )
-from qgame.lift import LIFT_TOL, _identity_draws, lift, sample_strategy
+from qgame.lift import IDENTITY_DRAW_BYTES, LIFT_TOL, _identity_draws, lift, verify_lift_bytes
 from qgame.linalg import PAULI_X, TWO_PI
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
@@ -53,6 +58,16 @@ FULL = StrategySpace.FULL_SU2
 RNG = np.random.default_rng(31)
 
 
+def traced_peak(run) -> int:
+    """Peak bytes tracemalloc sees while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def random_full_params(rng, n):
     return tuple(
         SU2Params(rng.uniform(0, math.pi), rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
@@ -63,11 +78,11 @@ def random_full_params(rng, n):
 class TestAngleTransform:
     def test_keep_is_identity(self):
         p = SU2Params(1.0, 2.0, 3.0)
-        assert KEEP(p) == p
+        assert transform_params(KEEP, p) == p
 
     def test_flip_formula(self):
         p = SU2Params(1.0, 2.0, 3.0)
-        q = FLIP(p)
+        q = transform_params(FLIP, p)
         assert q.theta == pytest.approx(math.pi - 1.0)
         assert q.alpha == pytest.approx(TWO_PI - 3.0)
         assert q.beta == pytest.approx(math.pi - 2.0)
@@ -75,7 +90,7 @@ class TestAngleTransform:
     def test_flip_matrix_is_minus_i_sigma_x(self):
         for _ in range(50):
             p = SU2Params(RNG.uniform(0, math.pi), RNG.uniform(0, TWO_PI), RNG.uniform(0, TWO_PI))
-            assert np.abs(su2(FLIP(p)) - (-1j) * PAULI_X @ su2(p)).max() < 1e-12
+            assert np.abs(su2(transform_params(FLIP, p)) - (-1j) * PAULI_X @ su2(p)).max() < 1e-12
 
     @pytest.mark.parametrize(
         "t", [KEEP, FLIP, AngleTransform(True, math.pi / 4, -1.3), AngleTransform(False, 2.5, -7.0)]
@@ -84,15 +99,15 @@ class TestAngleTransform:
         angles = RNG.uniform(0, 1, (60, 3)) * (math.pi, TWO_PI, TWO_PI)
         angles[:10, 1:] = 0.0
         rows = [tuple(r) for r in t.angles(angles.reshape(6, 10, 3)).reshape(-1, 3).tolist()]
-        assert rows == [t(SU2Params(*a)).as_tuple() for a in angles]
+        assert rows == [transform_params(t, SU2Params(*a)).as_tuple() for a in angles]
 
     def test_flip_on_two_param_alpha_lands_in_two_param_beta(self):
         # exact escape: alpha becomes exactly 0, beta becomes pi - alpha mod 2pi
         for alpha in np.linspace(0, TWO_PI, 23, endpoint=False):
             p = SU2Params(1.0, alpha, 0.0)
-            q = FLIP(p)
+            q = transform_params(FLIP, p)
             assert q.alpha == 0.0
-            assert F.contains(q)
+            assert in_space(F, q)
             expected_beta = (math.pi - alpha) % TWO_PI
             assert q.beta == pytest.approx(expected_beta, abs=1e-15)
 
@@ -100,16 +115,16 @@ class TestAngleTransform:
         # parameters shift by pi in both phases; the matrix flips sign
         for _ in range(25):
             p = SU2Params(RNG.uniform(0, math.pi), RNG.uniform(0, TWO_PI), RNG.uniform(0, TWO_PI))
-            q = FLIP(FLIP(p))
+            q = transform_params(FLIP, transform_params(FLIP, p))
             assert q.theta == pytest.approx(p.theta, abs=1e-12)
             assert np.abs(su2(q) + su2(p)).max() < 1e-12
 
 
 class TestLift:
     def test_identity_mapping_all_keep(self):
-        lm = lift(GameMapping.identity((2, 2)), PD)
+        lm = lift(identity_mapping((2, 2)), PD)
         assert lm.transforms == (KEEP, KEEP)
-        assert lm.flips == (False, False)
+        assert [t.reflect for t in lm.transforms] == [False, False]
 
     def test_pd_column_swap(self):
         lm = lift(COLUMN_SWAP, PD)
@@ -118,7 +133,7 @@ class TestLift:
     def test_three_player_cycle(self):
         g = random_game(np.random.default_rng(0), (2, 2, 2))
         lm = lift(CYCLE3, g)
-        assert lm.flips == (False, True, True)
+        assert [t.reflect for t in lm.transforms] == [False, True, True]
         assert lm.eta == (1, 2, 0)
 
     def test_non_binary_rejected(self):
@@ -148,9 +163,9 @@ class TestApplyLift:
         out = apply_lift(lm, (p1, p2, p3))
         # position 1 gets player 3 flipped, position 2 keeps player 1,
         # position 3 gets player 2 flipped
-        assert out[0] == FLIP(p3)
+        assert out[0] == transform_params(FLIP, p3)
         assert out[1] == p1
-        assert out[2] == FLIP(p2)
+        assert out[2] == transform_params(FLIP, p2)
         assert out[0].theta == pytest.approx(math.pi - p3.theta)
         assert out[0].alpha == pytest.approx((TWO_PI - p3.beta) % TWO_PI)
         assert out[0].beta == pytest.approx((math.pi - p3.alpha) % TWO_PI)
@@ -234,7 +249,7 @@ class TestVerifyLift:
         escapes, worst = set(), 0.0
         for params in profiles:
             mapped = apply_lift(lm, params)
-            escapes |= {k for k in range(3) if not g2.spaces[k].contains(mapped[k])}
+            escapes |= {k for k in range(3) if not in_space(g2.spaces[k], mapped[k])}
             u, u2 = oracle_payoffs(g, params), oracle_payoffs(g2, mapped)
             worst = max(worst, max(abs(u[i] - u2[lm.eta[i]]) for i in range(3)))
         assert res.space_escapes == tuple(sorted(escapes)) != ()
@@ -303,6 +318,16 @@ class TestVerifyLift:
             res = verify_lift(lm, EwlGame(g), EwlGame(g2), samples=100, seed=int(rng.integers(1 << 30)))
             assert res.passed, f"payoff deviation {res.max_deviation}"
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_peak_stays_within_the_sample_estimate(self, n):
+        rng = np.random.default_rng(n)
+        g = random_game(rng, (2,) * n)
+        f = random_mapping(rng, (2,) * n)
+        qa, qb, lm = EwlGame(g), EwlGame(image_game(f, g)), lift(f, g)
+        need = 4000 * verify_lift_bytes(n)
+        peak = traced_peak(lambda: verify_lift(lm, qa, qb, samples=4000))
+        assert 0.6 * need < peak <= need + (256 << 10)
+
 
 class TestOperatorIdentitySuite:
     def test_all_checks_pass(self):
@@ -356,3 +381,8 @@ class TestOperatorIdentitySuite:
         a = operator_identity_suite(draws=50, seed=3)
         b = operator_identity_suite(draws=50, seed=3)
         assert a == b
+
+    def test_peak_stays_within_the_draw_estimate(self):
+        need = 4000 * IDENTITY_DRAW_BYTES
+        peak = traced_peak(lambda: operator_identity_suite(draws=4000))
+        assert 0.6 * need < peak <= need + (512 << 10)

@@ -41,6 +41,15 @@ class TestSU2Params:
         with pytest.raises(ValueError):
             SU2Params(theta)
 
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (0.0, math.inf), (0.0, math.nan)],
+    )
+    def test_non_finite_phase_rejected(self, alpha, beta):
+        # inf % 2pi is nan, so an unchecked phase would give nan payoffs
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            SU2Params(1.0, alpha, beta)
+
 
 class TestSU2Matrix:
     def test_identity(self):

@@ -1,8 +1,9 @@
 """The quaternion payoff core against the dense Kronecker/entangler oracle.
 
-Every batched payoff path (`grid_payoff_tables`, `profile_payoffs`) must
-agree with `helpers.oracle_payoffs` within 1e-12 for 2, 3 and 4 players,
-random payoffs, per-player strategy spaces and arbitrary strategy lists.
+Every batched payoff path (`grid_payoff_tables` over per-player (m, 3)
+angle arrays, `_angle_payoffs` over a (P, n, 3) profile array) must agree
+with `helpers.oracle_payoffs` within 1e-12 for 2, 3 and 4 players, random
+payoffs, per-player strategy spaces and arbitrary strategy lists.
 """
 
 import math
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import core_terms_oracle, oracle_payoffs, payoff_core_oracle, random_game
-from qgame import EwlGame, StrategySpace, SU2Params, profile_payoffs
-from qgame.ewl import _core_terms, _payoff_core
+from helpers import angle_rows, core_terms_oracle, oracle_payoffs, payoff_core_oracle, random_game
+from qgame import EwlGame, StrategySpace, SU2Params
+from qgame.ewl import _angle_payoffs, _core_terms, _payoff_core
 from qgame.linalg import TWO_PI
 from qgame.search import grid_payoff_tables
 
@@ -66,11 +67,16 @@ def grid_profiles(lists):
     return [tuple(lists[i][k] for i, k in enumerate(idx)) for idx in product(*map(range, map(len, lists)))]
 
 
+def profile_angles(profiles, n) -> np.ndarray:
+    """The (P, n, 3) angle array of P profiles of SU2Params."""
+    return np.array([[p.as_tuple() for p in params] for params in profiles]).reshape(-1, n, 3)
+
+
 @given(games_and_grids())
 @settings(max_examples=80, deadline=None)
 def test_grid_tables_match_the_dense_oracle(case):
     game, lists = case
-    tables = grid_payoff_tables(game, lists)
+    tables = grid_payoff_tables(game, [angle_rows(s) for s in lists])
     dims = tuple(len(s) for s in lists)
     assert [t.shape for t in tables] == [dims] * game.n_players
     got = np.stack([t.reshape(-1) for t in tables], axis=1)
@@ -82,27 +88,28 @@ def test_grid_tables_match_the_dense_oracle(case):
 def test_profile_payoffs_match_the_dense_oracle(case):
     game, lists = case
     profiles = grid_profiles(lists)
-    assert_matches_oracle(game, profiles, profile_payoffs(game, profiles))
+    got = _angle_payoffs(game, profile_angles(profiles, game.n_players))
+    assert_matches_oracle(game, profiles, got)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_every_profile_of_quaternion_units(n):
     game = EwlGame(random_game(np.random.default_rng(n), (2,) * n, low=-10, high=10))
     profiles = list(product(UNITS, repeat=n))
-    assert_matches_oracle(game, profiles, profile_payoffs(game, profiles))
-    tables = grid_payoff_tables(game, [UNITS] * n)
+    assert_matches_oracle(game, profiles, _angle_payoffs(game, profile_angles(profiles, n)))
+    tables = grid_payoff_tables(game, [angle_rows(UNITS)] * n)
     assert_matches_oracle(game, profiles, np.stack([t.reshape(-1) for t in tables], axis=1))
 
 
 def test_empty_profile_list():
     game = EwlGame(random_game(np.random.default_rng(0), (2, 2, 2)))
-    assert profile_payoffs(game, []).shape == (0, 3)
+    assert _angle_payoffs(game, profile_angles([], 3)).shape == (0, 3)
 
 
 def test_grid_needs_one_list_per_player():
     game = EwlGame(random_game(np.random.default_rng(0), (2, 2, 2)))
     with pytest.raises(ValueError):
-        grid_payoff_tables(game, [UNITS, UNITS])
+        grid_payoff_tables(game, [angle_rows(UNITS)] * 2)
 
 
 @st.composite

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_equilibria_oracle
+from helpers import grid_equilibria_oracle, pd_game, refined
 from qgame import (
     ClassicalGame,
     EwlGame,
@@ -18,7 +18,6 @@ from qgame import (
     best_reply_two_param,
     bimatrix,
     grid_pure_ne,
-    pd_game,
     pure_nash_equilibria,
     two_param_payoff_closed_form,
     unrestricted_payoffs,
@@ -67,7 +66,7 @@ class TestParamGrid:
 
     def test_refined_doubles_intervals(self):
         grid = ParamGrid.uniform(2, 17, 33, 1)
-        fine = grid.refined(2)
+        fine = refined(grid, 2)
         assert fine.steps[0] == (33, 65, 1)
 
     def test_invalid_steps_rejected(self):
@@ -103,16 +102,6 @@ class TestGridConsistency:
         assert angles.tolist() == product_grid(steps, space)
         # SU2Params keeps the grid values as they are
         assert [list(p.as_tuple()) for p in grid.strategies(0, space)] == angles.tolist()
-
-    def test_tables_from_angles_equal_tables_from_params(self):
-        rng = np.random.default_rng(21)
-        g = ClassicalGame((("a", "b"),) * 3, rng.uniform(0, 10, size=(2, 2, 2, 3)))
-        game = EwlGame(g, SPACES[:3])
-        grid = ParamGrid(((3, 5, 3), (4, 3, 5), (2, 7, 2)))
-        angles = [grid.angles(i, game.spaces[i]) for i in range(3)]
-        params = [grid.strategies(i, game.spaces[i]) for i in range(3)]
-        for a, b in zip(grid_payoff_tables(game, angles), grid_payoff_tables(game, params)):
-            assert np.array_equal(a, b)
 
     def test_table_bytes_estimate_matches_the_arrays(self):
         game = EwlGame(PD, (StrategySpace.FULL_SU2, D))
@@ -284,7 +273,7 @@ class TestGridPureNE:
         game = EwlGame(PD_SWAPPED, (D, D))
         coarse = ParamGrid.uniform(2, 9, 17, 1)
         assert grid_pure_ne(game, coarse, eps=0.05) == []
-        assert grid_pure_ne(game, coarse.refined(2), eps=0.05) == []
+        assert grid_pure_ne(game, refined(coarse, 2), eps=0.05) == []
 
     def test_classical_embedding_matches_pure_nash(self):
         game = EwlGame(PD, (ONE, ONE))
@@ -333,7 +322,7 @@ class TestGridPureNE:
         grid = ParamGrid.uniform(3, 5, 5, 3)
         found = grid_pure_ne(game, grid, eps=2.0)
         lists = [grid.strategies(i, game.spaces[i]) for i in range(3)]
-        tables = grid_payoff_tables(game, lists)
+        tables = grid_payoff_tables(game, [grid.angles(i, game.spaces[i]) for i in range(3)])
         bests = [t.max(axis=i, keepdims=True) for i, t in enumerate(tables)]
         expected = []
         for idx in np.argwhere(np.all([t >= b - 2.0 for t, b in zip(tables, bests)], axis=0)):
