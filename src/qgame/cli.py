@@ -12,12 +12,12 @@ import functools
 import math
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ewl import FEATURE_BYTES, EwlGame, StrategySpace, parse_space
+from .ewl import EwlGame, StrategySpace, parse_space
 from .games import (
     GameMapping,
     find_strong_isomorphisms,
@@ -49,37 +49,6 @@ EXIT_IO = 3
 LINES_PER_WRITE = 1024
 
 
-@dataclass(frozen=True)
-class Rows:
-    """k text rows over deduplicated fields: row r is
-    `seps[0] + labels_0[where_0[r]] + seps[1] + .. + labels_m-1[where_m-1[r]] + seps[m]`
-    for the (labels, where) pairs of `columns`; `seps[m]` ends the line."""
-
-    seps: tuple[str, ...] = ("\n",)
-    columns: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
-
-    def blocks(self, lead=()) -> Iterator[str]:
-        """The `lead` lines, then the rows, as text of `LINES_PER_WRITE`
-        lines per block; the lead lines count toward the first block.
-        Each block of rows is built in one (rows, 2m+1) object array,
-        separators in the even columns and labels in the odd ones, and
-        joined once."""
-        size = LINES_PER_WRITE
-        lines = [line + "\n" for line in lead]
-        k = len(self.columns[0][1]) if self.columns else 0
-        table = np.empty((min(size, k), 2 * len(self.columns) + 1), dtype=object)
-        table[:, 0::2] = np.array(self.seps, dtype=object)
-        start = 0
-        while lines or start < k:
-            head, lines = lines[:size], lines[size:]
-            stop = min(k, start + size - len(head))
-            block = table[: stop - start]
-            for j, (labels, where) in enumerate(self.columns):
-                block[:, 2 * j + 1] = labels[where[start:stop]]
-            yield "".join(head) + "".join(block.ravel().tolist())
-            start = stop
-
-
 def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
     """(distinct values, inverse index) of the float64 `values`, distinct
     by bit pattern, so -0.0 and 0.0 stay apart."""
@@ -88,24 +57,36 @@ def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
     return bits.view(np.float64), where
 
 
-# Bytes `_rows` holds per distinct value at most while it formats a field:
-# the label, a str of up to 22 characters (71), its object-array slot (8),
-# its slot in the split list (8) and its line of the joined text (23).
+# Bytes `_table` holds per distinct value at most while it formats a
+# field: the label, a str of up to 22 characters (71), its object-array
+# slot (8), its slot in the split list (8) and its line of the joined
+# text (23).
 LABEL_BYTES = 71 + 8 + 8 + 23
 
 
-def _rows(seps, fmts, distinct) -> Rows:
-    """`Rows` over the (distinct values, where) pairs of `distinct`,
-    formatting the distinct values of field j with `fmts[j]`: one value,
-    or one row of a 2-d array, per `%`."""
+def _table(seps, fmts, distinct) -> Iterator[str]:
+    """Text rows over deduplicated fields, `LINES_PER_WRITE` lines per
+    block. Field j is a (distinct values, where) pair of `distinct`; its
+    distinct values are formatted once with `fmts[j]` (one value, or one
+    row of a 2-d array, per `%`), and row r is
+    `seps[0] + label_0[where_0[r]] + seps[1] + .. + label_m-1[where_m-1[r]] + seps[m]`.
+    Each block is built in one (rows, 2m+1) object array, separators in
+    the even columns and labels in the odd ones, and joined once."""
     columns = []
     for fmt, (values, where) in zip(fmts, distinct):
         # one `%` over a newline-joined template formats a whole field;
         # no float format prints a newline
         text = "\n".join([fmt] * len(values)) % tuple(values.ravel().tolist())
-        labels = np.array(text.split("\n") if len(values) else [], dtype=object)
-        columns.append((labels, where))
-    return Rows(tuple(seps), tuple(columns))
+        columns.append((np.array(text.split("\n"), dtype=object), where))
+    size = LINES_PER_WRITE
+    k = len(distinct[0][1])
+    table = np.empty((min(size, k), 2 * len(columns) + 1), dtype=object)
+    table[:, 0::2] = np.array(seps, dtype=object)
+    for start in range(0, k, size):
+        block = table[: k - start]
+        for j, (labels, where) in enumerate(columns):
+            block[:, 2 * j + 1] = labels[where[start : start + size]]
+        yield "".join(block.ravel().tolist())
 
 
 @dataclass
@@ -116,23 +97,22 @@ class RunReport:
     seed: int | None = None
     tolerances: dict = field(default_factory=dict)
     lines: list[str] = field(default_factory=list)
-    rows: Rows = field(default_factory=Rows)
+    rows: Iterable[str] = ()
     verdict: str = ""
 
     def write(self, out) -> None:
-        """Write the `#` lines (command, seed, tolerances), then `lines`
-        and `rows`, then the verdict to `out`, one per line. The body goes
-        out `LINES_PER_WRITE` lines per write (`Rows.blocks`), so a long
-        table is never held whole as text and an unbuffered stream is not
-        written line by line."""
+        """Write the `#` lines (command, seed, tolerances) and `lines` in
+        one write, then the text blocks of `rows` (from `_table`: a long
+        table is never held whole as text, and an unbuffered stream is not
+        written line by line), then the verdict to `out`, one per line."""
         head = [f"# command: {self.command}"]
         if self.seed is not None:
             head.append(f"# seed: {self.seed}")
         if self.tolerances:
             tols = " ".join(f"{k}={v:g}" for k, v in self.tolerances.items())
             head.append(f"# tolerances: {tols}")
-        out.write("\n".join(head) + "\n")
-        for text in self.rows.blocks(self.lines):
+        out.write("\n".join(head + self.lines) + "\n")
+        for text in self.rows:
             out.write(text)
         if self.verdict:
             out.write(f"verdict: {self.verdict}\n")
@@ -327,12 +307,18 @@ def cmd_ne(args) -> int:
     game = EwlGame(g, spaces)
     grid = _parse_grid(args.grid, g.n_players)
     dims = [grid.size(i, s) for i, s in enumerate(game.spaces)]
-    left = _memory_left(
-        grid_search_bytes(dims), "one block of payoff tables and mask, and the best replies"
-    )
-    found = grid_equilibria(game, grid, eps=args.eps, max_rows=left // grid_row_bytes(len(dims)))
-    count = len(found.eps)
     n = g.n_players
+    # a strategy's label holds three angles; each row holds the search's
+    # arrays, an index and a distinct value for each of its 2n + 1 fields,
+    # and a label per payoff and improvement, of one output at a time
+    left = _memory_left(
+        grid_search_bytes(dims) + 3 * LABEL_BYTES * sum(dims),
+        "the strategies and their labels, one block of payoff tables and mask, "
+        "and the best replies",
+    )
+    row_bytes = grid_row_bytes(n) + 16 * (2 * n + 1) + LABEL_BYTES * (n + 1)
+    found = grid_equilibria(game, grid, eps=args.eps, max_rows=left // row_bytes)
+    count = len(found.eps)
     # each field's distinct values, found once for both outputs: the
     # strategies by grid index, payoffs and improvements by bit pattern
     distinct = []
@@ -344,24 +330,26 @@ def cmd_ne(args) -> int:
     report.lines = [f"spaces: {space_names}; grid: {args.grid}; profiles found: {count}"]
     seps = ("  ",) + (" ",) * (n - 1) + (" payoffs [",) + (" ",) * (n - 1)
     fmts = ["(%.6g,%.6g,%.6g)"] * n + ["%.10g"] * n + ["%.3e"]
-    report.rows = _rows(seps + ("] improvement ", "\n"), fmts, distinct)
+    # formatted while written: these labels are gone before the CSV's
+    report.rows = _table(seps + ("] improvement ", "\n"), fmts, distinct)
     report.verdict = f"{count} equilibria" if count else "no equilibria"
     report.write(sys.stdout)
     if args.csv:
         cols = [f"theta{i},alpha{i},beta{i}" for i in range(1, n + 1)]
         cols += [f"payoff{i}" for i in range(1, n + 1)] + ["improvement"]
         fmts = ["%.15g,%.15g,%.15g"] * n + ["%.15g"] * (n + 1)
-        rows = _rows(("",) + (",",) * (2 * n) + ("\n",), fmts, distinct)
+        rows = _table(("",) + (",",) * (2 * n) + ("\n",), fmts, distinct)
         try:
-            _write_text(args.csv, rows.blocks([",".join(cols)]))
+            _write_text(args.csv, ",".join(cols) + "\n", rows)
         except OSError as exc:
             print(f"cannot write {args.csv}: {exc}", file=sys.stderr)
             return EXIT_IO
     return EXIT_OK if count else EXIT_NEGATIVE
 
 
-def _write_text(path, blocks) -> None:
+def _write_text(path, head, blocks) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
         for text in blocks:
             fh.write(text)
 
@@ -373,18 +361,6 @@ def _parse_params(spec: str) -> SU2Params:
     if len(parts) != 3:
         raise ValueError(f"opponent parameters must be theta,alpha[,beta], got {spec!r}")
     return SU2Params(*parts)
-
-
-def _surface_bytes(t_steps: int, a_steps: int) -> int:
-    """Bytes `surface` holds for a t_steps x a_steps grid: the (theta,
-    alpha, beta) rows, and then the larger of their features being formed
-    and the rendering: both payoff tables, the four `_distinct` columns (an
-    index per point, and each distinct value) and the labels of their
-    distinct values (every payoff may be distinct)."""
-    points = t_steps * a_steps
-    distinct = 2 * points + t_steps + a_steps
-    render = 16 * points + 8 * (4 * points + distinct) + LABEL_BYTES * distinct
-    return 24 * points + max(FEATURE_BYTES * points, render)
 
 
 def cmd_surface(args) -> int:
@@ -403,28 +379,36 @@ def cmd_surface(args) -> int:
     t_steps, a_steps = parts
     if t_steps < 1 or a_steps < 1:
         raise ValueError("grid steps must be positive")
-    _memory_left(
-        _surface_bytes(t_steps, a_steps),
-        "payoff tables and mask, angles, features, distinct values and labels",
-    )
+    # the axes are the only arrays held whole; the rest is one block
+    _memory_left(8 * t_steps + 16 * a_steps, "the theta and alpha axes")
     # unlike ParamGrid, the alpha axis keeps its 2pi endpoint (printed as 0)
     thetas = np.linspace(0.0, math.pi, t_steps)
     alphas = np.linspace(0.0, TWO_PI, a_steps) % TWO_PI
-    mine = np.stack(np.meshgrid(thetas, alphas, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
     theirs = np.array([opponent.as_tuple()])
-    lists = [mine, theirs] if mover == 0 else [theirs, mine]
-    u1, u2 = (t.reshape(-1) for t in grid_payoff_tables(game, lists))
-    distinct = [_distinct(v) for v in (mine[:, 0], mine[:, 1], u1, u2)]
-    rows = _rows(("", ",", ",", ",", "\n"), ["%.15g"] * 4, distinct)
-    blocks = rows.blocks(["theta,alpha,payoff1,payoff2"])
+
+    def blocks():
+        # point k is (thetas[k // a], alphas[k % a]), theta outermost
+        points, size = t_steps * a_steps, LINES_PER_WRITE
+        for start in range(0, points, size):
+            k = np.arange(start, min(start + size, points))
+            mine = np.zeros((len(k), 3))
+            mine[:, 0] = thetas[k // a_steps]
+            mine[:, 1] = alphas[k % a_steps]
+            lists = [mine, theirs] if mover == 0 else [theirs, mine]
+            u1, u2 = (t.reshape(-1) for t in grid_payoff_tables(game, lists))
+            distinct = [_distinct(v) for v in (mine[:, 0], mine[:, 1], u1, u2)]
+            yield from _table(("", ",", ",", ",", "\n"), ["%.15g"] * 4, distinct)
+
+    head = "theta,alpha,payoff1,payoff2\n"
     if args.csv:
         try:
-            _write_text(args.csv, blocks)
+            _write_text(args.csv, head, blocks())
         except OSError as exc:
             print(f"cannot write {args.csv}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        for text in blocks:
+        sys.stdout.write(head)
+        for text in blocks():
             sys.stdout.write(text)
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ewl import EwlGame, StrategySpace, _theta_alpha, strategy_features
+from .ewl import FEATURE_BYTES, EwlGame, StrategySpace, _theta_alpha, strategy_features
 from .linalg import TWO_PI, SU2Params
 
 
@@ -158,11 +158,16 @@ def _block_strategies(dims, tables: int) -> int:
 
 def grid_search_bytes(dims) -> int:
     """Bytes `grid_equilibria` holds besides its rows, over `dims[i]`
-    strategies for player i: one block of payoff tables and mask, and
-    every player's best replies, 8 * prod(dims) / dims[i] bytes each."""
-    total = math.prod(dims)
-    block = grid_table_bytes([_block_strategies(dims, len(dims)), *dims[1:]])
-    return block + sum(8 * (total // m) for m in dims)
+    strategies for player i: each strategy's angles and its features
+    while they are formed (24 + FEATURE_BYTES), one block of payoff tables
+    and mask, up to three arrays the size of a block's tables or of the
+    payoff core while the next block is contracted, and every player's
+    best replies, 8 * prod(dims) / dims[i] bytes each."""
+    n, total = len(dims), math.prod(dims)
+    block = [_block_strategies(dims, n), *dims[1:]]
+    contraction = 3 * 8 * n * max(10**n, math.prod(block))
+    replies = sum(8 * (total // m) for m in dims)
+    return (24 + FEATURE_BYTES) * sum(dims) + grid_table_bytes(block) + contraction + replies
 
 
 def grid_row_bytes(players: int) -> int:

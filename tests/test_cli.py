@@ -425,6 +425,10 @@ class TestSurfaceCommand:
             (1, "0,0", "1,1"),
             (2, "3,6.2", "4,1"),
             (1, "2,1", "1,5"),
+            # several write blocks, the last of one point
+            (1, "0.3,5", "1025,1"),
+            (2, "1,2,0.5", "1025,1"),
+            (1, "2,1", "5,205"),
         ],
     )
     def test_bytes_match_the_per_field_renderer(self, player, opponent, grid, tmp_path, capsys):
@@ -513,7 +517,7 @@ class TestRowTemplates:
         whole = run()
         monkeypatch.setattr(cli, "LINES_PER_WRITE", block)
         writes = run()
-        # the # lines, the summary and rows by blocks, then the verdict
+        # the # lines and the summary, the rows by blocks, then the verdict
         body = "".join(whole[1:-1]).count("\n")
         assert len(whole) == 3 and body > 1024
         assert len(writes) == 2 + -(-body // block)
@@ -636,10 +640,21 @@ class TestBlockRenderer:
         alphas = np.tile(np.linspace(0.0, 2 * math.pi, a_steps) % (2 * math.pi), t_steps)
         rows = surface_rows_oracle(thetas, alphas, *(t.reshape(-1) for t in tables))
         expected = "".join(r + "\n" for r in ["theta,alpha,payoff1,payoff2"] + rows)
+        done = []
+
+        def block_tables(game, lists):
+            # surface asks for one block of points at a time, in order
+            start = sum(done) % (t_steps * a_steps)
+            mine = lists[0]
+            done.append(len(mine))
+            assert mine[:, 0].tolist() == thetas[start : start + len(mine)].tolist()
+            assert mine[:, 1].tolist() == alphas[start : start + len(mine)].tolist()
+            return [t[start : start + len(mine)] for t in tables]
+
         with tempfile.TemporaryDirectory() as tmp:
             csv_path = Path(tmp) / "surface.csv"
             out = io.StringIO()
-            with mock.patch.object(cli, "grid_payoff_tables", lambda game, lists: tables):
+            with mock.patch.object(cli, "grid_payoff_tables", block_tables):
                 with contextlib.redirect_stdout(out):
                     assert main(argv) == 0
                 assert main(argv + ["--csv", str(csv_path)]) == 0
@@ -654,11 +669,12 @@ class TestPreflightMemoryCheck:
         [
             (
                 ["ne", str(GAMES / "pd.game"), "--spaces", "full", "--grid", "1000,1000,1000"],
-                "one block of payoff tables and mask, and the best replies",
+                "the strategies and their labels, one block of payoff tables and mask, "
+                "and the best replies",
             ),
             (
-                ["surface", str(GAMES / "pd.game"), "--grid", "1000000,1000000"],
-                "payoff tables and mask, angles, features, distinct values and labels",
+                ["surface", str(GAMES / "pd.game"), "--grid", "1000000000000,1"],
+                "the theta and alpha axes",
             ),
             (
                 ["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")]
@@ -691,20 +707,27 @@ class TestPreflightMemoryCheck:
         assert f"GiB for {what}" in err and "physical memory" in err
 
     def test_budget_is_half_of_physical_memory(self, capsys, monkeypatch):
-        # 2 x 2 profiles in one block: two float64 tables plus a bool mask,
-        # 68 bytes, best replies of 2 float64 per player, 32 bytes, and the
-        # one equilibrium row, 80 bytes
+        # 2 x 2 profiles in one block: angles and features of the 4 grid
+        # strategies, 4 x 312 bytes, two float64 tables plus a bool mask,
+        # 68 bytes, three contraction arrays the size of the 2 x 100
+        # float64 payoff core, 4,800 bytes, best replies of 2 float64 per
+        # player, 32 bytes, labels of 3 x 110 bytes for the 4 grid
+        # strategies, 1,320 bytes, and the one equilibrium row, 490 bytes:
+        # 80 of search arrays, 16 for each of its 5 fields and 110 for
+        # each of its 3 payoff and improvement labels
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        for phys_bytes, code in [(360, 0), (359, 2)]:
+        for phys_bytes, code in [(15916, 0), (15915, 2)]:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
             assert main(argv) == code
         capsys.readouterr()
 
     def test_rows_count_against_what_the_search_leaves(self, capsys, monkeypatch):
-        # a budget of 100 bytes holds the search of the test above, not its row
+        # a budget of 7,468 bytes holds the search and labels of the test
+        # above, not its row
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        for phys_bytes, text in [(200, "more than 0 equilibrium rows"), (199, "GiB for one block")]:
+        refusals = [(14936, "more than 0 equilibrium rows"), (14935, "GiB for the strategies")]
+        for phys_bytes, text in refusals:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
             assert main(argv) == 2
@@ -715,7 +738,7 @@ class TestPreflightMemoryCheck:
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 40}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        for limit, code in [(360, 0), (359, 2), (None, 0)]:
+        for limit, code in [(15916, 0), (15915, 2), (None, 0)]:
             monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
             assert main(argv) == code
         capsys.readouterr()
@@ -742,8 +765,9 @@ class TestPreflightMemoryCheck:
         capsys.readouterr()
 
     @pytest.mark.parametrize("grid", [(101, 201), (1, 20001)])
-    def test_surface_peak_stays_within_the_estimate(self, grid, tmp_path, capsys):
-        # a 1 x a grid has a distinct label per alpha as well as per payoff
+    def test_surface_peak_stays_within_one_block(self, grid, tmp_path, capsys):
+        # a 1 x a grid has a distinct label per alpha as well as per payoff;
+        # a whole 101 x 201 table held about 6 MiB
         t_steps, a_steps = grid
         argv = ["surface", str(GAMES / "pd_swapped.game"), "--opponent", "0.3,1.1"]
         argv += ["--grid", f"{t_steps},{a_steps}", "--csv", str(tmp_path / "surface.csv")]
@@ -753,8 +777,72 @@ class TestPreflightMemoryCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        need = cli._surface_bytes(t_steps, a_steps)
-        assert 0.6 * need < peak <= need + (512 << 10)
+        assert peak < 1 << 20
+
+    @staticmethod
+    def ne_peak_and_estimate(game, spaces, grid, eps, csv):
+        """tracemalloc peak of `ne` on the ClassicalGame `game`, and its
+        estimate: what the preflight asks `_memory_left` for, plus the
+        bytes `cmd_ne` budgets per row (what is left over its `max_rows`)
+        for each row found."""
+        n = game.n_players
+        calls = {}
+        left = cli._memory_left
+
+        def memory_left(need, what):
+            calls["need"], calls["left"] = need, left(need, what)
+            return calls["left"]
+
+        def search(*args, **kwargs):
+            calls["max_rows"] = kwargs["max_rows"]
+            calls["found"] = grid_equilibria(*args, **kwargs)
+            return calls["found"]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rand.game"
+            save_game_file(GameFile(game, (StrategySpace.FULL_SU2,) * n), path)
+            argv = ["ne", str(path), "--spaces", spaces, "--grid", grid, "--eps", repr(eps)]
+            argv += ["--csv", str(Path(tmp) / "ne.csv")] if csv else []
+            with mock.patch.object(cli, "_memory_left", memory_left):
+                with mock.patch.object(cli, "grid_equilibria", search):
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        tracemalloc.start()
+                        try:
+                            assert main(argv) in (0, 1)
+                            peak = tracemalloc.get_traced_memory()[1]
+                        finally:
+                            tracemalloc.stop()
+        rows = len(calls.pop("found").eps)
+        return peak, calls["need"] + rows * calls["left"] / calls["max_rows"]
+
+    @given(n=st.integers(2, 4), csv=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+    def test_ne_peak_stays_within_the_estimate(self, n, csv, seed):
+        # a random game and grid shape of at most 20,000 profiles; eps
+        # from none to every profile
+        rng = np.random.default_rng(seed)
+        game = ClassicalGame((("a", "b"),) * n, rng.uniform(0, 10, size=(2,) * n + (n,)))
+        names = ("one", "alpha", "beta", "full")
+        while True:
+            spaces = [names[k] for k in rng.integers(0, 4, n)]
+            t, a, b = int(rng.integers(2, 18)), int(rng.integers(1, 18)), int(rng.integers(1, 6))
+            grid = ParamGrid.uniform(n, t, a, b)
+            if math.prod(grid.size(i, parse_space(s)) for i, s in enumerate(spaces)) <= 20000:
+                break
+        eps = float(rng.choice([0.0, 0.1, 1.0, 3.0, 100.0]))
+        peak, need = self.ne_peak_and_estimate(game, ",".join(spaces), f"{t},{a},{b}", eps, csv)
+        assert peak <= need + (512 << 10)
+
+    def test_ne_peak_with_every_payoff_distinct(self):
+        rng = np.random.default_rng(0)
+        game = ClassicalGame((("a", "b"),) * 4, rng.uniform(0, 10, size=(2,) * 4 + (4,)))
+        # every profile is a row, and no two payoffs are equal
+        one = (StrategySpace.ONE_PARAM,) * 4
+        found = grid_equilibria(EwlGame(game, one), ParamGrid.uniform(4, 9, 1, 1), 100.0)
+        assert len(found.eps) == 9**4
+        assert len(np.unique(found.payoffs)) == found.payoffs.size
+        peak, need = self.ne_peak_and_estimate(game, "one", "9,1,1", 100.0, csv=True)
+        assert peak <= need + (512 << 10)
 
     @pytest.mark.parametrize(
         "cgroup,files,limit",

@@ -228,12 +228,14 @@ class TestBlockedSearch:
                 grid_equilibria(game, grid, 2.0, max_rows=k - 1)
 
     def test_search_bytes(self):
-        # one block: both tables and the mask of 9 x 6 profiles, and best
-        # replies of 6 and 9 float64
-        assert grid_search_bytes([9, 6]) == 17 * 54 + 8 * (6 + 9)
-        # 17,408 full-space strategies each: blocks of 3 strategies of player 0
+        # one block: angles and features of 15 strategies, both tables and
+        # the mask of 9 x 6 profiles, three arrays the size of the
+        # 2 x 100 float64 payoff core, and best replies of 6 and 9 float64
+        assert grid_search_bytes([9, 6]) == 312 * 15 + 17 * 54 + 3 * 1600 + 8 * (6 + 9)
+        # 17,408 full-space strategies each: blocks of 3 strategies of
+        # player 0, whose tables outgrow the core
         m = 17 * 32 * 32
-        assert grid_search_bytes([m, m]) == 17 * 3 * m + 16 * m
+        assert grid_search_bytes([m, m]) == 312 * 2 * m + 17 * 3 * m + 3 * 16 * 3 * m + 16 * m
         assert grid_row_bytes(2) == 80
 
     def test_full_su2_north_star_grid_runs_within_32_mib(self):
