@@ -50,42 +50,54 @@ LINES_PER_WRITE = 1024
 
 
 def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct values, inverse index) of the float64 `values`, distinct
-    by bit pattern, so -0.0 and 0.0 stay apart."""
+    """(distinct values, inverse index of `values`' shape) of the float64
+    `values`, distinct by bit pattern, so -0.0 and 0.0 stay apart."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    return bits.view(np.float64), where
+    return bits.view(np.float64), where.reshape(values.shape)
+
+
+def _compact(values, where) -> tuple[np.ndarray, np.ndarray]:
+    """(the entries of `values` that `where` indexes, in order, and
+    `where` re-indexed into them), by counting instead of sorting."""
+    used = np.bincount(where, minlength=len(values)) > 0
+    return values[used], (np.cumsum(used) - 1)[where]
 
 
 # Bytes `_table` holds per distinct value at most while it formats a
-# field: the label, a str of up to 22 characters (71), its object-array
-# slot (8), its slot in the split list (8) and its line of the joined
-# text (23).
-LABEL_BYTES = 71 + 8 + 8 + 23
+# field of one value: the label, a str of up to 31 characters (80: 17 of
+# `%.10g` and the 14 of the `] improvement ` that follows `ne`'s last
+# payoff), its object-array slot (8), its slot in the split list (8) and
+# its part of the joined text (32).
+LABEL_BYTES = 80 + 8 + 8 + 32
 
 
-def _table(seps, fmts, distinct) -> Iterator[str]:
+def _table(fmts, distinct) -> Iterator[str]:
     """Text rows over deduplicated fields, `LINES_PER_WRITE` lines per
-    block. Field j is a (distinct values, where) pair of `distinct`; its
-    distinct values are formatted once with `fmts[j]` (one value, or one
-    row of a 2-d array, per `%`), and row r is
-    `seps[0] + label_0[where_0[r]] + seps[1] + .. + label_m-1[where_m-1[r]] + seps[m]`.
-    Each block is built in one (rows, 2m+1) object array, separators in
-    the even columns and labels in the odd ones, and joined once."""
-    columns = []
+    block. Field j is a (distinct values, where) pair of `distinct`,
+    formatted with `fmts[j]` (one value, or one row of a 2-d array, per
+    `%`). Each format carries the text that follows its value, and the
+    first one also the row's lead text, so row r is
+    `label_0[where_0[r]] + .. + label_m-1[where_m-1[r]]`. Fields that
+    share their values array and their format share one label array,
+    formatted once. Each block is built in one (rows, m) object array
+    and joined once."""
+    labels, columns = {}, []
     for fmt, (values, where) in zip(fmts, distinct):
-        # one `%` over a newline-joined template formats a whole field;
-        # no float format prints a newline
-        text = "\n".join([fmt] * len(values)) % tuple(values.ravel().tolist())
-        columns.append((np.array(text.split("\n"), dtype=object), where))
+        key = (id(values), fmt)
+        if key not in labels:
+            # one `%` over a NUL-joined template formats a whole field; no
+            # format holds a NUL and no float prints one
+            text = "\0".join([fmt] * len(values)) % tuple(values.ravel().tolist())
+            labels[key] = np.array(text.split("\0"), dtype=object)
+        columns.append((labels[key], where))
     size = LINES_PER_WRITE
     k = len(distinct[0][1])
-    table = np.empty((min(size, k), 2 * len(columns) + 1), dtype=object)
-    table[:, 0::2] = np.array(seps, dtype=object)
+    table = np.empty((min(size, k), len(columns)), dtype=object)
     for start in range(0, k, size):
         block = table[: k - start]
-        for j, (labels, where) in enumerate(columns):
-            block[:, 2 * j + 1] = labels[where[start : start + size]]
+        for j, (label, where) in enumerate(columns):
+            block[:, j] = label[where[start : start + size]]
         yield "".join(block.ravel().tolist())
 
 
@@ -309,36 +321,41 @@ def cmd_ne(args) -> int:
     dims = [grid.size(i, s) for i, s in enumerate(game.spaces)]
     n = g.n_players
     # a strategy's label holds three angles; each row holds the search's
-    # arrays, an index and a distinct value for each of its 2n + 1 fields,
-    # and a label per payoff and improvement, of one output at a time
+    # arrays, an index and a distinct value for each of its 2n + 1 fields
+    # and, while stdout is written, for each payoff again, and a label per
+    # payoff and improvement, of one output at a time
     left = _memory_left(
-        grid_search_bytes(dims) + 3 * LABEL_BYTES * sum(dims),
+        grid_search_bytes(grid, game.spaces) + 3 * LABEL_BYTES * sum(dims),
         "the strategies and their labels, one block of payoff tables and mask, "
         "and the best replies",
     )
-    row_bytes = grid_row_bytes(n) + 16 * (2 * n + 1) + LABEL_BYTES * (n + 1)
+    row_bytes = grid_row_bytes(n) + 16 * (3 * n + 1) + LABEL_BYTES * (n + 1)
     found = grid_equilibria(game, grid, eps=args.eps, max_rows=left // row_bytes)
     count = len(found.eps)
     # each field's distinct values, found once for both outputs: the
-    # strategies by grid index, payoffs and improvements by bit pattern
-    distinct = []
-    for angles, col in zip(found.angles, found.index.T):
-        used, where = np.unique(col, return_inverse=True)
-        distinct.append((angles[used], where))
-    distinct += [_distinct(v) for v in (*found.payoffs.T, found.eps)]
+    # strategies by grid index, the improvements by bit pattern, and the
+    # payoffs of all n columns together, so each column's `where` indexes
+    # the same values
+    strategies = [_compact(angles, col) for angles, col in zip(found.angles, found.index.T)]
+    values, where = _distinct(found.payoffs.T)
+    improvement = _distinct(found.eps)
     space_names = ",".join(s.value for s in game.spaces)
     report.lines = [f"spaces: {space_names}; grid: {args.grid}; profiles found: {count}"]
-    seps = ("  ",) + (" ",) * (n - 1) + (" payoffs [",) + (" ",) * (n - 1)
-    fmts = ["(%.6g,%.6g,%.6g)"] * n + ["%.10g"] * n + ["%.3e"]
-    # formatted while written: these labels are gone before the CSV's
-    report.rows = _table(seps + ("] improvement ", "\n"), fmts, distinct)
+    fmts = ["(%.6g,%.6g,%.6g) "] * (n - 1) + ["(%.6g,%.6g,%.6g) payoffs ["]
+    fmts += ["%.10g "] * (n - 1) + ["%.10g] improvement ", "%.3e\n"]
+    fmts[0] = "  " + fmts[0]
+    # the last payoff's format differs from the others', so each column's
+    # labels cover only its own values; formatted while written, these
+    # columns and labels are gone before the CSV's
+    report.rows = _table(fmts, [*strategies, *(_compact(values, w) for w in where), improvement])
     report.verdict = f"{count} equilibria" if count else "no equilibria"
     report.write(sys.stdout)
     if args.csv:
         cols = [f"theta{i},alpha{i},beta{i}" for i in range(1, n + 1)]
         cols += [f"payoff{i}" for i in range(1, n + 1)] + ["improvement"]
-        fmts = ["%.15g,%.15g,%.15g"] * n + ["%.15g"] * (n + 1)
-        rows = _table(("",) + (",",) * (2 * n) + ("\n",), fmts, distinct)
+        fmts = ["%.15g,%.15g,%.15g,"] * n + ["%.15g,"] * n + ["%.15g\n"]
+        # one label array for all n payoff columns
+        rows = _table(fmts, [*strategies, *((values, w) for w in where), improvement])
         try:
             _write_text(args.csv, ",".join(cols) + "\n", rows)
         except OSError as exc:
@@ -397,7 +414,7 @@ def cmd_surface(args) -> int:
             lists = [mine, theirs] if mover == 0 else [theirs, mine]
             u1, u2 = (t.reshape(-1) for t in grid_payoff_tables(game, lists))
             distinct = [_distinct(v) for v in (mine[:, 0], mine[:, 1], u1, u2)]
-            yield from _table(("", ",", ",", ",", "\n"), ["%.15g"] * 4, distinct)
+            yield from _table(["%.15g,"] * 3 + ["%.15g\n"], distinct)
 
     head = "theta,alpha,payoff1,payoff2\n"
     if args.csv:

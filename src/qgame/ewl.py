@@ -79,6 +79,12 @@ def payoff_diagonal(g: ClassicalGame, player: int) -> np.ndarray:
     return g.payoffs[..., player].reshape(-1).copy()
 
 
+# quaternion components (k, l) of the ten features q_k q_l, k <= l, in
+# `strategy_features` order; read-only, as every call shares them
+_ROW, _COL = np.triu_indices(4)
+_ROW.setflags(write=False)
+_COL.setflags(write=False)
+
 # (theta, alpha, beta) of the quaternion units 1, iZ, iX, iY
 _UNIT_ANGLES = (
     (0.0, 0.0, 0.0),
@@ -116,8 +122,7 @@ def _core_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # pair (a, b) adds to the entry whose k-th index is player k's units
     # (a_k, b_k) folded onto their upper triangle, C[k, l] + C[l, k]
     fold = np.zeros((4, 4), dtype=int)
-    k, l = np.triu_indices(4)
-    fold[k, l] = fold[l, k] = np.arange(10)
+    fold[_ROW, _COL] = fold[_COL, _ROW] = np.arange(10)
     unit_of = np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
     places = 10 ** np.arange(n - 1, -1, -1)
     # every ket has 2^n rows: a stable sort groups them ket by ket, rows
@@ -135,7 +140,9 @@ def _payoff_core(diags: np.ndarray) -> np.ndarray:
     f of `strategy_features`."""
     n = diags.shape[0]
     entry, ket, weight = _core_terms(n)
-    core = np.stack([np.bincount(entry, d[ket] * weight, minlength=10**n) for d in diags])
+    core = np.empty((n, 10**n))
+    for row, d in zip(core, diags):
+        row[:] = np.bincount(entry, d[ket] * weight, minlength=10**n)
     return core.reshape((n,) + (10,) * n)
 
 
@@ -146,8 +153,7 @@ def strategy_features(angles) -> np.ndarray:
     theta, alpha, beta = np.asarray(angles, dtype=float).reshape(-1, 3).T
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     q = np.stack([c * np.cos(alpha), c * np.sin(alpha), s * np.cos(beta), -s * np.sin(beta)], 1)
-    k, l = np.triu_indices(4)
-    return q[:, k] * q[:, l]
+    return q[:, _ROW] * q[:, _COL]
 
 
 # Bytes `strategy_features` holds per (theta, alpha, beta) row at its

@@ -87,7 +87,9 @@ def entangler(n: int) -> np.ndarray:
     """Entangling gate (1^(xn) + i X^(xn)) / sqrt(2) on n qubits."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"player count must be in [1, {MAX_QUBITS}], got {n}")
-    xs = tensor([PAULI_X] * n)
+    # X on every qubit flips every bit of a ket: the anti-diagonal
+    # permutation, equal to the Kronecker product of n PAULI_X
+    xs = np.eye(2**n, dtype=complex)[::-1]
     return (np.eye(2**n, dtype=complex) + 1j * xs) / math.sqrt(2.0)
 
 

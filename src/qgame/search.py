@@ -89,7 +89,8 @@ class GridEquilibria:
     Row r is the profile whose player-i strategy is
     `angles[i][index[r, i]]`; `eps[r]` is the largest improvement any
     grid deviation offers there and `payoffs[r]` the payoff vector.
-    Rows come in row-major profile order.
+    Rows come in row-major profile order. Players with equal
+    (steps, space) share one read-only angle array.
     """
 
     angles: tuple[np.ndarray, ...]
@@ -109,15 +110,50 @@ def grid_payoff_tables(game: EwlGame, strategy_lists) -> list[np.ndarray]:
     player's strategy features, one GEMM per player.
 
     Each player's strategies are an (m, 3) array of (theta, alpha, beta)
-    rows.
+    rows; players handed the same array share its features.
     """
     dims = [len(s) for s in strategy_lists]
     if len(dims) != game.n_players:
         raise ValueError("need one strategy list per player")
     if any(d == 0 for d in dims):
         raise ValueError("empty strategy grid")
-    feats = [strategy_features(s) for s in strategy_lists]
+    feats = _once(_features, strategy_lists)
     return _tables(game.payoff_core, feats, _contraction_order(dims))
+
+
+def _once(f, arrays) -> list:
+    """[f(a) for a in arrays], calling f once per distinct array object."""
+    done = {}
+    for a in arrays:
+        if id(a) not in done:
+            done[id(a)] = f(a)
+    return [done[id(a)] for a in arrays]
+
+
+def _feature_chunk() -> int:
+    """Strategies whose features `_features` forms at once: as many as
+    keep `strategy_features` within `BLOCK_BYTES`, at least one."""
+    return max(1, BLOCK_BYTES // FEATURE_BYTES)
+
+
+def _features(angles: np.ndarray) -> np.ndarray:
+    """`strategy_features` of an (m, 3) angle array, formed
+    `_feature_chunk()` strategies at a time."""
+    out = np.empty((len(angles), 10))
+    step = _feature_chunk()
+    for start in range(0, len(angles), step):
+        out[start : start + step] = strategy_features(angles[start : start + step])
+    return out
+
+
+def _kept_features(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(features, columns): the features of `_features` without the
+    columns that are zero for every strategy, which add nothing to a
+    contraction, and the columns kept; 6 of 10 remain for alpha and beta
+    spaces, 3 for one."""
+    feats = _features(angles)
+    keep = np.flatnonzero(feats.any(axis=0))
+    return feats[:, keep], keep
 
 
 def _contraction_order(dims) -> list[int]:
@@ -156,18 +192,32 @@ def _block_strategies(dims, tables: int) -> int:
     return min(dims[0], max(1, BLOCK_BYTES // (8 * tables * rest)))
 
 
-def grid_search_bytes(dims) -> int:
-    """Bytes `grid_equilibria` holds besides its rows, over `dims[i]`
-    strategies for player i: each strategy's angles and its features
-    while they are formed (24 + FEATURE_BYTES), one block of payoff tables
-    and mask, up to three arrays the size of a block's tables or of the
-    payoff core while the next block is contracted, and every player's
-    best replies, 8 * prod(dims) / dims[i] bytes each."""
+def _grid_keys(grid: ParamGrid, spaces) -> list[tuple]:
+    """One `(steps, space)` key per player; players with equal keys
+    share one angle array and its features."""
+    return list(zip(grid.steps, spaces))
+
+
+def grid_search_bytes(grid: ParamGrid, spaces) -> int:
+    """Bytes `grid_equilibria` holds besides its rows, over `grid` and the
+    players' `spaces`. Each distinct player grid holds its angles and
+    features (24 + 80 bytes a strategy) throughout. On top of them comes
+    the larger of two phases that never overlap: forming one grid's
+    features (its whole features, 80 bytes a strategy, and FEATURE_BYTES
+    for each of `_feature_chunk()` strategies at a time), and the search
+    (one block of payoff tables and mask, up to three arrays the size of
+    a block's tables or of the payoff core while the next block is
+    contracted, and every player's best replies, 8 * prod(dims) / dims[i]
+    bytes each)."""
+    dims = [grid.size(i, s) for i, s in enumerate(spaces)]
+    sizes = list(dict(zip(_grid_keys(grid, spaces), dims)).values())
     n, total = len(dims), math.prod(dims)
+    forming = 80 * max(sizes) + FEATURE_BYTES * min(max(sizes), _feature_chunk())
     block = [_block_strategies(dims, n), *dims[1:]]
     contraction = 3 * 8 * n * max(10**n, math.prod(block))
     replies = sum(8 * (total // m) for m in dims)
-    return (24 + FEATURE_BYTES) * sum(dims) + grid_table_bytes(block) + contraction + replies
+    search = grid_table_bytes(block) + contraction + replies
+    return (24 + 80) * sum(sizes) + max(forming, search)
 
 
 def grid_row_bytes(players: int) -> int:
@@ -195,7 +245,15 @@ def grid_equilibria(
     n = game.n_players
     if len(grid.steps) != n:
         raise ValueError("grid does not match the game's player count")
-    angles = tuple(grid.angles(i, game.spaces[i]) for i in range(n))
+    # players with equal keys share one read-only angle array, and so its
+    # features
+    keys = _grid_keys(grid, game.spaces)
+    shared = {}
+    for i, key in enumerate(keys):
+        if key not in shared:
+            shared[key] = grid.angles(i, game.spaces[i])
+            shared[key].setflags(write=False)
+    angles = tuple(shared[key] for key in keys)
     dims = [len(a) for a in angles]
     step = _block_strategies(dims, n)
     if step == dims[0]:
@@ -203,12 +261,9 @@ def grid_equilibria(
         best0 = tables[0].max(axis=0, keepdims=True)
         blocks = [(0, tables)]
     else:
-        feats = [strategy_features(a) for a in angles]
-        # feature columns that are zero for every strategy add nothing:
-        # 6 of 10 remain for alpha and beta spaces, 3 for one
-        keep = [np.flatnonzero(f.any(axis=0)) for f in feats]
-        feats = [f[:, k] for f, k in zip(feats, keep)]
-        core = game.payoff_core[np.ix_(range(n), *keep)]
+        kept = _once(_kept_features, angles)
+        feats = [f for f, _ in kept]
+        core = game.payoff_core[np.ix_(range(n), *(keep for _, keep in kept))]
         order = _contraction_order(dims)
 
         def block(start, count, players):

@@ -603,12 +603,24 @@ class TestBlockRenderer:
     def test_ne_bytes_match_the_oracle(self, n, k, pool, seed):
         rng = np.random.default_rng(seed)
         pool = signed_pool(pool)
-        sizes = rng.integers(1, 5, n)
+        # a player may share an earlier player's angle array, as players
+        # with equal steps and space do
+        angles = []
+        for i in range(n):
+            if i and rng.random() < 0.5:
+                angles.append(angles[rng.integers(i)])
+            else:
+                angles.append(rng.choice(pool, (rng.integers(1, 5), 3)))
+        payoffs = rng.choice(pool, (k, n))
+        if k and n > 1 and rng.random() < 0.5:
+            # one value in two columns, and -0.0 next to 0.0
+            payoffs[0, :2] = [-0.0, 0.0]
+            payoffs[-1, 1] = payoffs[-1, 0]
         found = GridEquilibria(
-            tuple(rng.choice(pool, (m, 3)) for m in sizes),
-            np.stack([rng.integers(0, m, k) for m in sizes], axis=1),
+            tuple(angles),
+            np.stack([rng.integers(0, len(a), k) for a in angles], axis=1),
             rng.choice(pool, k),
-            rng.choice(pool, (k, n)),
+            payoffs,
         )
         with tempfile.TemporaryDirectory() as tmp:
             path, csv_path = Path(tmp) / "hand.game", Path(tmp) / "ne.csv"
@@ -663,6 +675,42 @@ class TestBlockRenderer:
         assert csv == expected.encode("utf-8")
 
 
+class TestTable:
+    @given(
+        k=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+        pool=VALUE_POOLS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+    def test_bytes_match_the_per_row_oracle(self, k, pool, seed):
+        rng = np.random.default_rng(seed)
+        pool = signed_pool(pool)
+        rows3, values, other = (rng.choice(pool, size) for size in [(4, 3), 6, 5])
+        # `values` under one format twice and under a second format once,
+        # and `other` under one of those formats too
+        fields = [
+            ("<%.6g,%.6g,%.6g> ", rows3),
+            ("%.15g,", values),
+            ("%.10g|", values),
+            ("%.15g,", values),
+            ("%.15g,", other),
+            ("%.3e\n", other),
+        ]
+        wheres = [rng.integers(0, len(v), k) for _, v in fields]
+        distinct = [(v, w) for (_, v), w in zip(fields, wheres)]
+        blocks = list(cli._table([f for f, _ in fields], distinct))
+        want = [
+            "".join(f % tuple(np.atleast_1d(v[w[r]]).tolist()) for (f, v), w in zip(fields, wheres))
+            for r in range(k)
+        ]
+        # row by row, so a failure names its first wrong row
+        got = "".join(blocks).splitlines(keepends=True)
+        assert len(got) == k
+        for r, (line, row) in enumerate(zip(got, want)):
+            assert line == row, r
+        assert [b.count("\n") for b in blocks] == [min(BLOCK, k - s) for s in range(0, k, BLOCK)]
+
+
 class TestPreflightMemoryCheck:
     @pytest.mark.parametrize(
         "argv,what",
@@ -707,26 +755,28 @@ class TestPreflightMemoryCheck:
         assert f"GiB for {what}" in err and "physical memory" in err
 
     def test_budget_is_half_of_physical_memory(self, capsys, monkeypatch):
-        # 2 x 2 profiles in one block: angles and features of the 4 grid
-        # strategies, 4 x 312 bytes, two float64 tables plus a bool mask,
-        # 68 bytes, three contraction arrays the size of the 2 x 100
-        # float64 payoff core, 4,800 bytes, best replies of 2 float64 per
-        # player, 32 bytes, labels of 3 x 110 bytes for the 4 grid
-        # strategies, 1,320 bytes, and the one equilibrium row, 490 bytes:
-        # 80 of search arrays, 16 for each of its 5 fields and 110 for
+        # 2 x 2 profiles in one block over one grid of 2 strategies, which
+        # both players share: its angles and features, 2 x 104 bytes, then
+        # the search, which outweighs forming the features: two float64
+        # tables plus a bool mask, 68 bytes, three contraction arrays the
+        # size of the 2 x 100 float64 payoff core, 4,800 bytes, and best
+        # replies of 2 float64 per player, 32 bytes; labels of 3 x 128
+        # bytes for the 4 strategies, 1,536 bytes, and the one equilibrium
+        # row, 576 bytes: 80 of search arrays, 16 for each of its 5 fields
+        # and again for its 2 payoffs while stdout is written, and 128 for
         # each of its 3 payoff and improvement labels
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        for phys_bytes, code in [(15916, 0), (15915, 2)]:
+        for phys_bytes, code in [(14440, 0), (14439, 2)]:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
             assert main(argv) == code
         capsys.readouterr()
 
     def test_rows_count_against_what_the_search_leaves(self, capsys, monkeypatch):
-        # a budget of 7,468 bytes holds the search and labels of the test
+        # a budget of 6,644 bytes holds the search and labels of the test
         # above, not its row
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        refusals = [(14936, "more than 0 equilibrium rows"), (14935, "GiB for the strategies")]
+        refusals = [(13288, "more than 0 equilibrium rows"), (13287, "GiB for the strategies")]
         for phys_bytes, text in refusals:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
@@ -738,7 +788,7 @@ class TestPreflightMemoryCheck:
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 40}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        for limit, code in [(15916, 0), (15915, 2), (None, 0)]:
+        for limit, code in [(14440, 0), (14439, 2), (None, 0)]:
             monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
             assert main(argv) == code
         capsys.readouterr()
@@ -780,11 +830,12 @@ class TestPreflightMemoryCheck:
         assert peak < 1 << 20
 
     @staticmethod
-    def ne_peak_and_estimate(game, spaces, grid, eps, csv):
+    def ne_peak_and_estimate(game, spaces, grid, eps, csv, found=None):
         """tracemalloc peak of `ne` on the ClassicalGame `game`, and its
         estimate: what the preflight asks `_memory_left` for, plus the
         bytes `cmd_ne` budgets per row (what is left over its `max_rows`)
-        for each row found."""
+        for each row found. `found`, when given, makes the search's result
+        in place of the search."""
         n = game.n_players
         calls = {}
         left = cli._memory_left
@@ -795,7 +846,7 @@ class TestPreflightMemoryCheck:
 
         def search(*args, **kwargs):
             calls["max_rows"] = kwargs["max_rows"]
-            calls["found"] = grid_equilibria(*args, **kwargs)
+            calls["found"] = grid_equilibria(*args, **kwargs) if found is None else found()
             return calls["found"]
 
         with tempfile.TemporaryDirectory() as tmp:
@@ -842,6 +893,22 @@ class TestPreflightMemoryCheck:
         assert len(found.eps) == 9**4
         assert len(np.unique(found.payoffs)) == found.payoffs.size
         peak, need = self.ne_peak_and_estimate(game, "one", "9,1,1", 100.0, csv=True)
+        assert peak <= need + (512 << 10)
+
+    def test_ne_peak_with_the_longest_labels(self):
+        # 20,000 rows whose payoffs and improvements are all distinct and
+        # print at full length: 17 characters in `%.10g`, 22 in `%.15g`
+        n, k = 4, 20000
+        rng = np.random.default_rng(1)
+        game = ClassicalGame((("a", "b"),) * n, rng.uniform(0, 10, size=(2,) * n + (n,)))
+        angles = ParamGrid.uniform(1, 9, 1, 1).angles(0, StrategySpace.ONE_PARAM)
+
+        def found():
+            values = -(1 + rng.random((k, n + 1))) * 1e-100
+            index = rng.integers(0, len(angles), (k, n))
+            return GridEquilibria((angles,) * n, index, values[:, n].copy(), values[:, :n].copy())
+
+        peak, need = self.ne_peak_and_estimate(game, "one", "9,1,1", 100.0, True, found)
         assert peak <= need + (512 << 10)
 
     @pytest.mark.parametrize(

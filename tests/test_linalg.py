@@ -147,6 +147,11 @@ class TestEntangler:
                 S = permutation_operator(perm)
                 assert np.abs(J @ S - S @ J).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_the_kronecker_form_bitwise(self, n):
+        J = (np.eye(2**n, dtype=complex) + 1j * tensor([PAULI_X] * n)) / math.sqrt(2.0)
+        assert entangler(n).tobytes() == J.tobytes()
+
     @pytest.mark.parametrize("n", [0, 5])
     def test_out_of_range(self, n):
         with pytest.raises(ValueError):

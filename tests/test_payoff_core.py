@@ -7,6 +7,7 @@ payoffs, per-player strategy spaces and arbitrary strategy lists.
 """
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -138,6 +139,20 @@ def test_payoff_core_equals_the_ket_by_ket_oracle_bitwise(diags):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
+
+def test_four_player_game_peaks_at_its_core_and_one_row():
+    # besides the core and the row being accumulated: the 8^4 terms'
+    # entry, ket and weight arrays and one row's weighted terms, at most
+    # 5 x 32 KiB, and the diagonals
+    g = random_game(np.random.default_rng(4), (2,) * 4)
+    tracemalloc.start()
+    try:
+        game = EwlGame(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    core = game.payoff_core.nbytes
+    assert peak <= core + core // 4 + (160 << 10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

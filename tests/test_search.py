@@ -24,6 +24,7 @@ from qgame import (
     witness_deviation,
 )
 from qgame import search
+from qgame.ewl import FEATURE_BYTES, strategy_features
 from qgame.games import PAYOFF_TOL
 from qgame.linalg import TWO_PI
 from qgame.search import (
@@ -187,13 +188,15 @@ class TestBlockedSearch:
         steps=st.lists(
             st.tuples(st.integers(2, 4), st.integers(1, 5), st.integers(1, 4)), min_size=4, max_size=4
         ),
+        # each player's steps, as an index into `steps`: players may share them
+        picks=st.lists(st.integers(0, 3), min_size=4, max_size=4),
         eps_share=st.floats(0.0, 1.2),
         blocks=st.sampled_from([1, 2, "many"]),
     )
     @settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    def test_rows_equal_the_dense_oracle(self, seed, spaces, steps, eps_share, blocks):
+    def test_rows_equal_the_dense_oracle(self, seed, spaces, steps, picks, eps_share, blocks):
         n = len(spaces)
-        game, grid, dims = random_search(seed, tuple(spaces), steps[:n])
+        game, grid, dims = random_search(seed, tuple(spaces), [steps[k] for k in picks[:n]])
         assume(math.prod(dims) <= 5000)
         # every profile with its improvement, from the whole tables
         every = grid_equilibria_oracle(game, grid, math.inf)
@@ -201,6 +204,11 @@ class TestBlockedSearch:
         eps = eps_share * span
         with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)):
             got = grid_equilibria(game, grid, eps)
+        # one read-only angle array per distinct (steps, space)
+        keys = list(zip(grid.steps, game.spaces))
+        for i, angles in enumerate(got.angles):
+            assert not angles.flags.writeable
+            assert [angles is a for a in got.angles] == [keys[i] == k for k in keys]
         improvement = dict(zip(map(tuple, every.index.tolist()), every.eps.tolist()))
         rows = [tuple(r) for r in got.index.tolist()]
         assert rows == sorted(set(rows))
@@ -227,15 +235,35 @@ class TestBlockedSearch:
             with pytest.raises(ValueError, match=f"more than {k - 1:,} equilibrium rows"):
                 grid_equilibria(game, grid, 2.0, max_rows=k - 1)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 3640])
+    def test_features_formed_in_chunks_equal_one_pass(self, chunk):
+        angles = ParamGrid.uniform(1, 5, 9, 3).angles(0, StrategySpace.FULL_SU2)
+        with mock.patch.object(search, "BLOCK_BYTES", chunk * FEATURE_BYTES):
+            assert search._feature_chunk() == chunk
+            got = search._features(angles)
+        assert got.tobytes() == strategy_features(angles).tobytes()
+
     def test_search_bytes(self):
-        # one block: angles and features of 15 strategies, both tables and
-        # the mask of 9 x 6 profiles, three arrays the size of the
-        # 2 x 100 float64 payoff core, and best replies of 6 and 9 float64
-        assert grid_search_bytes([9, 6]) == 312 * 15 + 17 * 54 + 3 * 1600 + 8 * (6 + 9)
-        # 17,408 full-space strategies each: blocks of 3 strategies of
-        # player 0, whose tables outgrow the core
+        # one block over grids of 9 and 6 strategies: their angles and
+        # features, 104 bytes a strategy, then the larger of forming the 9
+        # strategies' features (80 + 288 bytes each) and the search: both
+        # tables and the mask of 9 x 6 profiles, three arrays the size of
+        # the 2 x 100 float64 payoff core, and best replies of 6 and 9 float64
+        grid = ParamGrid(((9, 1, 1), (3, 3, 1)))
+        assert grid_search_bytes(grid, (ONE, D)) == 104 * 15 + 17 * 54 + 3 * 1600 + 8 * (6 + 9)
+        # both players on one grid of 9 strategies: its angles and features once
+        grid = ParamGrid.uniform(2, 3, 4, 1)
+        assert grid_search_bytes(grid, (D, D)) == 104 * 9 + 17 * 81 + 3 * 1600 + 8 * (9 + 9)
+        # 17,408 full-space strategies each, one grid: blocks of 3 strategies
+        # of player 0, whose tables outgrow the core
         m = 17 * 32 * 32
-        assert grid_search_bytes([m, m]) == 312 * 2 * m + 17 * 3 * m + 3 * 16 * 3 * m + 16 * m
+        full = (StrategySpace.FULL_SU2,) * 2
+        grid = ParamGrid.uniform(2, 17, 33, 33)
+        assert grid_search_bytes(grid, full) == 104 * m + 17 * 3 * m + 3 * 16 * 3 * m + 16 * m
+        # 2 strategies against those 17,408: forming the larger grid's
+        # features, 3,640 strategies at a time, outweighs the search
+        grid = ParamGrid(((2, 1, 1), (17, 33, 33)))
+        assert grid_search_bytes(grid, (ONE, full[1])) == 104 * (2 + m) + 80 * m + 288 * 3640
         assert grid_row_bytes(2) == 80
 
     def test_full_su2_north_star_grid_runs_within_32_mib(self):
@@ -251,6 +279,7 @@ class TestBlockedSearch:
             tracemalloc.stop()
         assert len(found.eps) == 0
         assert peak < 32 * 2**20
+        assert peak <= grid_search_bytes(grid, game.spaces)
 
 
 class TestGridPureNE:
