@@ -246,6 +246,7 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+@functools.cache
 def _cgroup_memory_limit() -> int | None:
     """Bytes of this process's cgroup memory limit: the lowest number held
     by cgroup v2 `memory.max` in its cgroup (the `0::` line of
@@ -253,7 +254,7 @@ def _cgroup_memory_limit() -> int | None:
     `memory.limit_in_bytes` in its memory cgroup (the `N:memory:` line,
     under `memory/`) or any ancestor. None when there is no such line, or
     every file is missing or holds `max` or at least physical memory (no
-    limit)."""
+    limit). Read on the first call and kept for the process."""
     try:
         with open(PROC_SELF_CGROUP, encoding="utf-8") as fh:
             lines = fh.read().splitlines()

@@ -16,8 +16,10 @@ files; `space` names are the ones `qgame.ewl.parse_space` accepts.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +27,14 @@ import numpy as np
 from .ewl import StrategySpace, parse_space
 from .games import ClassicalGame
 
-_PLAYERS_RE = re.compile(r"players\s*:\s*(\d+)$")
-_STRATEGIES_RE = re.compile(r"strategies\s+(\d+)\s*:\s*(.+)$")
-_SPACE_RE = re.compile(r"space\s+(\d+)\s*:\s*(\S+)$")
-_PAYOFF_RE = re.compile(r"payoff\s*\(([^)]*)\)\s*:\s*(.+)$")
+# one pattern for every keyword line; the named group that closes last
+# says which kind of line matched
+_LINE_RE = re.compile(
+    r"payoff\s*\((?P<profile>[^)]*)\)\s*:\s*(?P<values>.+)"
+    r"|players\s*:\s*(?P<players>\d+)"
+    r"|strategies\s+(?P<player>\d+)\s*:\s*(?P<labels>.+)"
+    r"|space\s+(?P<space_player>\d+)\s*:\s*(?P<space>\S+)"
+)
 
 
 class GameFileError(ValueError):
@@ -49,68 +55,79 @@ class GameFile:
 
 
 def parse_game_file(text: str) -> GameFile:
+    """The `GameFile` of a game file's text, read in one pass over its
+    lines. Each payoff line goes by its row-major profile offset into
+    one dict, and the payoff tensor is filled from it once at the end.
+    Raises GameFileError, with the line number where there is one."""
     n = None
     labels: dict[int, tuple[str, ...]] = {}
     spaces: dict[int, StrategySpace] = {}
-    cells: dict[tuple[str, ...], tuple[float, ...]] = {}
+    cells: dict[int, list[float]] = {}
+    # player i's labels -> their part of a profile's offset; set at the
+    # first payoff line, after which no strategies line can be accepted
+    offsets = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _PLAYERS_RE.fullmatch(line)
-        if m:
+        m = _LINE_RE.fullmatch(line)
+        kind = m and m.lastgroup
+        if kind == "values":
+            if offsets is None:
+                if n is None or len(labels) != n:
+                    raise GameFileError("payoff before players/strategies are declared", lineno)
+                offsets, stride = [], math.prod(len(labs) for labs in labels.values())
+                for i in range(n):
+                    stride //= len(labels[i + 1])
+                    offsets.append({lab: k * stride for k, lab in enumerate(labels[i + 1])})
+            profile = tuple(map(str.strip, m["profile"].split(",")))
+            if len(profile) != n:
+                raise GameFileError(f"profile needs {n} labels", lineno)
+            try:
+                flat = sum(map(operator.getitem, offsets, profile))
+            except KeyError:
+                i = next(i for i, lab in enumerate(profile) if lab not in offsets[i])
+                raise GameFileError(
+                    f"unknown strategy {profile[i]!r} for player {i + 1}", lineno
+                ) from None
+            if flat in cells:
+                raise GameFileError(f"duplicate payoff line for {profile}", lineno)
+            try:
+                values = list(map(float, m["values"].split()))
+            except ValueError:
+                raise GameFileError("payoffs must be numbers", lineno)
+            if not all(map(math.isfinite, values)):
+                raise GameFileError("payoffs must be finite numbers", lineno)
+            if len(values) != n:
+                raise GameFileError(f"need {n} payoff values", lineno)
+            cells[flat] = values
+        elif kind == "players":
             if n is not None:
                 raise GameFileError("duplicate players line", lineno)
-            n = int(m.group(1))
+            n = int(m["players"])
             if n < 1:
                 raise GameFileError("need at least one player", lineno)
-            continue
-        m = _STRATEGIES_RE.fullmatch(line)
-        if m:
-            idx = int(m.group(1))
+        elif kind == "labels":
+            idx = int(m["player"])
             if n is None or not 1 <= idx <= n:
                 raise GameFileError(f"bad player index {idx}", lineno)
             if idx in labels:
                 raise GameFileError(f"duplicate strategies line for player {idx}", lineno)
-            toks = tuple(m.group(2).split())
+            toks = tuple(m["labels"].split())
             if len(toks) < 2 or len(set(toks)) != len(toks):
                 raise GameFileError("need at least two distinct strategy labels", lineno)
             labels[idx] = toks
-            continue
-        m = _SPACE_RE.fullmatch(line)
-        if m:
-            idx = int(m.group(1))
+        elif kind == "space":
+            idx = int(m["space_player"])
             if n is None or not 1 <= idx <= n:
                 raise GameFileError(f"bad player index {idx}", lineno)
             try:
-                spaces[idx] = parse_space(m.group(2))
+                spaces[idx] = parse_space(m["space"])
             except ValueError as exc:
                 raise GameFileError(str(exc), lineno)
-            continue
-        m = _PAYOFF_RE.fullmatch(line)
-        if m:
-            if n is None or len(labels) != n:
-                raise GameFileError("payoff before players/strategies are declared", lineno)
-            profile = tuple(t.strip() for t in m.group(1).split(","))
-            if len(profile) != n:
-                raise GameFileError(f"profile needs {n} labels", lineno)
-            for i, lab in enumerate(profile):
-                if lab not in labels[i + 1]:
-                    raise GameFileError(f"unknown strategy {lab!r} for player {i + 1}", lineno)
-            if profile in cells:
-                raise GameFileError(f"duplicate payoff line for {profile}", lineno)
-            try:
-                values = tuple(float(v) for v in m.group(2).split())
-            except ValueError:
-                raise GameFileError("payoffs must be numbers", lineno)
-            if not all(math.isfinite(v) for v in values):
-                raise GameFileError("payoffs must be finite numbers", lineno)
-            if len(values) != n:
-                raise GameFileError(f"need {n} payoff values", lineno)
-            cells[profile] = values
-            continue
-        raise GameFileError(f"unrecognized line {raw.strip()!r}", lineno)
+        else:
+            raise GameFileError(f"unrecognized line {raw.strip()!r}", lineno)
 
     if n is None:
         raise GameFileError("missing players line")
@@ -119,13 +136,12 @@ def parse_game_file(text: str) -> GameFile:
         raise GameFileError(f"missing strategies for player(s) {', '.join(missing)}")
 
     dims = tuple(len(labels[i + 1]) for i in range(n))
-    tensor = np.full(dims + (n,), np.nan)
-    for profile, values in cells.items():
-        idx = tuple(labels[i + 1].index(lab) for i, lab in enumerate(profile))
-        tensor[idx] = values
-    if np.isnan(tensor).any():
-        total = int(np.prod(dims))
+    total = math.prod(dims)
+    if len(cells) != total:
         raise GameFileError(f"payoff table incomplete: {len(cells)} of {total} profiles given")
+    # the cells in row-major profile order
+    rows = chain.from_iterable(map(cells.__getitem__, range(total)))
+    tensor = np.fromiter(rows, float, total * n).reshape(dims + (n,))
 
     game = ClassicalGame(tuple(labels[i + 1] for i in range(n)), tensor)
     space_tuple = None

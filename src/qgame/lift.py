@@ -201,9 +201,11 @@ _BLOCK = 32
 
 # Bytes `operator_identity_suite` holds per draw: the three players'
 # angles (72), the permutation pick (8), its inverse (24) and the complex
-# state (128) for the whole run, and at the peak of check (f) the moved
-# states (128), their relabelled copy (128) and its magnitudes (64).
-IDENTITY_DRAW_BYTES = 72 + 8 + 24 + 128 + 128 + 128 + 64
+# state (128) for the whole run, and at the peak, while they are formed,
+# the eight unitaries (512), their stacked angles (192) and `su2_array`'s
+# work per unitary: its cosine, sine and two phases (48) and two
+# temporaries (32).
+IDENTITY_DRAW_BYTES = 72 + 8 + 24 + 128 + 512 + 192 + 8 * (48 + 32)
 
 _CHECK_NAMES = (
     "(a) two-param reflection to -i sigma_x",
@@ -256,24 +258,33 @@ def operator_identity_suite(draws: int = 200, seed: int = 7) -> IdentitySuiteRep
     angles, picks, psi = _identity_draws(draws, seed)
     ops = np.stack([permutation_operator(p) for p in _PERMS3])
     inv = np.argsort(np.array(_PERMS3), axis=1)[picks]
-    # (a)-(d) depend on the draws; taking them in blocks keeps the
-    # (k, 8, 8) operator stacks small
-    errs = [0.0] * 4
+    # every unitary of (a)-(d), formed at once: per draw, the three
+    # players', their reflections, and player 1's two-parameter
+    # U(t, a, 0) and U(pi - t, 0, pi - a)
+    theta, alpha, zero = angles[:, 0, 0], angles[:, 0, 1], np.zeros(draws)
+    pair = np.array([[theta, alpha, zero], [math.pi - theta, zero, (math.pi - alpha) % TWO_PI]])
+    stacked = np.concatenate([angles, FLIP.angles(angles), pair.transpose(2, 0, 1)], axis=1)
+    unitaries = su2_array(stacked)
+    del stacked
+    u, f = unitaries[:, :3], unitaries[:, 3:6]
+    two_param, reflected = unitaries[:, 6], unitaries[:, 7]
+    errs = [
+        _max_abs(reflected - (-1j) * PAULI_X @ two_param),
+        _max_abs(f[:, 0] - (-1j) * PAULI_X @ u[:, 0]),
+        0.0,
+        0.0,
+    ]
+    # (c) and (d) build (k, 8, 8) operator stacks; taking them in blocks
+    # keeps those small
     for lo in range(0, draws, _BLOCK):
-        a, s = angles[lo : lo + _BLOCK], ops[picks[lo : lo + _BLOCK]]
-        u, f = su2_array(a), su2_array(FLIP.angles(a))
-        theta, alpha, zero = a[:, 0, 0], a[:, 0, 1], np.zeros(len(a))
-        two_param = su2_array(np.stack([theta, alpha, zero], axis=-1))
-        reflected = su2_array(np.stack([math.pi - theta, zero, (math.pi - alpha) % TWO_PI], -1))
-        conj = s @ _kron3(u[:, 0], u[:, 1], u[:, 2]) @ s.transpose(0, 2, 1)
-        r = u[np.arange(len(a))[:, None], inv[lo : lo + _BLOCK]]
+        ub, fb, s = u[lo : lo + _BLOCK], f[lo : lo + _BLOCK], ops[picks[lo : lo + _BLOCK]]
+        conj = s @ _kron3(ub[:, 0], ub[:, 1], ub[:, 2]) @ s.transpose(0, 2, 1)
+        r = ub[np.arange(len(ub))[:, None], inv[lo : lo + _BLOCK]]
         block = (
-            _max_abs(reflected - (-1j) * PAULI_X @ two_param),
-            _max_abs(f[:, 0] - (-1j) * PAULI_X @ u[:, 0]),
-            _max_abs(_kron3(f[:, 2], u[:, 0], f[:, 1]) + _X1X3 @ _kron3(u[:, 2], u[:, 0], u[:, 1])),
+            _max_abs(_kron3(fb[:, 2], ub[:, 0], fb[:, 1]) + _X1X3 @ _kron3(ub[:, 2], ub[:, 0], ub[:, 1])),
             _max_abs(conj - _kron3(r[:, 0], r[:, 1], r[:, 2])),
         )
-        errs = [max(e, x) for e, x in zip(errs, block)]
+        errs[2:] = [max(e, x) for e, x in zip(errs[2:], block)]
 
     # commutators are draw-independent
     J3 = entangler(3)

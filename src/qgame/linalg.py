@@ -72,8 +72,14 @@ def su2_array(angles) -> np.ndarray:
     theta, alpha, beta = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
-    rows = [ea * c, 1j * eb * s], [1j * eb.conj() * s, ea.conj() * c]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    # filled entry by entry: one temporary at a time, not four and their
+    # stacks
+    out = np.empty(theta.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = ea * c
+    out[..., 0, 1] = 1j * eb * s
+    out[..., 1, 0] = 1j * eb.conj() * s
+    out[..., 1, 1] = ea.conj() * c
+    return out
 
 
 def tensor(ms: Sequence[np.ndarray]) -> np.ndarray:

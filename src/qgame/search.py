@@ -162,19 +162,26 @@ def _contraction_order(dims) -> list[int]:
     return sorted(range(len(dims)), key=dims.__getitem__)
 
 
-def _tables(core: np.ndarray, feats, order) -> list[np.ndarray]:
+def _tables(core: np.ndarray, feats, order, buffer=None) -> list[np.ndarray]:
     """The (m_1, .., m_n) tables of each of the p players of a
     (p, F_1, .., F_n) core, contracted with the (m_i, F_i) features of
-    each player in `order`."""
+    each player in `order`. When `order` is player order and a flat
+    float64 `buffer` is given, the last contraction writes into its
+    front and the tables are views of it."""
     n = len(order)
     out = core.transpose([0] + [1 + k for k in order])
     # each step moves the first remaining feature axis to the end and
     # replaces it by a strategy axis, as np.tensordot(out, f, (1, 1))
     # does, without its per-call overhead
     last = [0, *range(2, n + 1), 1]
+    in_order = order == list(range(n))
     for k in order:
         out = out.transpose(last)
-        out = np.dot(out.reshape(-1, out.shape[-1]), feats[k].T).reshape(*out.shape[:-1], -1)
+        rows = out.reshape(-1, out.shape[-1])
+        into = None
+        if buffer is not None and in_order and k == n - 1:
+            into = buffer[: len(rows) * len(feats[k])].reshape(len(rows), -1)
+        out = np.dot(rows, feats[k].T, out=into).reshape(*out.shape[:-1], -1)
     out = out.transpose([0] + [1 + order.index(k) for k in range(n)])
     return list(np.ascontiguousarray(out))
 
@@ -205,18 +212,20 @@ def grid_search_bytes(grid: ParamGrid, spaces) -> int:
     the larger of two phases that never overlap: forming one grid's
     features (its whole features, 80 bytes a strategy, and FEATURE_BYTES
     for each of `_feature_chunk()` strategies at a time), and the search
-    (one block of payoff tables and mask, up to three arrays the size of
-    a block's tables or of the payoff core while the next block is
-    contracted, and every player's best replies, 8 * prod(dims) / dims[i]
-    bytes each)."""
+    (the tables buffer, as large as the larger of a first-pass block's
+    player-0 table and a block's payoff tables, a block's two masks, up
+    to three arrays the size of a block's tables or of the payoff core
+    while the next block is contracted, and every player's best replies,
+    8 * prod(dims) / dims[i] bytes each)."""
     dims = [grid.size(i, s) for i, s in enumerate(spaces)]
     sizes = list(dict(zip(_grid_keys(grid, spaces), dims)).values())
-    n, total = len(dims), math.prod(dims)
+    n, total, rest = len(dims), math.prod(dims), math.prod(dims[1:])
     forming = 80 * max(sizes) + FEATURE_BYTES * min(max(sizes), _feature_chunk())
-    block = [_block_strategies(dims, n), *dims[1:]]
-    contraction = 3 * 8 * n * max(10**n, math.prod(block))
+    first, step = _block_strategies(dims, 1), _block_strategies(dims, n)
+    tables = 8 * max(first, n * step) * rest + 2 * step * rest
+    contraction = 3 * 8 * n * max(10**n, step * rest)
     replies = sum(8 * (total // m) for m in dims)
-    search = grid_table_bytes(block) + contraction + replies
+    search = tables + contraction + replies
     return (24 + 80) * sum(sizes) + max(forming, search)
 
 
@@ -255,7 +264,7 @@ def grid_equilibria(
             shared[key].setflags(write=False)
     angles = tuple(shared[key] for key in keys)
     dims = [len(a) for a in angles]
-    step = _block_strategies(dims, n)
+    step, rest = _block_strategies(dims, n), math.prod(dims[1:])
     if step == dims[0]:
         tables = grid_payoff_tables(game, angles)
         best0 = tables[0].max(axis=0, keepdims=True)
@@ -265,12 +274,16 @@ def grid_equilibria(
         feats = [f for f, _ in kept]
         core = game.payoff_core[np.ix_(range(n), *(keep for _, keep in kept))]
         order = _contraction_order(dims)
-
-        def block(start, count, players):
-            return _tables(core[:players], [feats[0][start : start + count], *feats[1:]], order)
-
         # player 0's table alone fits n times the strategies in a block
         first = _block_strategies(dims, 1)
+        # every block of both passes is contracted into this one buffer;
+        # a block's tables are used up before the next is contracted
+        buffer = np.empty(max(first, n * step) * rest)
+
+        def block(start, count, players):
+            block_feats = [feats[0][start : start + count], *feats[1:]]
+            return _tables(core[:players], block_feats, order, buffer)
+
         best0 = np.full([1, *dims[1:]], -np.inf)
         for start in range(0, dims[0], first):
             np.maximum(best0, block(start, first, 1)[0].max(axis=0, keepdims=True), out=best0)
@@ -278,12 +291,14 @@ def grid_equilibria(
     # empty pieces give a search without rows arrays of the right shapes
     index, payoffs, improvements = [np.empty((0, n), np.intp)], [np.empty((0, n))], [np.empty(0)]
     rows = 0
+    masks = np.empty((2, step * rest), dtype=bool)
     for start, tables in blocks:
         shape = tables[0].shape
         bests = [best0] + [t.max(axis=i, keepdims=True) for i, t in enumerate(tables) if i]
-        mask = tables[0] >= best0 - eps
+        mask, player = (m[: tables[0].size].reshape(shape) for m in masks)
+        np.greater_equal(tables[0], best0 - eps, out=mask)
         for t, b in zip(tables[1:], bests[1:]):
-            mask &= t >= b - eps
+            mask &= np.greater_equal(t, b - eps, out=player)
         # flat indices: np.nonzero on the n-d mask costs about 12x more
         flat = np.flatnonzero(mask)
         if not len(flat):

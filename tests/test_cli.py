@@ -712,6 +712,23 @@ class TestTable:
 
 
 class TestPreflightMemoryCheck:
+    @pytest.fixture(autouse=True)
+    def fresh_cgroup_limit(self):
+        # the limit is read once per process; each test reads its own
+        # files, and leaves no limit of theirs behind
+        cli._cgroup_memory_limit.cache_clear()
+        yield
+        cli._cgroup_memory_limit.cache_clear()
+
+    def test_second_preflight_opens_no_file(self, monkeypatch):
+        first = cli._memory_left(0, "nothing")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file was opened")
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        assert cli._memory_left(0, "nothing") == first
+
     @pytest.mark.parametrize(
         "argv,what",
         [
@@ -758,7 +775,7 @@ class TestPreflightMemoryCheck:
         # 2 x 2 profiles in one block over one grid of 2 strategies, which
         # both players share: its angles and features, 2 x 104 bytes, then
         # the search, which outweighs forming the features: two float64
-        # tables plus a bool mask, 68 bytes, three contraction arrays the
+        # tables plus two bool masks, 72 bytes, three contraction arrays the
         # size of the 2 x 100 float64 payoff core, 4,800 bytes, and best
         # replies of 2 float64 per player, 32 bytes; labels of 3 x 128
         # bytes for the 4 strategies, 1,536 bytes, and the one equilibrium
@@ -766,17 +783,17 @@ class TestPreflightMemoryCheck:
         # and again for its 2 payoffs while stdout is written, and 128 for
         # each of its 3 payoff and improvement labels
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        for phys_bytes, code in [(14440, 0), (14439, 2)]:
+        for phys_bytes, code in [(14448, 0), (14447, 2)]:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
             assert main(argv) == code
         capsys.readouterr()
 
     def test_rows_count_against_what_the_search_leaves(self, capsys, monkeypatch):
-        # a budget of 6,644 bytes holds the search and labels of the test
+        # a budget of 6,648 bytes holds the search and labels of the test
         # above, not its row
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        refusals = [(13288, "more than 0 equilibrium rows"), (13287, "GiB for the strategies")]
+        refusals = [(13296, "more than 0 equilibrium rows"), (13295, "GiB for the strategies")]
         for phys_bytes, text in refusals:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
@@ -788,7 +805,7 @@ class TestPreflightMemoryCheck:
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 40}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        for limit, code in [(14440, 0), (14439, 2), (None, 0)]:
+        for limit, code in [(14448, 0), (14447, 2), (None, 0)]:
             monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
             assert main(argv) == code
         capsys.readouterr()
@@ -800,7 +817,7 @@ class TestPreflightMemoryCheck:
             # one game's payoffs and 576 while the other game's strategy
             # features are formed
             (["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")], 100, 688),
-            (["identities"], 50, 552),
+            (["identities"], 50, 1576),
         ],
     )
     def test_sample_budget_is_half_of_a_lower_cgroup_limit(

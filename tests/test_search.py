@@ -247,19 +247,22 @@ class TestBlockedSearch:
         # one block over grids of 9 and 6 strategies: their angles and
         # features, 104 bytes a strategy, then the larger of forming the 9
         # strategies' features (80 + 288 bytes each) and the search: both
-        # tables and the mask of 9 x 6 profiles, three arrays the size of
-        # the 2 x 100 float64 payoff core, and best replies of 6 and 9 float64
+        # tables and the two masks of 9 x 6 profiles, three arrays the size
+        # of the 2 x 100 float64 payoff core, and best replies of 6 and 9
+        # float64
         grid = ParamGrid(((9, 1, 1), (3, 3, 1)))
-        assert grid_search_bytes(grid, (ONE, D)) == 104 * 15 + 17 * 54 + 3 * 1600 + 8 * (6 + 9)
+        assert grid_search_bytes(grid, (ONE, D)) == 104 * 15 + 18 * 54 + 3 * 1600 + 8 * (6 + 9)
         # both players on one grid of 9 strategies: its angles and features once
         grid = ParamGrid.uniform(2, 3, 4, 1)
-        assert grid_search_bytes(grid, (D, D)) == 104 * 9 + 17 * 81 + 3 * 1600 + 8 * (9 + 9)
+        assert grid_search_bytes(grid, (D, D)) == 104 * 9 + 18 * 81 + 3 * 1600 + 8 * (9 + 9)
         # 17,408 full-space strategies each, one grid: blocks of 3 strategies
-        # of player 0, whose tables outgrow the core
+        # of player 0, whose tables outgrow the core, in a buffer that also
+        # holds the first pass's player-0 table of 7 strategies
         m = 17 * 32 * 32
         full = (StrategySpace.FULL_SU2,) * 2
         grid = ParamGrid.uniform(2, 17, 33, 33)
-        assert grid_search_bytes(grid, full) == 104 * m + 17 * 3 * m + 3 * 16 * 3 * m + 16 * m
+        tables = 8 * 7 * m + 2 * 3 * m
+        assert grid_search_bytes(grid, full) == 104 * m + tables + 3 * 16 * 3 * m + 16 * m
         # 2 strategies against those 17,408: forming the larger grid's
         # features, 3,640 strategies at a time, outweighs the search
         grid = ParamGrid(((2, 1, 1), (17, 33, 33)))
