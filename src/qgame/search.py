@@ -165,31 +165,24 @@ def _contraction_order(dims) -> list[int]:
 def _tables(core: np.ndarray, feats, order, buffer=None) -> list[np.ndarray]:
     """The (m_1, .., m_n) tables of each of the p players of a
     (p, F_1, .., F_n) core, contracted with the (m_i, F_i) features of
-    each player in `order`. When `order` is player order and a flat
-    float64 `buffer` is given, the last contraction writes into its
-    front and the tables are views of it."""
+    each player in `order`. The last contraction writes into the front
+    of the flat float64 `buffer` when one is given; when `order` is
+    player order, the tables are then views of it."""
     n = len(order)
     out = core.transpose([0] + [1 + k for k in order])
     # each step moves the first remaining feature axis to the end and
     # replaces it by a strategy axis, as np.tensordot(out, f, (1, 1))
     # does, without its per-call overhead
     last = [0, *range(2, n + 1), 1]
-    in_order = order == list(range(n))
     for k in order:
         out = out.transpose(last)
         rows = out.reshape(-1, out.shape[-1])
         into = None
-        if buffer is not None and in_order and k == n - 1:
+        if buffer is not None and k == order[-1]:
             into = buffer[: len(rows) * len(feats[k])].reshape(len(rows), -1)
         out = np.dot(rows, feats[k].T, out=into).reshape(*out.shape[:-1], -1)
     out = out.transpose([0] + [1 + order.index(k) for k in range(n)])
     return list(np.ascontiguousarray(out))
-
-
-def grid_table_bytes(dims) -> int:
-    """Bytes of the payoff tables and the equilibrium mask of a search
-    over `dims[i]` strategies for player i."""
-    return (8 * len(dims) + 1) * math.prod(dims)
 
 
 def _block_strategies(dims, tables: int) -> int:
@@ -276,9 +269,12 @@ def grid_equilibria(
         order = _contraction_order(dims)
         # player 0's table alone fits n times the strategies in a block
         first = _block_strategies(dims, 1)
-        # every block of both passes is contracted into this one buffer;
-        # a block's tables are used up before the next is contracted
-        buffer = np.empty(max(first, n * step) * rest)
+        # with the players in contraction order, every block of both
+        # passes is contracted into one buffer; a block's tables are used
+        # up before the next is contracted
+        buffer = None
+        if order == list(range(n)):
+            buffer = np.empty(max(first, n * step) * rest)
 
         def block(start, count, players):
             block_feats = [feats[0][start : start + count], *feats[1:]]
@@ -295,10 +291,10 @@ def grid_equilibria(
     for start, tables in blocks:
         shape = tables[0].shape
         bests = [best0] + [t.max(axis=i, keepdims=True) for i, t in enumerate(tables) if i]
-        mask, player = (m[: tables[0].size].reshape(shape) for m in masks)
+        mask, holds = (m[: tables[0].size].reshape(shape) for m in masks)
         np.greater_equal(tables[0], best0 - eps, out=mask)
         for t, b in zip(tables[1:], bests[1:]):
-            mask &= np.greater_equal(t, b - eps, out=player)
+            mask &= np.greater_equal(t, b - eps, out=holds)
         # flat indices: np.nonzero on the n-d mask costs about 12x more
         flat = np.flatnonzero(mask)
         if not len(flat):

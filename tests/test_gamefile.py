@@ -20,6 +20,7 @@ VALUE = st.one_of(
     st.floats(-100, 100, allow_nan=False).map(lambda v: f"{v:g}"),
 )
 
+PAIR = "players: 2\nstrategies 1: a b\nstrategies 2: c d\n"
 NON_NUMBERS = ["abc", "1.2.3", "0x10", "--1"]
 NON_FINITE = ["nan", "inf", "-inf", "NaN", "1e999"]
 
@@ -198,6 +199,13 @@ class TestParserAgainstOracle:
             "players: 1\nstrategies 1: a b\npayoff (a): 1\npayoff (a): 2\n",
             "players: 2\nstrategies 2: a b\nstrategies 1: c d\n"
             "payoff (c,a): 1 2\npayoff (c,b): 3 4\npayoff (d,a): 5 6\n",
+            # lines that fail two checks: the first in the check order wins
+            PAIR + "payoff (a,c): nan\n",
+            PAIR + "payoff (a,c): abc\n",
+            PAIR + "payoff (a,c): abc inf\n",
+            PAIR + "payoff (a,zz): abc\n",
+            PAIR + "payoff (zz): 1 2\n",
+            PAIR + "payoff (a,c): 1 2\npayoff (a,c): nan\n",
         ],
     )
     def test_edge_files_parse_alike(self, text):

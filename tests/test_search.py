@@ -32,7 +32,6 @@ from qgame.search import (
     grid_payoff_tables,
     grid_row_bytes,
     grid_search_bytes,
-    grid_table_bytes,
 )
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
@@ -103,13 +102,6 @@ class TestGridConsistency:
         assert angles.tolist() == product_grid(steps, space)
         # SU2Params keeps the grid values as they are
         assert [list(p.as_tuple()) for p in grid.strategies(0, space)] == angles.tolist()
-
-    def test_table_bytes_estimate_matches_the_arrays(self):
-        game = EwlGame(PD, (StrategySpace.FULL_SU2, D))
-        grid = ParamGrid.uniform(2, 5, 5, 3)
-        dims = [grid.size(i, s) for i, s in enumerate(game.spaces)]
-        tables = grid_payoff_tables(game, [grid.angles(i, s) for i, s in enumerate(game.spaces)])
-        assert grid_table_bytes(dims) == sum(t.nbytes for t in tables) + tables[0].size
 
     @pytest.mark.parametrize("eps", [1e-9, 2.0])
     def test_rows_rebuilt_from_the_arrays(self, eps):
