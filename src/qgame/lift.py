@@ -253,7 +253,9 @@ def operator_identity_suite(draws: int = 200, seed: int = 7) -> IdentitySuiteRep
         3-player cycle f and random states
 
     All must hold within 1e-12 entrywise over the seeded draws of
-    `_identity_draws`, which are checked as arrays, a block at a time.
+    `_identity_draws`. The unitaries of every draw are formed at once,
+    and (a) and (b) compare whole (draws, 2, 2) stacks; only the
+    (k, 8, 8) operator stacks of (c) and (d) are taken 32 draws at a time.
     """
     angles, picks, psi = _identity_draws(draws, seed)
     ops = np.stack([permutation_operator(p) for p in _PERMS3])

@@ -192,6 +192,16 @@ def _block_strategies(dims, tables: int) -> int:
     return min(dims[0], max(1, BLOCK_BYTES // (8 * tables * rest)))
 
 
+def grid_table_bytes(dims) -> int:
+    """Bytes of the payoff tables and masks of a search over `dims[i]`
+    strategies for player i: the tables buffer, as large as the larger of
+    a first-pass block's player-0 table and a block's payoff tables, and
+    a block's two bool masks."""
+    n, rest = len(dims), math.prod(dims[1:])
+    first, step = _block_strategies(dims, 1), _block_strategies(dims, n)
+    return 8 * max(first, n * step) * rest + 2 * step * rest
+
+
 def _grid_keys(grid: ParamGrid, spaces) -> list[tuple]:
     """One `(steps, space)` key per player; players with equal keys
     share one angle array and its features."""
@@ -205,8 +215,7 @@ def grid_search_bytes(grid: ParamGrid, spaces) -> int:
     the larger of two phases that never overlap: forming one grid's
     features (its whole features, 80 bytes a strategy, and FEATURE_BYTES
     for each of `_feature_chunk()` strategies at a time), and the search
-    (the tables buffer, as large as the larger of a first-pass block's
-    player-0 table and a block's payoff tables, a block's two masks, up
+    (`grid_table_bytes`: the tables buffer and a block's two masks, up
     to three arrays the size of a block's tables or of the payoff core
     while the next block is contracted, and every player's best replies,
     8 * prod(dims) / dims[i] bytes each)."""
@@ -214,11 +223,10 @@ def grid_search_bytes(grid: ParamGrid, spaces) -> int:
     sizes = list(dict(zip(_grid_keys(grid, spaces), dims)).values())
     n, total, rest = len(dims), math.prod(dims), math.prod(dims[1:])
     forming = 80 * max(sizes) + FEATURE_BYTES * min(max(sizes), _feature_chunk())
-    first, step = _block_strategies(dims, 1), _block_strategies(dims, n)
-    tables = 8 * max(first, n * step) * rest + 2 * step * rest
+    step = _block_strategies(dims, n)
     contraction = 3 * 8 * n * max(10**n, step * rest)
     replies = sum(8 * (total // m) for m in dims)
-    search = tables + contraction + replies
+    search = grid_table_bytes(dims) + contraction + replies
     return (24 + 80) * sum(sizes) + max(forming, search)
 
 
@@ -269,12 +277,9 @@ def grid_equilibria(
         order = _contraction_order(dims)
         # player 0's table alone fits n times the strategies in a block
         first = _block_strategies(dims, 1)
-        # with the players in contraction order, every block of both
-        # passes is contracted into one buffer; a block's tables are used
-        # up before the next is contracted
-        buffer = None
-        if order == list(range(n)):
-            buffer = np.empty(max(first, n * step) * rest)
+        # every block of both passes is contracted into this one buffer;
+        # a block's tables are used up before the next is contracted
+        buffer = np.empty(max(first, n * step) * rest)
 
         def block(start, count, players):
             block_feats = [feats[0][start : start + count], *feats[1:]]

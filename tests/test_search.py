@@ -32,6 +32,7 @@ from qgame.search import (
     grid_payoff_tables,
     grid_row_bytes,
     grid_search_bytes,
+    grid_table_bytes,
 )
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
@@ -102,6 +103,14 @@ class TestGridConsistency:
         assert angles.tolist() == product_grid(steps, space)
         # SU2Params keeps the grid values as they are
         assert [list(p.as_tuple()) for p in grid.strategies(0, space)] == angles.tolist()
+
+    def test_table_bytes_estimate_matches_the_arrays(self):
+        # one block: the tables of every player and the search's two masks
+        game = EwlGame(PD, (StrategySpace.FULL_SU2, D))
+        grid = ParamGrid.uniform(2, 5, 5, 3)
+        dims = [grid.size(i, s) for i, s in enumerate(game.spaces)]
+        tables = grid_payoff_tables(game, [grid.angles(i, s) for i, s in enumerate(game.spaces)])
+        assert grid_table_bytes(dims) == sum(t.nbytes for t in tables) + 2 * tables[0].size
 
     @pytest.mark.parametrize("eps", [1e-9, 2.0])
     def test_rows_rebuilt_from_the_arrays(self, eps):
@@ -226,6 +235,32 @@ class TestBlockedSearch:
             assert again.index.tobytes() == found.index.tobytes()
             with pytest.raises(ValueError, match=f"more than {k - 1:,} equilibrium rows"):
                 grid_equilibria(game, grid, 2.0, max_rows=k - 1)
+
+    # the first grid has more strategies than the second, so the players
+    # are contracted out of order; the second grid is in order
+    @pytest.mark.parametrize("steps", [[(5, 5, 1), (3, 3, 3)], [(3, 3, 3), (5, 5, 1)]])
+    def test_blocks_share_one_tables_buffer(self, steps):
+        game, grid, dims = random_search(3, (D, StrategySpace.FULL_SU2), steps)
+        buffers = []
+
+        def tables(core, feats, order, buffer=None):
+            buffers.append(buffer)
+            return _tables(core, feats, order, buffer)
+
+        _tables = search._tables
+        with (
+            mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, 2)),
+            mock.patch.object(search, "_tables", tables),
+        ):
+            found = grid_equilibria(game, grid, 2.0)
+            step = search._block_strategies(dims, 2)
+            table_bytes = grid_table_bytes(dims)
+        # every block of both passes, out of one buffer that the count holds
+        assert len(buffers) == -(-dims[0] // step) + -(-dims[0] // (2 * step))
+        assert all(b is buffers[0] for b in buffers)
+        assert table_bytes == buffers[0].nbytes + 2 * step * math.prod(dims[1:])
+        want = grid_equilibria_oracle(game, grid, 2.0)
+        assert found.index.tobytes() == want.index.tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, 3640])
     def test_features_formed_in_chunks_equal_one_pass(self, chunk):
