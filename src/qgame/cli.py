@@ -221,8 +221,16 @@ def cmd_lift_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
 
+def _fields(spec: str) -> list[str]:
+    """The stripped fields of a comma-separated list, none of them empty."""
+    fields = [f.strip() for f in spec.split(",")]
+    if not all(fields):
+        raise ValueError(f"empty field in {spec!r}")
+    return fields
+
+
 def _parse_grid(spec: str, players: int) -> ParamGrid:
-    parts = [p for p in spec.split(",") if p.strip()]
+    parts = _fields(spec)
     if len(parts) != 3:
         raise ValueError(f"grid must be t,a,b step counts, got {spec!r}")
     t, a, b = (int(p) for p in parts)
@@ -230,7 +238,7 @@ def _parse_grid(spec: str, players: int) -> ParamGrid:
 
 
 def _parse_spaces(spec: str, players: int) -> tuple[StrategySpace, ...]:
-    names = [s for s in spec.split(",") if s.strip()]
+    names = _fields(spec)
     if len(names) == 1:
         names = names * players
     if len(names) != players:
@@ -373,7 +381,7 @@ def _write_text(path, head, blocks) -> None:
 
 
 def _parse_params(spec: str) -> SU2Params:
-    parts = [float(v) for v in spec.split(",") if v.strip()]
+    parts = [float(v) for v in _fields(spec)]
     if len(parts) == 2:
         parts.append(0.0)
     if len(parts) != 3:
@@ -391,7 +399,7 @@ def cmd_surface(args) -> int:
     if mover not in (0, 1):
         raise ValueError("player must be 1 or 2")
     opponent = _parse_params(args.opponent)
-    parts = [int(v) for v in args.grid.split(",") if v.strip()]
+    parts = [int(v) for v in _fields(args.grid)]
     if len(parts) != 2:
         raise ValueError(f"surface grid must be theta_steps,alpha_steps, got {args.grid!r}")
     t_steps, a_steps = parts

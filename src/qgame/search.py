@@ -117,43 +117,38 @@ def grid_payoff_tables(game: EwlGame, strategy_lists) -> list[np.ndarray]:
         raise ValueError("need one strategy list per player")
     if any(d == 0 for d in dims):
         raise ValueError("empty strategy grid")
-    feats = _once(_features, strategy_lists)
-    return _tables(game.payoff_core, feats, _contraction_order(dims))
-
-
-def _once(f, arrays) -> list:
-    """[f(a) for a in arrays], calling f once per distinct array object."""
-    done = {}
-    for a in arrays:
-        if id(a) not in done:
-            done[id(a)] = f(a)
-    return [done[id(a)] for a in arrays]
+    core, feats = _operands(game, strategy_lists)
+    buffer = np.empty(len(dims) * math.prod(dims))
+    return _tables(core, feats, _contraction_order(dims), buffer)
 
 
 def _feature_chunk() -> int:
-    """Strategies whose features `_features` forms at once: as many as
-    keep `strategy_features` within `BLOCK_BYTES`, at least one."""
+    """Strategies whose features `_kept_features` forms at once: as many
+    as keep `strategy_features` within `BLOCK_BYTES`, at least one."""
     return max(1, BLOCK_BYTES // FEATURE_BYTES)
 
 
-def _features(angles: np.ndarray) -> np.ndarray:
-    """`strategy_features` of an (m, 3) angle array, formed
-    `_feature_chunk()` strategies at a time."""
-    out = np.empty((len(angles), 10))
+def _kept_features(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(features, columns): an (m, 3) angle array's `strategy_features`,
+    formed `_feature_chunk()` strategies at a time, less the columns that
+    are zero for every strategy and add nothing to a contraction, and the
+    columns kept; 6 of 10 remain for alpha and beta spaces, 3 for one."""
+    feats = np.empty((len(angles), 10))
     step = _feature_chunk()
     for start in range(0, len(angles), step):
-        out[start : start + step] = strategy_features(angles[start : start + step])
-    return out
-
-
-def _kept_features(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(features, columns): the features of `_features` without the
-    columns that are zero for every strategy, which add nothing to a
-    contraction, and the columns kept; 6 of 10 remain for alpha and beta
-    spaces, 3 for one."""
-    feats = _features(angles)
+        feats[start : start + step] = strategy_features(angles[start : start + step])
     keep = np.flatnonzero(feats.any(axis=0))
     return feats[:, keep], keep
+
+
+def _operands(game: EwlGame, angles) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(core, features): each player's `_kept_features` of its (m, 3)
+    `angles`, formed once per distinct array object, and the game's
+    payoff core on the columns they keep."""
+    formed = {id(a): _kept_features(a) for a in {id(a): a for a in angles}.values()}
+    kept = [formed[id(a)] for a in angles]
+    core = game.payoff_core[np.ix_(range(game.n_players), *(keep for _, keep in kept))]
+    return core, [f for f, _ in kept]
 
 
 def _contraction_order(dims) -> list[int]:
@@ -162,12 +157,12 @@ def _contraction_order(dims) -> list[int]:
     return sorted(range(len(dims)), key=dims.__getitem__)
 
 
-def _tables(core: np.ndarray, feats, order, buffer=None) -> list[np.ndarray]:
+def _tables(core: np.ndarray, feats, order, buffer: np.ndarray) -> list[np.ndarray]:
     """The (m_1, .., m_n) tables of each of the p players of a
     (p, F_1, .., F_n) core, contracted with the (m_i, F_i) features of
     each player in `order`. The last contraction writes into the front
-    of the flat float64 `buffer` when one is given; when `order` is
-    player order, the tables are then views of it."""
+    of the flat float64 `buffer`; when `order` is player order, the
+    tables are views of it."""
     n = len(order)
     out = core.transpose([0] + [1 + k for k in order])
     # each step moves the first remaining feature axis to the end and
@@ -178,7 +173,7 @@ def _tables(core: np.ndarray, feats, order, buffer=None) -> list[np.ndarray]:
         out = out.transpose(last)
         rows = out.reshape(-1, out.shape[-1])
         into = None
-        if buffer is not None and k == order[-1]:
+        if k == order[-1]:
             into = buffer[: len(rows) * len(feats[k])].reshape(len(rows), -1)
         out = np.dot(rows, feats[k].T, out=into).reshape(*out.shape[:-1], -1)
     out = out.transpose([0] + [1 + order.index(k) for k in range(n)])
@@ -271,9 +266,7 @@ def grid_equilibria(
         best0 = tables[0].max(axis=0, keepdims=True)
         blocks = [(0, tables)]
     else:
-        kept = _once(_kept_features, angles)
-        feats = [f for f, _ in kept]
-        core = game.payoff_core[np.ix_(range(n), *(keep for _, keep in kept))]
+        core, feats = _operands(game, angles)
         order = _contraction_order(dims)
         # player 0's table alone fits n times the strategies in a block
         first = _block_strategies(dims, 1)
@@ -306,12 +299,11 @@ def grid_equilibria(
             continue
         rows += len(flat)
         if max_rows is not None and rows > max_rows:
-            searched, total = (start + shape[0]) * math.prod(dims[1:]), math.prod(dims)
-            expected = rows * total / searched * grid_row_bytes(n)
+            searched, total = (start + shape[0]) * rest, math.prod(dims)
             raise ValueError(
                 f"more than {max_rows:,} equilibrium rows: {rows:,} in the first "
-                f"{searched:,} of {total:,} profiles, about {expected / 2**30:.3g} GiB "
-                f"for all rows at that rate"
+                f"{searched:,} of {total:,} profiles, about {rows * total / searched:,.0f} "
+                f"rows in all at that rate"
             )
         idx = np.unravel_index(flat, shape)
         pays = np.stack([t.reshape(-1)[flat] for t in tables], axis=1)

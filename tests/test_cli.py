@@ -1032,6 +1032,34 @@ class TestParser:
         assert main(["iso", "a.game", "b.game"]) == 7
         assert seen == ["a.game"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ne", "pd.game", "--grid", "17,,33,1"],
+            ["ne", "pd.game", "--grid", "17,33,1,"],
+            ["ne", "pd.game", "--spaces", "alpha,,one"],
+            ["surface", "pd_swapped.game", "--opponent", "1,,2"],
+            ["surface", "pd_swapped.game", "--grid", " ,5,9"],
+        ],
+    )
+    def test_empty_list_field_exit_2(self, argv, capsys):
+        code = main([argv[0], str(GAMES / argv[1]), *argv[2:]])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: empty field in {argv[-1]!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ne", "pd.game", "--spaces", " alpha , alpha", "--grid", " 5, 9 ,1 "],
+            ["ne", "pd.game", "--spaces", " alpha ", "--grid", "5,9,1"],
+            ["surface", "pd_swapped.game", "--opponent", " 0.5 , 1 ", "--grid", " 3 , 5"],
+        ],
+    )
+    def test_spaces_around_fields_accepted(self, argv, capsys):
+        assert main([argv[0], str(GAMES / argv[1]), *argv[2:]]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

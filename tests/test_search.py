@@ -262,13 +262,35 @@ class TestBlockedSearch:
         want = grid_equilibria_oracle(game, grid, 2.0)
         assert found.index.tobytes() == want.index.tobytes()
 
+    @pytest.mark.parametrize("blocks", [1, 2, "many"])
+    def test_row_limit_error_projects_the_row_count(self, blocks):
+        game, grid, dims = random_search(3, (D, StrategySpace.FULL_SU2), [(5, 5, 1), (3, 3, 3)])
+        rest, total = math.prod(dims[1:]), math.prod(dims)
+        with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)):
+            first = grid_equilibria(game, grid, 2.0).index[:, 0]
+            limit = len(first) // 2
+            # the search stops at the end of the first block whose rows pass
+            # the limit
+            step = search._block_strategies(dims, 2)
+            ends = [min(e, dims[0]) for e in range(step, dims[0] + step, step)]
+            end = next(e for e in ends if (first < e).sum() > limit)
+            rows = int((first < end).sum())
+            with pytest.raises(ValueError) as err:
+                grid_equilibria(game, grid, 2.0, max_rows=limit)
+        assert str(err.value) == (
+            f"more than {limit:,} equilibrium rows: {rows:,} in the first {end * rest:,} of "
+            f"{total:,} profiles, about {rows * total / (end * rest):,.0f} rows in all at that rate"
+        )
+
     @pytest.mark.parametrize("chunk", [1, 7, 3640])
     def test_features_formed_in_chunks_equal_one_pass(self, chunk):
-        angles = ParamGrid.uniform(1, 5, 9, 3).angles(0, StrategySpace.FULL_SU2)
+        # on the alpha plane 6 of the 10 feature columns are kept
+        angles = ParamGrid.uniform(1, 5, 9, 3).angles(0, D)
         with mock.patch.object(search, "BLOCK_BYTES", chunk * FEATURE_BYTES):
             assert search._feature_chunk() == chunk
-            got = search._features(angles)
-        assert got.tobytes() == strategy_features(angles).tobytes()
+            got, keep = search._kept_features(angles)
+        assert len(keep) == 6
+        assert got.tobytes() == strategy_features(angles)[:, keep].tobytes()
 
     def test_search_bytes(self):
         # one block over grids of 9 and 6 strategies: their angles and
@@ -310,6 +332,65 @@ class TestBlockedSearch:
         assert len(found.eps) == 0
         assert peak < 32 * 2**20
         assert peak <= grid_search_bytes(grid, game.spaces)
+
+
+def space_angles(rng, space, m) -> np.ndarray:
+    """m random (theta, alpha, beta) rows of `space`, frozen phases 0."""
+    angles = rng.uniform(0.0, TWO_PI, size=(m, 3))
+    angles[:, 0] /= 2
+    angles[:, 1] *= not space.alpha_frozen
+    angles[:, 2] *= not space.beta_frozen
+    return angles
+
+
+class TestPayoffTables:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        spaces=st.lists(st.sampled_from(SPACES), min_size=1, max_size=4),
+        sizes=st.lists(st.integers(1, 5), min_size=4, max_size=4),
+        # each player's strategies, as an index into the players' own
+        # arrays: players may share one array
+        picks=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tables_equal_the_ten_column_contraction(self, seed, spaces, sizes, picks):
+        n = len(spaces)
+        rng = np.random.default_rng(seed)
+        g = ClassicalGame((("a", "b"),) * n, rng.uniform(0, 10, size=(2,) * n + (n,)))
+        game = EwlGame(g, tuple(spaces))
+        own = [space_angles(rng, s, m) for s, m in zip(spaces, sizes)]
+        angles = [own[k % n] for k in picks[:n]]
+        dims = [len(a) for a in angles]
+        got = grid_payoff_tables(game, angles)
+        feats = [strategy_features(a) for a in angles]
+        order = search._contraction_order(dims)
+        want = search._tables(game.payoff_core, feats, order, np.empty(n * math.prod(dims)))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == tuple(dims)
+            assert np.abs(a - b).max() <= PAYOFF_TOL
+
+    def test_one_full_su2_strategy_keeps_all_ten_columns(self):
+        # contracted first, as the 1-strategy opponent of `surface`
+        game = EwlGame(PD_SWAPPED)
+        mine = ParamGrid(((33, 65, 1),)).angles(0, D)
+        theirs = np.array([[0.7, 1.3, 0.4]])
+        _, keep = search._kept_features(theirs)
+        assert keep.tolist() == list(range(10))
+        got = grid_payoff_tables(game, [theirs, mine])
+        feats = [strategy_features(theirs), strategy_features(mine)]
+        want = search._tables(game.payoff_core, feats, [0, 1], np.empty(2 * len(mine)))
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= PAYOFF_TOL
+
+    @pytest.mark.parametrize("steps", [[(3, 1, 1), (5, 5, 1)], [(2, 3, 1), (3, 3, 3), (7, 1, 1)]])
+    def test_tables_in_contraction_order_share_one_buffer(self, steps):
+        spaces = (ONE, D, StrategySpace.FULL_SU2)[: len(steps)]
+        game, grid, dims = random_search(5, spaces, steps)
+        assert search._contraction_order(dims) == list(range(len(dims)))
+        tables = grid_payoff_tables(game, [grid.angles(i, s) for i, s in enumerate(spaces)])
+        base = tables[0].base
+        assert base is not None and base.size == len(dims) * math.prod(dims)
+        assert all(t.base is base for t in tables)
 
 
 class TestGridPureNE:
