@@ -131,9 +131,10 @@ class RunReport:
 
 
 def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get("QGAME_SEED", "0"))
+    seed = int(os.environ.get("QGAME_SEED", "0") if value is None else value)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _load(path):
@@ -229,12 +230,12 @@ def _fields(spec: str) -> list[str]:
     return fields
 
 
-def _parse_grid(spec: str, players: int) -> ParamGrid:
+def _parse_grid(spec: str) -> ParamGrid:
     parts = _fields(spec)
     if len(parts) != 3:
         raise ValueError(f"grid must be t,a,b step counts, got {spec!r}")
     t, a, b = (int(p) for p in parts)
-    return ParamGrid.uniform(players, t, a, b)
+    return ParamGrid(t, a, b)
 
 
 def _parse_spaces(spec: str, players: int) -> tuple[StrategySpace, ...]:
@@ -326,8 +327,8 @@ def cmd_ne(args) -> int:
     if args.spaces:
         spaces = _parse_spaces(args.spaces, g.n_players)
     game = EwlGame(g, spaces)
-    grid = _parse_grid(args.grid, g.n_players)
-    dims = [grid.size(i, s) for i, s in enumerate(game.spaces)]
+    grid = _parse_grid(args.grid)
+    dims = [grid.size(s) for s in game.spaces]
     n = g.n_players
     # a strategy's label holds three angles; each row holds the search's
     # arrays, an index and a distinct value for each of its 2n + 1 fields

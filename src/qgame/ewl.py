@@ -67,18 +67,6 @@ def parse_space(name: str) -> StrategySpace:
         raise ValueError(f"unknown strategy space {name!r}; use one of {sorted(_SPACE_NAMES)}")
 
 
-def payoff_diagonal(g: ClassicalGame, player: int) -> np.ndarray:
-    """Diagonal of player's payoff observable, in ket order.
-
-    Entry at index j1..jn (binary) is the classical payoff at that
-    strategy-index profile, so the row-major flattening of the payoff
-    tensor is exactly the diagonal.
-    """
-    if any(m != 2 for m in g.shape):
-        raise ValueError("payoff observables need a binary game (two strategies each)")
-    return g.payoffs[..., player].reshape(-1).copy()
-
-
 # quaternion components (k, l) of the ten features q_k q_l, k <= l, in
 # `strategy_features` order; read-only, as every call shares them
 _ROW, _COL = np.triu_indices(4)
@@ -186,7 +174,10 @@ class EwlGame:
         spaces = tuple(spaces)
         if len(spaces) != n:
             raise ValueError("need one strategy space per player")
-        diags = np.stack([payoff_diagonal(self.base, i) for i in range(n)])
+        # the row-major payoff tensor is in ket order, so player i's column
+        # is the diagonal of their payoff observable; a view unless the
+        # tensor is stored out of row-major order
+        diags = self.base.payoffs.reshape(-1, n).T
         core = _payoff_core(diags)
         diags.setflags(write=False)
         core.setflags(write=False)

@@ -234,16 +234,11 @@ def image_game(f: GameMapping, g: ClassicalGame) -> ClassicalGame:
         len(f.phi[i]) != g.shape[i] for i in range(g.n_players)
     ):
         raise ValueError("mapping does not match game shape")
-    n = g.n_players
-    labels = [None] * n
-    for i in range(n):
-        lab = [None] * g.shape[i]
-        for k in range(g.shape[i]):
-            lab[f.phi[i][k]] = g.labels[i][k]
-        labels[f.eta[i]] = tuple(lab)
-    # the image's payoffs are g's read back through the inverse mapping
+    # the image's labels and payoffs are g's read back through the
+    # inverse mapping
     inv = f.inverse()
-    return ClassicalGame(tuple(labels), _pull_back(g.payoffs, inv.eta, inv.phi))
+    labels = tuple(tuple(g.labels[i][k] for k in phi) for i, phi in zip(inv.eta, inv.phi))
+    return ClassicalGame(labels, _pull_back(g.payoffs, inv.eta, inv.phi))
 
 
 def strategic_equivalence(g: ClassicalGame, g2: ClassicalGame) -> list[tuple[float, float]] | None:

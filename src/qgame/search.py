@@ -19,7 +19,7 @@ from .linalg import TWO_PI, SU2Params
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Per-player (theta, alpha, beta) step counts.
+    """(theta, alpha, beta) step counts, the same for every player.
 
     Axes are inclusive linspaces over [0, pi] resp. [0, 2pi]; phase
     values are reduced mod 2pi and deduplicated, so the 2pi endpoint
@@ -28,41 +28,36 @@ class ParamGrid:
     least 2 steps so both endpoints 0 and pi are on the grid.
     """
 
-    steps: tuple[tuple[int, int, int], ...]
+    theta: int = 17
+    alpha: int = 33
+    beta: int = 1
 
     def __post_init__(self):
-        steps = tuple((int(t), int(a), int(b)) for t, a, b in self.steps)
-        for t, a, b in steps:
-            if t < 2:
-                raise ValueError("theta axis needs at least 2 steps")
-            if a < 1 or b < 1:
-                raise ValueError("phase axes need at least 1 step")
-        object.__setattr__(self, "steps", steps)
+        for name in ("theta", "alpha", "beta"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if self.theta < 2:
+            raise ValueError("theta axis needs at least 2 steps")
+        if self.alpha < 1 or self.beta < 1:
+            raise ValueError("phase axes need at least 1 step")
 
-    @classmethod
-    def uniform(cls, players: int, theta: int = 17, alpha: int = 33, beta: int = 1):
-        return cls(((theta, alpha, beta),) * players)
+    def size(self, space: StrategySpace) -> int:
+        """Number of grid strategies in `space`, from the step counts
+        alone."""
+        a = 1 if space.alpha_frozen else max(self.alpha - 1, 1)
+        b = 1 if space.beta_frozen else max(self.beta - 1, 1)
+        return self.theta * a * b
 
-    def size(self, player: int, space: StrategySpace) -> int:
-        """Number of grid strategies of `player` in `space`, from the step
-        counts alone."""
-        t_steps, a_steps, b_steps = self.steps[player]
-        a = 1 if space.alpha_frozen else max(a_steps - 1, 1)
-        b = 1 if space.beta_frozen else max(b_steps - 1, 1)
-        return t_steps * a * b
-
-    def angles(self, player: int, space: StrategySpace) -> np.ndarray:
-        """(m, 3) array of the player's grid (theta, alpha, beta) rows,
+    def angles(self, space: StrategySpace) -> np.ndarray:
+        """(m, 3) array of the grid (theta, alpha, beta) rows in `space`,
         theta outermost and beta innermost."""
-        t_steps, a_steps, b_steps = self.steps[player]
-        thetas = np.linspace(0.0, math.pi, t_steps)
-        alphas = _phase_axis(1 if space.alpha_frozen else a_steps)
-        betas = _phase_axis(1 if space.beta_frozen else b_steps)
+        thetas = np.linspace(0.0, math.pi, self.theta)
+        alphas = _phase_axis(1 if space.alpha_frozen else self.alpha)
+        betas = _phase_axis(1 if space.beta_frozen else self.beta)
         axes = np.meshgrid(thetas, alphas, betas, indexing="ij")
         return np.stack(axes, axis=-1).reshape(-1, 3)
 
-    def strategies(self, player: int, space: StrategySpace) -> tuple[SU2Params, ...]:
-        return tuple(SU2Params(*row) for row in self.angles(player, space).tolist())
+    def strategies(self, space: StrategySpace) -> tuple[SU2Params, ...]:
+        return tuple(SU2Params(*row) for row in self.angles(space).tolist())
 
 
 def _phase_axis(steps: int) -> np.ndarray:
@@ -89,8 +84,8 @@ class GridEquilibria:
     Row r is the profile whose player-i strategy is
     `angles[i][index[r, i]]`; `eps[r]` is the largest improvement any
     grid deviation offers there and `payoffs[r]` the payoff vector.
-    Rows come in row-major profile order. Players with equal
-    (steps, space) share one read-only angle array.
+    Rows come in row-major profile order. Players on the same space
+    share one read-only angle array.
     """
 
     angles: tuple[np.ndarray, ...]
@@ -197,15 +192,9 @@ def grid_table_bytes(dims) -> int:
     return 8 * max(first, n * step) * rest + 2 * step * rest
 
 
-def _grid_keys(grid: ParamGrid, spaces) -> list[tuple]:
-    """One `(steps, space)` key per player; players with equal keys
-    share one angle array and its features."""
-    return list(zip(grid.steps, spaces))
-
-
 def grid_search_bytes(grid: ParamGrid, spaces) -> int:
     """Bytes `grid_equilibria` holds besides its rows, over `grid` and the
-    players' `spaces`. Each distinct player grid holds its angles and
+    players' `spaces`. The grid of each distinct space holds its angles and
     features (24 + 80 bytes a strategy) throughout. On top of them comes
     the larger of two phases that never overlap: forming one grid's
     features (its whole features, 80 bytes a strategy, and FEATURE_BYTES
@@ -214,8 +203,8 @@ def grid_search_bytes(grid: ParamGrid, spaces) -> int:
     to three arrays the size of a block's tables or of the payoff core
     while the next block is contracted, and every player's best replies,
     8 * prod(dims) / dims[i] bytes each)."""
-    dims = [grid.size(i, s) for i, s in enumerate(spaces)]
-    sizes = list(dict(zip(_grid_keys(grid, spaces), dims)).values())
+    dims = [grid.size(s) for s in spaces]
+    sizes = [grid.size(s) for s in dict.fromkeys(spaces)]
     n, total, rest = len(dims), math.prod(dims), math.prod(dims[1:])
     forming = 80 * max(sizes) + FEATURE_BYTES * min(max(sizes), _feature_chunk())
     step = _block_strategies(dims, n)
@@ -248,17 +237,12 @@ def grid_equilibria(
     than `max_rows` rows raises ValueError before it gathers them.
     """
     n = game.n_players
-    if len(grid.steps) != n:
-        raise ValueError("grid does not match the game's player count")
-    # players with equal keys share one read-only angle array, and so its
-    # features
-    keys = _grid_keys(grid, game.spaces)
-    shared = {}
-    for i, key in enumerate(keys):
-        if key not in shared:
-            shared[key] = grid.angles(i, game.spaces[i])
-            shared[key].setflags(write=False)
-    angles = tuple(shared[key] for key in keys)
+    # players on the same space share one read-only angle array, and so
+    # its features
+    shared = {s: grid.angles(s) for s in dict.fromkeys(game.spaces)}
+    for a in shared.values():
+        a.setflags(write=False)
+    angles = tuple(shared[s] for s in game.spaces)
     dims = [len(a) for a in angles]
     step, rest = _block_strategies(dims, n), math.prod(dims[1:])
     if step == dims[0]:

@@ -23,7 +23,7 @@ from qgame import (
     tensor,
     unrestricted_payoffs,
 )
-from qgame.ewl import StrategySpace, _angle_payoffs, _unit_amplitudes, parse_space, payoff_diagonal
+from qgame.ewl import StrategySpace, _angle_payoffs, _unit_amplitudes, parse_space
 from qgame.gamefile import GameFile, GameFileError
 from qgame.lift import FLIP, LiftReport
 from qgame.linalg import ID2, MAX_QUBITS, PAULI_X, TWO_PI
@@ -101,7 +101,7 @@ def sample_strategy(space, rng: np.random.Generator) -> SU2Params:
 def refined(grid: ParamGrid, factor: int = 2) -> ParamGrid:
     """`grid` with every multi-point axis subdivided `factor` times."""
     return ParamGrid(
-        tuple(tuple((s - 1) * factor + 1 if s > 1 else 1 for s in axes) for axes in grid.steps)
+        *((s - 1) * factor + 1 if s > 1 else 1 for s in (grid.theta, grid.alpha, grid.beta))
     )
 
 
@@ -360,8 +360,14 @@ def final_state(params) -> np.ndarray:
 
 
 def payoff_operator(g: ClassicalGame, player: int) -> np.ndarray:
-    """Player's payoff observable sum_j a^i_j |j><j| as a dense matrix."""
-    return np.diag(payoff_diagonal(g, player)).astype(complex)
+    """Player's payoff observable sum_j a^i_j |j><j| as a dense matrix.
+
+    Entry j1..jn (binary) of the diagonal is the classical payoff at that
+    strategy-index profile, the row-major flattening of the payoff tensor.
+    """
+    if any(m != 2 for m in g.shape):
+        raise ValueError("payoff observables need a binary game (two strategies each)")
+    return np.diag(g.payoffs[..., player].reshape(-1)).astype(complex)
 
 
 def expectation(state: np.ndarray, obs: np.ndarray) -> float:
@@ -579,7 +585,7 @@ def grid_equilibria_oracle(game, grid, eps) -> GridEquilibria:
     `np.nonzero` on the n-d mask, gathering with the index tuple: the
     dense search that the blocked one is checked against."""
     n = game.n_players
-    angles = tuple(grid.angles(i, game.spaces[i]) for i in range(n))
+    angles = tuple(grid.angles(s) for s in game.spaces)
     tables = grid_payoff_tables(game, angles)
     bests = [t.max(axis=i, keepdims=True) for i, t in enumerate(tables)]
     mask = np.ones(tables[0].shape, dtype=bool)

@@ -108,7 +108,7 @@ def test_criterion_2_lifted_isomorphisms(corpus):
 
 def test_criterion_3_pd_grid_equilibrium_found():
     game = EwlGame(PD, (D, D))
-    grid = ParamGrid.uniform(2, 17, 33, 1)
+    grid = ParamGrid(17, 33, 1)
     found = grid_pure_ne(game, grid, eps=1e-9)
     hits = [eq for eq in found if eq.profile == (MAGIC, MAGIC)]
     ok = len(hits) == 1 and np.abs(np.asarray(hits[0].payoffs) - [R, R]).max() <= 1e-10
@@ -124,10 +124,7 @@ def _ewl_range_equilibria(game, grid):
     to the EWL range [0, pi/2] (1e-12 slack for linspace rounding).
     Returns the strategies, the finite game of their payoff tables and
     its equilibria at eps 1e-9."""
-    strategies = [
-        tuple(s for s in grid.strategies(i, D) if s.alpha <= math.pi / 2 + 1e-12)
-        for i in range(2)
-    ]
+    strategies = [tuple(s for s in grid.strategies(D) if s.alpha <= math.pi / 2 + 1e-12)] * 2
     tables = grid_payoff_tables(game, [angle_rows(s) for s in strategies])
     labels = [tuple(str(k) for k in range(len(s))) for s in strategies]
     table_game = ClassicalGame(labels, np.stack(tables, axis=-1))
@@ -155,14 +152,14 @@ def test_criterion_3_uniqueness_at_grid_resolution():
     # values of b with 2 matching values of a each, 36 profiles, and the
     # full-range search must return exactly that family.
     game = EwlGame(PD, (D, D))
-    grid = ParamGrid.uniform(2, 17, 33, 1)
+    grid = ParamGrid(17, 33, 1)
 
     coarse = _ewl_range_equilibria(game, grid)
     fine = _ewl_range_equilibria(game, refined(grid, 2))
     oracle = brute_force_pure_nash(coarse[1], tol=1e-9)
 
     full = grid_pure_ne(game, grid, eps=1e-9)
-    pts = grid.strategies(0, D)
+    pts = grid.strategies(D)
     family = {
         (s1, s2)
         for s1 in pts
@@ -222,7 +219,7 @@ def test_criterion_4_swapped_pd_counterexample():
     assert min_margin > 0.0
 
     # (iii) no grid equilibria at eps = 0.05, default and doubled grids
-    grid = ParamGrid.uniform(2, 17, 33, 1)
+    grid = ParamGrid(17, 33, 1)
     empty_default = grid_pure_ne(game, grid, eps=0.05) == []
     empty_doubled = grid_pure_ne(game, refined(grid, 2), eps=0.05) == []
     ok = empty_default and empty_doubled

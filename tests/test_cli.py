@@ -331,7 +331,7 @@ class TestNeCommand:
             space_tuple = tuple(parse_space(s) for s in names * (n // len(names)))
         game_q = EwlGame(gf.game, space_tuple)
         t, a, b = (int(v) for v in grid.split(","))
-        found = grid_pure_ne(game_q, ParamGrid.uniform(n, t, a, b), eps)
+        found = grid_pure_ne(game_q, ParamGrid(t, a, b), eps)
         assert len(found) >= rows
         assert out == ne_stdout_oracle(path, eps, grid, game_q.spaces, found)
         assert csv_path.read_bytes() == ne_csv_oracle(n, found).encode("utf-8")
@@ -492,7 +492,7 @@ class TestRowTemplates:
         names = spaces.split(",")
         game_q = EwlGame(gf.game, tuple(parse_space(s) for s in names * (n // len(names))))
         t, a, b = (int(v) for v in grid.split(","))
-        found = grid_equilibria(game_q, ParamGrid.uniform(n, t, a, b), eps)
+        found = grid_equilibria(game_q, ParamGrid(t, a, b), eps)
         assert code == (0 if len(found.eps) else 1)
         names = ",".join(s.value for s in game_q.spaces)
         assert (out, csv) == expected_ne(path, grid, eps, names, found)
@@ -894,8 +894,8 @@ class TestPreflightMemoryCheck:
         while True:
             spaces = [names[k] for k in rng.integers(0, 4, n)]
             t, a, b = int(rng.integers(2, 18)), int(rng.integers(1, 18)), int(rng.integers(1, 6))
-            grid = ParamGrid.uniform(n, t, a, b)
-            if math.prod(grid.size(i, parse_space(s)) for i, s in enumerate(spaces)) <= 20000:
+            grid = ParamGrid(t, a, b)
+            if math.prod(grid.size(parse_space(s)) for s in spaces) <= 20000:
                 break
         eps = float(rng.choice([0.0, 0.1, 1.0, 3.0, 100.0]))
         peak, need = self.ne_peak_and_estimate(game, ",".join(spaces), f"{t},{a},{b}", eps, csv)
@@ -906,7 +906,7 @@ class TestPreflightMemoryCheck:
         game = ClassicalGame((("a", "b"),) * 4, rng.uniform(0, 10, size=(2,) * 4 + (4,)))
         # every profile is a row, and no two payoffs are equal
         one = (StrategySpace.ONE_PARAM,) * 4
-        found = grid_equilibria(EwlGame(game, one), ParamGrid.uniform(4, 9, 1, 1), 100.0)
+        found = grid_equilibria(EwlGame(game, one), ParamGrid(9, 1, 1), 100.0)
         assert len(found.eps) == 9**4
         assert len(np.unique(found.payoffs)) == found.payoffs.size
         peak, need = self.ne_peak_and_estimate(game, "one", "9,1,1", 100.0, csv=True)
@@ -918,7 +918,7 @@ class TestPreflightMemoryCheck:
         n, k = 4, 20000
         rng = np.random.default_rng(1)
         game = ClassicalGame((("a", "b"),) * n, rng.uniform(0, 10, size=(2,) * n + (n,)))
-        angles = ParamGrid.uniform(1, 9, 1, 1).angles(0, StrategySpace.ONE_PARAM)
+        angles = ParamGrid(9, 1, 1).angles(StrategySpace.ONE_PARAM)
 
         def found():
             values = -(1 + rng.random((k, n + 1))) * 1e-100
@@ -1024,6 +1024,24 @@ class TestParser:
         out = capsys.readouterr().out
         assert f"# seed: {env or 0}\n" in out
         assert "# command: identities" in out
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")],
+            ["identities", "--samples", "3"],
+        ],
+    )
+    def test_negative_seed_exit_2(self, argv, source, capsys, monkeypatch):
+        if source == "flag":
+            argv = [*argv, "--seed", "-1"]
+        else:
+            monkeypatch.setenv("QGAME_SEED", "-1")
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_handler_is_looked_up_per_call(self, capsys, monkeypatch):
         cli.build_parser()

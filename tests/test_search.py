@@ -49,8 +49,8 @@ RNG = np.random.default_rng(55)
 
 class TestParamGrid:
     def test_axes_and_freezing(self):
-        grid = ParamGrid.uniform(2, theta=17, alpha=33, beta=5)
-        pts = grid.strategies(0, D)
+        grid = ParamGrid(theta=17, alpha=33, beta=5)
+        pts = grid.strategies(D)
         thetas = sorted({p.theta for p in pts})
         alphas = sorted({p.alpha for p in pts})
         assert len(thetas) == 17 and thetas[0] == 0.0 and thetas[-1] == math.pi
@@ -60,21 +60,21 @@ class TestParamGrid:
         assert all(p.beta == 0.0 for p in pts)
 
     def test_frozen_axes_get_single_value(self):
-        grid = ParamGrid.uniform(1, theta=3, alpha=9, beta=9)
-        pts = grid.strategies(0, ONE)
+        grid = ParamGrid(theta=3, alpha=9, beta=9)
+        pts = grid.strategies(ONE)
         assert len(pts) == 3
         assert all(p.alpha == 0.0 and p.beta == 0.0 for p in pts)
 
     def test_refined_doubles_intervals(self):
-        grid = ParamGrid.uniform(2, 17, 33, 1)
+        grid = ParamGrid(17, 33, 1)
         fine = refined(grid, 2)
-        assert fine.steps[0] == (33, 65, 1)
+        assert fine == ParamGrid(33, 65, 1)
 
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):
-            ParamGrid.uniform(1, theta=1)
+            ParamGrid(theta=1)
         with pytest.raises(ValueError):
-            ParamGrid.uniform(1, alpha=0)
+            ParamGrid(alpha=0)
 
 
 def product_grid(steps, space) -> list[list[float]]:
@@ -97,19 +97,19 @@ class TestGridConsistency:
     @pytest.mark.parametrize("space", SPACES)
     @pytest.mark.parametrize("steps", [(2, 1, 1), (2, 2, 2), (5, 9, 3), (17, 33, 33), (4, 1, 7)])
     def test_angles_match_the_product_grid_and_strategies(self, space, steps):
-        grid = ParamGrid((steps,))
-        angles = grid.angles(0, space)
-        assert angles.shape == (grid.size(0, space), 3)
+        grid = ParamGrid(*steps)
+        angles = grid.angles(space)
+        assert angles.shape == (grid.size(space), 3)
         assert angles.tolist() == product_grid(steps, space)
         # SU2Params keeps the grid values as they are
-        assert [list(p.as_tuple()) for p in grid.strategies(0, space)] == angles.tolist()
+        assert [list(p.as_tuple()) for p in grid.strategies(space)] == angles.tolist()
 
     def test_table_bytes_estimate_matches_the_arrays(self):
         # one block: the tables of every player and the search's two masks
         game = EwlGame(PD, (StrategySpace.FULL_SU2, D))
-        grid = ParamGrid.uniform(2, 5, 5, 3)
-        dims = [grid.size(i, s) for i, s in enumerate(game.spaces)]
-        tables = grid_payoff_tables(game, [grid.angles(i, s) for i, s in enumerate(game.spaces)])
+        grid = ParamGrid(5, 5, 3)
+        dims = [grid.size(s) for s in game.spaces]
+        tables = grid_payoff_tables(game, [grid.angles(s) for s in game.spaces])
         assert grid_table_bytes(dims) == sum(t.nbytes for t in tables) + 2 * tables[0].size
 
     @pytest.mark.parametrize("eps", [1e-9, 2.0])
@@ -117,7 +117,7 @@ class TestGridConsistency:
         rng = np.random.default_rng(13)
         g = ClassicalGame((("a", "b"),) * 3, rng.uniform(0, 10, size=(2, 2, 2, 3)))
         game = EwlGame(g, (StrategySpace.TWO_PARAM_BETA, ONE, StrategySpace.FULL_SU2))
-        grid = ParamGrid.uniform(3, 5, 5, 3)
+        grid = ParamGrid(5, 5, 3)
         arrays = grid_equilibria(game, grid, eps)
         k = len(arrays.eps)
         assert arrays.index.shape == (k, 3) and arrays.payoffs.shape == (k, 3)
@@ -151,7 +151,7 @@ class TestFlatIndices:
         rng = np.random.default_rng(3)
         g = ClassicalGame((("a", "b"),) * n, rng.uniform(0, 10, size=(2,) * n + (n,)))
         game = EwlGame(g, spaces)
-        grid = ParamGrid.uniform(n, *steps)
+        grid = ParamGrid(*steps)
         got, want = grid_equilibria(game, grid, eps), grid_equilibria_oracle(game, grid, eps)
         for a, b in zip(got.angles, want.angles):
             assert np.array_equal(a, b)
@@ -167,8 +167,8 @@ def random_search(seed, spaces, steps):
     rng = np.random.default_rng(seed)
     g = ClassicalGame((("a", "b"),) * n, rng.uniform(0, 10, size=(2,) * n + (n,)))
     game = EwlGame(g, spaces)
-    grid = ParamGrid(tuple(steps))
-    return game, grid, [grid.size(i, s) for i, s in enumerate(spaces)]
+    grid = ParamGrid(*steps)
+    return game, grid, [grid.size(s) for s in spaces]
 
 
 def blocks_of(dims, count) -> int:
@@ -186,18 +186,13 @@ class TestBlockedSearch:
     @given(
         seed=st.integers(0, 2**32 - 1),
         spaces=st.lists(st.sampled_from(SPACES), min_size=1, max_size=4),
-        steps=st.lists(
-            st.tuples(st.integers(2, 4), st.integers(1, 5), st.integers(1, 4)), min_size=4, max_size=4
-        ),
-        # each player's steps, as an index into `steps`: players may share them
-        picks=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        steps=st.tuples(st.integers(2, 4), st.integers(1, 5), st.integers(1, 4)),
         eps_share=st.floats(0.0, 1.2),
         blocks=st.sampled_from([1, 2, "many"]),
     )
     @settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    def test_rows_equal_the_dense_oracle(self, seed, spaces, steps, picks, eps_share, blocks):
-        n = len(spaces)
-        game, grid, dims = random_search(seed, tuple(spaces), [steps[k] for k in picks[:n]])
+    def test_rows_equal_the_dense_oracle(self, seed, spaces, steps, eps_share, blocks):
+        game, grid, dims = random_search(seed, tuple(spaces), steps)
         assume(math.prod(dims) <= 5000)
         # every profile with its improvement, from the whole tables
         every = grid_equilibria_oracle(game, grid, math.inf)
@@ -205,11 +200,10 @@ class TestBlockedSearch:
         eps = eps_share * span
         with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)):
             got = grid_equilibria(game, grid, eps)
-        # one read-only angle array per distinct (steps, space)
-        keys = list(zip(grid.steps, game.spaces))
-        for i, angles in enumerate(got.angles):
-            assert not angles.flags.writeable
-            assert [angles is a for a in got.angles] == [keys[i] == k for k in keys]
+        # one read-only angle array per distinct space
+        for i, a in enumerate(got.angles):
+            assert not a.flags.writeable
+            assert [a is b for b in got.angles] == [spaces[i] == s for s in spaces]
         improvement = dict(zip(map(tuple, every.index.tolist()), every.eps.tolist()))
         rows = [tuple(r) for r in got.index.tolist()]
         assert rows == sorted(set(rows))
@@ -226,7 +220,7 @@ class TestBlockedSearch:
 
     @pytest.mark.parametrize("blocks", [1, 2, "many"])
     def test_row_limit_stops_before_the_rows_pass_it(self, blocks):
-        game, grid, dims = random_search(3, (D, StrategySpace.FULL_SU2), [(5, 5, 1), (3, 3, 3)])
+        game, grid, dims = random_search(3, (D, StrategySpace.FULL_SU2), (5, 5, 3))
         with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)):
             found = grid_equilibria(game, grid, 2.0)
             k = len(found.eps)
@@ -236,11 +230,11 @@ class TestBlockedSearch:
             with pytest.raises(ValueError, match=f"more than {k - 1:,} equilibrium rows"):
                 grid_equilibria(game, grid, 2.0, max_rows=k - 1)
 
-    # the first grid has more strategies than the second, so the players
-    # are contracted out of order; the second grid is in order
-    @pytest.mark.parametrize("steps", [[(5, 5, 1), (3, 3, 3)], [(3, 3, 3), (5, 5, 1)]])
-    def test_blocks_share_one_tables_buffer(self, steps):
-        game, grid, dims = random_search(3, (D, StrategySpace.FULL_SU2), steps)
+    # the full space has more grid strategies than the alpha plane, so
+    # the first players are contracted out of order, the second in order
+    @pytest.mark.parametrize("spaces", [(StrategySpace.FULL_SU2, D), (D, StrategySpace.FULL_SU2)])
+    def test_blocks_share_one_tables_buffer(self, spaces):
+        game, grid, dims = random_search(3, spaces, (5, 5, 3))
         buffers = []
 
         def tables(core, feats, order, buffer=None):
@@ -264,7 +258,7 @@ class TestBlockedSearch:
 
     @pytest.mark.parametrize("blocks", [1, 2, "many"])
     def test_row_limit_error_projects_the_row_count(self, blocks):
-        game, grid, dims = random_search(3, (D, StrategySpace.FULL_SU2), [(5, 5, 1), (3, 3, 3)])
+        game, grid, dims = random_search(3, (D, StrategySpace.FULL_SU2), (5, 5, 3))
         rest, total = math.prod(dims[1:]), math.prod(dims)
         with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)):
             first = grid_equilibria(game, grid, 2.0).index[:, 0]
@@ -285,7 +279,7 @@ class TestBlockedSearch:
     @pytest.mark.parametrize("chunk", [1, 7, 3640])
     def test_features_formed_in_chunks_equal_one_pass(self, chunk):
         # on the alpha plane 6 of the 10 feature columns are kept
-        angles = ParamGrid.uniform(1, 5, 9, 3).angles(0, D)
+        angles = ParamGrid(5, 9, 3).angles(D)
         with mock.patch.object(search, "BLOCK_BYTES", chunk * FEATURE_BYTES):
             assert search._feature_chunk() == chunk
             got, keep = search._kept_features(angles)
@@ -293,28 +287,30 @@ class TestBlockedSearch:
         assert got.tobytes() == strategy_features(angles)[:, keep].tobytes()
 
     def test_search_bytes(self):
-        # one block over grids of 9 and 6 strategies: their angles and
-        # features, 104 bytes a strategy, then the larger of forming the 9
+        # one block over grids of 9 and 18 strategies: their angles and
+        # features, 104 bytes a strategy, then the larger of forming the 18
         # strategies' features (80 + 288 bytes each) and the search: both
-        # tables and the two masks of 9 x 6 profiles, three arrays the size
-        # of the 2 x 100 float64 payoff core, and best replies of 6 and 9
-        # float64
-        grid = ParamGrid(((9, 1, 1), (3, 3, 1)))
-        assert grid_search_bytes(grid, (ONE, D)) == 104 * 15 + 18 * 54 + 3 * 1600 + 8 * (6 + 9)
+        # tables and the two masks of 9 x 18 profiles, three arrays the size
+        # of the tables, which outgrow the 2 x 100 float64 payoff core, and
+        # best replies of 18 and 9 float64
+        grid = ParamGrid(9, 3, 1)
+        assert grid_search_bytes(grid, (ONE, D)) == 104 * 27 + 18 * 162 + 3 * 16 * 162 + 8 * (18 + 9)
         # both players on one grid of 9 strategies: its angles and features once
-        grid = ParamGrid.uniform(2, 3, 4, 1)
+        grid = ParamGrid(3, 4, 1)
         assert grid_search_bytes(grid, (D, D)) == 104 * 9 + 18 * 81 + 3 * 1600 + 8 * (9 + 9)
         # 17,408 full-space strategies each, one grid: blocks of 3 strategies
         # of player 0, whose tables outgrow the core, in a buffer that also
         # holds the first pass's player-0 table of 7 strategies
         m = 17 * 32 * 32
         full = (StrategySpace.FULL_SU2,) * 2
-        grid = ParamGrid.uniform(2, 17, 33, 33)
+        grid = ParamGrid(17, 33, 33)
         tables = 8 * 7 * m + 2 * 3 * m
         assert grid_search_bytes(grid, full) == 104 * m + tables + 3 * 16 * 3 * m + 16 * m
-        # 2 strategies against those 17,408: forming the larger grid's
-        # features, 3,640 strategies at a time, outweighs the search
-        grid = ParamGrid(((2, 1, 1), (17, 33, 33)))
+        # 2 one-parameter strategies against 39,762 full-space ones:
+        # forming the larger grid's features, 3,640 strategies at a time,
+        # outweighs the search
+        m = 2 * 141 * 141
+        grid = ParamGrid(2, 142, 142)
         assert grid_search_bytes(grid, (ONE, full[1])) == 104 * (2 + m) + 80 * m + 288 * 3640
         assert grid_row_bytes(2) == 80
 
@@ -322,7 +318,7 @@ class TestBlockedSearch:
         # Benjamin & Hayden: over full SU(2) the EWL prisoner's dilemma
         # has no pure equilibrium; 303 million profiles
         game = EwlGame(PD, (StrategySpace.FULL_SU2,) * 2)
-        grid = ParamGrid.uniform(2, 17, 33, 33)
+        grid = ParamGrid(17, 33, 33)
         tracemalloc.start()
         try:
             found = grid_equilibria(game, grid, 1e-9)
@@ -372,7 +368,7 @@ class TestPayoffTables:
     def test_one_full_su2_strategy_keeps_all_ten_columns(self):
         # contracted first, as the 1-strategy opponent of `surface`
         game = EwlGame(PD_SWAPPED)
-        mine = ParamGrid(((33, 65, 1),)).angles(0, D)
+        mine = ParamGrid(33, 65, 1).angles(D)
         theirs = np.array([[0.7, 1.3, 0.4]])
         _, keep = search._kept_features(theirs)
         assert keep.tolist() == list(range(10))
@@ -382,12 +378,11 @@ class TestPayoffTables:
         for a, b in zip(got, want):
             assert np.abs(a - b).max() <= PAYOFF_TOL
 
-    @pytest.mark.parametrize("steps", [[(3, 1, 1), (5, 5, 1)], [(2, 3, 1), (3, 3, 3), (7, 1, 1)]])
-    def test_tables_in_contraction_order_share_one_buffer(self, steps):
-        spaces = (ONE, D, StrategySpace.FULL_SU2)[: len(steps)]
-        game, grid, dims = random_search(5, spaces, steps)
+    @pytest.mark.parametrize("spaces", [(ONE, D), (ONE, D, StrategySpace.FULL_SU2)])
+    def test_tables_in_contraction_order_share_one_buffer(self, spaces):
+        game, grid, dims = random_search(5, spaces, (3, 3, 3))
         assert search._contraction_order(dims) == list(range(len(dims)))
-        tables = grid_payoff_tables(game, [grid.angles(i, s) for i, s in enumerate(spaces)])
+        tables = grid_payoff_tables(game, [grid.angles(s) for s in spaces])
         base = tables[0].base
         assert base is not None and base.size == len(dims) * math.prod(dims)
         assert all(t.base is base for t in tables)
@@ -396,7 +391,7 @@ class TestPayoffTables:
 class TestGridPureNE:
     def test_pd_quantum_equilibrium_found(self):
         game = EwlGame(PD, (D, D))
-        grid = ParamGrid.uniform(2, 17, 33, 1)
+        grid = ParamGrid(17, 33, 1)
         found = grid_pure_ne(game, grid, eps=1e-9)
         magic = SU2Params(0.0, math.pi / 2, 0.0)
         hits = [eq for eq in found if eq.profile == (magic, magic)]
@@ -408,18 +403,18 @@ class TestGridPureNE:
 
     def test_swapped_pd_has_no_grid_equilibrium(self):
         game = EwlGame(PD_SWAPPED, (D, D))
-        grid = ParamGrid.uniform(2, 17, 33, 1)
+        grid = ParamGrid(17, 33, 1)
         assert grid_pure_ne(game, grid, eps=0.05) == []
 
     def test_refinement_keeps_swapped_pd_empty(self):
         game = EwlGame(PD_SWAPPED, (D, D))
-        coarse = ParamGrid.uniform(2, 9, 17, 1)
+        coarse = ParamGrid(9, 17, 1)
         assert grid_pure_ne(game, coarse, eps=0.05) == []
         assert grid_pure_ne(game, refined(coarse, 2), eps=0.05) == []
 
     def test_classical_embedding_matches_pure_nash(self):
         game = EwlGame(PD, (ONE, ONE))
-        grid = ParamGrid.uniform(2, theta=2, alpha=1, beta=1)
+        grid = ParamGrid(theta=2, alpha=1, beta=1)
         found = grid_pure_ne(game, grid, eps=1e-9)
         assert len(found) == 1
         eq = found[0]
@@ -433,7 +428,7 @@ class TestGridPureNE:
 
     def test_classical_embedding_random_games(self):
         rng = np.random.default_rng(10)
-        grid3 = ParamGrid.uniform(3, theta=2, alpha=1, beta=1)
+        grid3 = ParamGrid(theta=2, alpha=1, beta=1)
         for _ in range(10):
             payoffs = rng.integers(0, 6, size=(2, 2, 2, 3)).astype(float)
             g = ClassicalGame((("a", "b"), ("c", "d"), ("e", "f")), payoffs)
@@ -446,14 +441,9 @@ class TestGridPureNE:
 
     def test_reported_improvement_is_small_at_equilibria(self):
         game = EwlGame(PD, (ONE, ONE))
-        grid = ParamGrid.uniform(2, theta=2, alpha=1, beta=1)
+        grid = ParamGrid(theta=2, alpha=1, beta=1)
         for eq in grid_pure_ne(game, grid, eps=1e-9):
             assert 0.0 <= eq.eps <= 1e-9
-
-    def test_player_count_mismatch(self):
-        game = EwlGame(PD)
-        with pytest.raises(ValueError):
-            grid_pure_ne(game, ParamGrid.uniform(3, 3, 3, 1))
 
     def test_matches_the_per_row_loop_bitwise(self):
         # eps near the payoff gaps keeps hundreds of rows; the reference
@@ -461,10 +451,10 @@ class TestGridPureNE:
         rng = np.random.default_rng(12)
         g = ClassicalGame((("a", "b"),) * 3, rng.uniform(0, 10, size=(2, 2, 2, 3)))
         game = EwlGame(g, (D, ONE, StrategySpace.FULL_SU2))
-        grid = ParamGrid.uniform(3, 5, 5, 3)
+        grid = ParamGrid(5, 5, 3)
         found = grid_pure_ne(game, grid, eps=2.0)
-        lists = [grid.strategies(i, game.spaces[i]) for i in range(3)]
-        tables = grid_payoff_tables(game, [grid.angles(i, game.spaces[i]) for i in range(3)])
+        lists = [grid.strategies(s) for s in game.spaces]
+        tables = grid_payoff_tables(game, [grid.angles(s) for s in game.spaces])
         bests = [t.max(axis=i, keepdims=True) for i, t in enumerate(tables)]
         expected = []
         for idx in np.argwhere(np.all([t >= b - 2.0 for t, b in zip(tables, bests)], axis=0)):
@@ -512,8 +502,8 @@ class TestBestReply:
     def test_grid_optimality(self):
         # the analytic reply beats every grid alternative
         game = EwlGame(PD_SWAPPED, (D, D))
-        grid = ParamGrid.uniform(2, 9, 17, 1)
-        alternatives = grid.strategies(0, D)
+        grid = ParamGrid(9, 17, 1)
+        alternatives = grid.strategies(D)
         for _ in range(10):
             opp = SU2Params(RNG.uniform(0, math.pi), RNG.uniform(0, TWO_PI), 0.0)
             reply_payoff = unrestricted_payoffs(game, (best_reply_two_param(opp), opp))[0]
