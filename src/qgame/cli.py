@@ -130,8 +130,13 @@ class RunReport:
             out.write(f"verdict: {self.verdict}\n")
 
 
-def _default_seed(value) -> int:
-    seed = int(os.environ.get("QGAME_SEED", "0") if value is None else value)
+def _default_seed(seed) -> int:
+    if seed is None:
+        text = os.environ.get("QGAME_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"QGAME_SEED must be a non-negative integer, got {text!r}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return seed
@@ -230,12 +235,22 @@ def _fields(spec: str) -> list[str]:
     return fields
 
 
+def _numbers(spec: str, kind, counts, message: str) -> list:
+    """The fields of a comma-separated list converted by `kind`; `message`
+    is the error for a field that is not a number or a count of fields
+    not in `counts`."""
+    fields = _fields(spec)
+    try:
+        values = [kind(f) for f in fields]
+    except ValueError:
+        values = []
+    if len(values) not in counts:
+        raise ValueError(message)
+    return values
+
+
 def _parse_grid(spec: str) -> ParamGrid:
-    parts = _fields(spec)
-    if len(parts) != 3:
-        raise ValueError(f"grid must be t,a,b step counts, got {spec!r}")
-    t, a, b = (int(p) for p in parts)
-    return ParamGrid(t, a, b)
+    return ParamGrid(*_numbers(spec, int, (3,), f"grid must be t,a,b step counts, got {spec!r}"))
 
 
 def _parse_spaces(spec: str, players: int) -> tuple[StrategySpace, ...]:
@@ -382,12 +397,8 @@ def _write_text(path, head, blocks) -> None:
 
 
 def _parse_params(spec: str) -> SU2Params:
-    parts = [float(v) for v in _fields(spec)]
-    if len(parts) == 2:
-        parts.append(0.0)
-    if len(parts) != 3:
-        raise ValueError(f"opponent parameters must be theta,alpha[,beta], got {spec!r}")
-    return SU2Params(*parts)
+    message = f"opponent parameters must be theta,alpha[,beta], got {spec!r}"
+    return SU2Params(*_numbers(spec, float, (2, 3), message))
 
 
 def cmd_surface(args) -> int:
@@ -400,10 +411,9 @@ def cmd_surface(args) -> int:
     if mover not in (0, 1):
         raise ValueError("player must be 1 or 2")
     opponent = _parse_params(args.opponent)
-    parts = [int(v) for v in _fields(args.grid)]
-    if len(parts) != 2:
-        raise ValueError(f"surface grid must be theta_steps,alpha_steps, got {args.grid!r}")
-    t_steps, a_steps = parts
+    t_steps, a_steps = _numbers(
+        args.grid, int, (2,), f"surface grid must be theta_steps,alpha_steps, got {args.grid!r}"
+    )
     if t_steps < 1 or a_steps < 1:
         raise ValueError("grid steps must be positive")
     # the axes are the only arrays held whole; the rest is one block

@@ -73,13 +73,12 @@ _ROW, _COL = np.triu_indices(4)
 _ROW.setflags(write=False)
 _COL.setflags(write=False)
 
-# (theta, alpha, beta) of the quaternion units 1, iZ, iX, iY
-_UNIT_ANGLES = (
-    (0.0, 0.0, 0.0),
-    (0.0, 0.5 * math.pi, 0.0),
-    (math.pi, 0.0, 0.0),
-    (math.pi, 0.0, 1.5 * math.pi),
+# (theta, alpha, beta) of the quaternion units 1, iZ, iX, iY; read-only,
+# as every game shares them
+_UNIT_ANGLES = np.array(
+    [(0.0, 0.0, 0.0), (0.0, 0.5 * math.pi, 0.0), (math.pi, 0.0, 0.0), (math.pi, 0.0, 1.5 * math.pi)]
 )
+_UNIT_ANGLES.setflags(write=False)
 
 
 def _unit_amplitudes(n: int) -> np.ndarray:
@@ -87,7 +86,7 @@ def _unit_amplitudes(n: int) -> np.ndarray:
     quaternion units B, with each player's four units applied to its own
     qubit."""
     J = entangler(n)
-    units = np.stack([su2(SU2Params(*a)) for a in _UNIT_ANGLES])
+    units = su2(_UNIT_ANGLES)
     state = J[:, 0].reshape((2,) * n)
     for _ in range(n):
         state = np.tensordot(state, units, axes=([0], [2]))
@@ -154,9 +153,8 @@ FEATURE_BYTES = 8 * (2 + 4 + 3 * 10)
 class EwlGame:
     """Binary classical game with per-player strategy-space restrictions.
 
-    The diagonal payoff observables and the real payoff core are derived
-    once at construction; the object is immutable afterwards and safe to
-    share.
+    The real payoff core is derived once at construction; the object is
+    immutable afterwards and safe to share.
     """
 
     base: ClassicalGame
@@ -179,10 +177,8 @@ class EwlGame:
         # tensor is stored out of row-major order
         diags = self.base.payoffs.reshape(-1, n).T
         core = _payoff_core(diags)
-        diags.setflags(write=False)
         core.setflags(write=False)
         object.__setattr__(self, "spaces", spaces)
-        object.__setattr__(self, "payoff_diagonals", diags)
         object.__setattr__(self, "payoff_core", core)
 
     @property

@@ -27,7 +27,7 @@ from .linalg import (
     basis_index,
     entangler,
     permutation_operator,
-    su2_array,
+    su2,
     tensor,
 )
 
@@ -202,7 +202,7 @@ _BLOCK = 32
 # Bytes `operator_identity_suite` holds per draw: the three players'
 # angles (72), the permutation pick (8), its inverse (24) and the complex
 # state (128) for the whole run, and at the peak, while they are formed,
-# the eight unitaries (512), their stacked angles (192) and `su2_array`'s
+# the eight unitaries (512), their stacked angles (192) and `su2`'s
 # work per unitary: its cosine, sine and two phases (48) and two
 # temporaries (32).
 IDENTITY_DRAW_BYTES = 72 + 8 + 24 + 128 + 512 + 192 + 8 * (48 + 32)
@@ -266,7 +266,7 @@ def operator_identity_suite(draws: int = 200, seed: int = 7) -> IdentitySuiteRep
     theta, alpha, zero = angles[:, 0, 0], angles[:, 0, 1], np.zeros(draws)
     pair = np.array([[theta, alpha, zero], [math.pi - theta, zero, (math.pi - alpha) % TWO_PI]])
     stacked = np.concatenate([angles, FLIP.angles(angles), pair.transpose(2, 0, 1)], axis=1)
-    unitaries = su2_array(stacked)
+    unitaries = su2(stacked)
     del stacked
     u, f = unitaries[:, :3], unitaries[:, 3:6]
     two_param, reflected = unitaries[:, 6], unitaries[:, 7]

@@ -10,7 +10,6 @@ across threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -54,21 +53,10 @@ class SU2Params:
         return (self.theta, self.alpha, self.beta)
 
 
-def su2(p: SU2Params) -> np.ndarray:
-    """Unitary [[e^(ia) cos(t/2), i e^(ib) sin(t/2)],
-                [i e^(-ib) sin(t/2), e^(-ia) cos(t/2)]], det = 1."""
-    c = math.cos(p.theta / 2.0)
-    s = math.sin(p.theta / 2.0)
-    ea = cmath.exp(1j * p.alpha)
-    eb = cmath.exp(1j * p.beta)
-    return np.array(
-        [[ea * c, 1j * eb * s], [1j * eb.conjugate() * s, ea.conjugate() * c]]
-    )
-
-
-def su2_array(angles) -> np.ndarray:
+def su2(angles) -> np.ndarray:
     """(..., 3) array of (theta, alpha, beta) -> (..., 2, 2) array of the
-    `su2` unitaries, row by row."""
+    unitaries [[e^(ia) cos(t/2), i e^(ib) sin(t/2)],
+               [i e^(-ib) sin(t/2), e^(-ia) cos(t/2)]], det = 1, row by row."""
     theta, alpha, beta = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     ea, eb = np.exp(1j * alpha), np.exp(1j * beta)

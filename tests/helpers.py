@@ -3,6 +3,7 @@ independent oracles kept deliberately separate from the library code."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from itertools import permutations, product
@@ -19,7 +20,6 @@ from qgame import (
     basis_index,
     bimatrix,
     entangler,
-    su2,
     tensor,
     unrestricted_payoffs,
 )
@@ -346,7 +346,20 @@ def classical_mixed_payoffs(g: ClassicalGame, probs) -> np.ndarray:
 
 
 # Dense Kronecker/entangler construction of the EWL game, kept as the
-# independent oracle for the library's quaternion payoff core.
+# independent oracle for the library's quaternion payoff core. Its
+# unitaries come from its own scalar formula, not from `qgame.linalg.su2`.
+
+
+def su2_oracle(p: SU2Params) -> np.ndarray:
+    """Unitary [[e^(ia) cos(t/2), i e^(ib) sin(t/2)],
+                [i e^(-ib) sin(t/2), e^(-ia) cos(t/2)]] of one strategy."""
+    c = math.cos(p.theta / 2.0)
+    s = math.sin(p.theta / 2.0)
+    ea = cmath.exp(1j * p.alpha)
+    eb = cmath.exp(1j * p.beta)
+    return np.array(
+        [[ea * c, 1j * eb * s], [1j * eb.conjugate() * s, ea.conjugate() * c]]
+    )
 
 
 def final_state(params) -> np.ndarray:
@@ -355,7 +368,7 @@ def final_state(params) -> np.ndarray:
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"player count must be in [1, {MAX_QUBITS}], got {n}")
     J = entangler(n)
-    U = tensor([su2(p) for p in params])
+    U = tensor([su2_oracle(p) for p in params])
     return J.conj().T @ (U @ J[:, 0])
 
 
@@ -437,15 +450,15 @@ def identity_suite_oracle(angles, picks, psis) -> list[tuple[str, float]]:
 
     for row, pick, psi in zip(angles, picks, psis):
         ps = [SU2Params(*a) for a in row]
-        us = [su2(p) for p in ps]
-        flipped = [su2(transform_params(FLIP, p)) for p in ps]
+        us = [su2_oracle(p) for p in ps]
+        flipped = [su2_oracle(transform_params(FLIP, p)) for p in ps]
 
         errs["a"] = max(
             errs["a"],
             float(
                 np.abs(
-                    su2(SU2Params(math.pi - ps[0].theta, 0.0, math.pi - ps[0].alpha))
-                    - (-1j) * PAULI_X @ su2(SU2Params(ps[0].theta, ps[0].alpha, 0.0))
+                    su2_oracle(SU2Params(math.pi - ps[0].theta, 0.0, math.pi - ps[0].alpha))
+                    - (-1j) * PAULI_X @ su2_oracle(SU2Params(ps[0].theta, ps[0].alpha, 0.0))
                 ).max()
             ),
         )

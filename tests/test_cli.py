@@ -1043,6 +1043,21 @@ class TestParser:
         assert code == 2 and out == ""
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")],
+            ["identities", "--samples", "3"],
+        ],
+    )
+    def test_non_integer_env_seed_exit_2(self, argv, value, capsys, monkeypatch):
+        monkeypatch.setenv("QGAME_SEED", value)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: QGAME_SEED must be a non-negative integer, got {value!r}\n"
+
     def test_handler_is_looked_up_per_call(self, capsys, monkeypatch):
         cli.build_parser()
         seen = []
@@ -1065,6 +1080,27 @@ class TestParser:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"error: empty field in {argv[-1]!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["ne", "pd.game", "--grid", "17.5,33,1"], "grid must be t,a,b step counts"),
+            (["ne", "pd.game", "--grid", "a,b,c"], "grid must be t,a,b step counts"),
+            (
+                ["surface", "pd_swapped.game", "--grid", "2.5,3"],
+                "surface grid must be theta_steps,alpha_steps",
+            ),
+            (
+                ["surface", "pd_swapped.game", "--opponent", "x,1"],
+                "opponent parameters must be theta,alpha[,beta]",
+            ),
+        ],
+    )
+    def test_non_number_list_field_names_its_flag(self, argv, message, capsys):
+        code = main([argv[0], str(GAMES / argv[1]), *argv[2:]])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {message}, got {argv[-1]!r}\n"
 
     @pytest.mark.parametrize(
         "argv",

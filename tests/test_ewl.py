@@ -90,11 +90,6 @@ class TestEwlGame:
         game = EwlGame(PD)
         assert game.spaces == (StrategySpace.FULL_SU2, StrategySpace.FULL_SU2)
 
-    def test_diagonals_cached(self):
-        game = EwlGame(PD)
-        assert np.allclose(game.payoff_diagonals[0], [R, S, T, P])
-        assert not game.payoff_diagonals.flags.writeable
-
     def test_non_binary_rejected(self):
         g = ClassicalGame((("a", "b", "c"), ("x", "y")), np.zeros((3, 2, 2)))
         with pytest.raises(ValueError):
@@ -129,7 +124,8 @@ class TestFinalState:
                 for _ in range(n)
             ]
             J = entangler(n)
-            direct = J.conj().T @ tensor([su2(p) for p in params]) @ J @ basis_state(n, (0,) * n)
+            us = su2([p.as_tuple() for p in params])
+            direct = J.conj().T @ tensor(us) @ J @ basis_state(n, (0,) * n)
             assert np.abs(final_state(params) - direct).max() < 1e-12
 
     def test_normalized(self):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import basis_state, expectation, is_unitary, permutation_operator_oracle
+from helpers import (
+    basis_state,
+    expectation,
+    is_unitary,
+    permutation_operator_oracle,
+    su2_oracle,
+)
+from qgame.ewl import _UNIT_ANGLES
 from qgame.linalg import (
     ID2,
     PAULI_X,
@@ -16,7 +23,6 @@ from qgame.linalg import (
     entangler,
     permutation_operator,
     su2,
-    su2_array,
     tensor,
 )
 
@@ -53,38 +59,44 @@ class TestSU2Params:
 
 class TestSU2Matrix:
     def test_identity(self):
-        assert np.allclose(su2(SU2Params(0, 0, 0)), ID2, atol=1e-15)
+        assert np.allclose(su2((0, 0, 0)), ID2, atol=1e-15)
 
     def test_pi_is_i_sigma_x(self):
-        assert np.allclose(su2(SU2Params(math.pi, 0, 0)), 1j * PAULI_X, atol=1e-15)
+        assert np.allclose(su2((math.pi, 0, 0)), 1j * PAULI_X, atol=1e-15)
 
     def test_reflection_is_minus_i_sigma_x_times_original(self):
         # U(pi-t, 2pi-b, pi-a) = -i X U(t, a, b)
         for _ in range(100):
             p = random_params(RNG)
-            lhs = su2(SU2Params(math.pi - p.theta, TWO_PI - p.beta, math.pi - p.alpha))
-            rhs = -1j * PAULI_X @ su2(p)
+            lhs = su2(SU2Params(math.pi - p.theta, TWO_PI - p.beta, math.pi - p.alpha).as_tuple())
+            rhs = -1j * PAULI_X @ su2(p.as_tuple())
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_two_param_reflection(self):
         # beta = 0 special case of the full reflection
         for _ in range(100):
             t, a = RNG.uniform(0, math.pi), RNG.uniform(0, TWO_PI)
-            lhs = su2(SU2Params(math.pi - t, 0.0, math.pi - a))
-            rhs = -1j * PAULI_X @ su2(SU2Params(t, a, 0.0))
+            lhs = su2(SU2Params(math.pi - t, 0.0, math.pi - a).as_tuple())
+            rhs = -1j * PAULI_X @ su2((t, a, 0.0))
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_array_form_matches_su2(self):
+        # bitwise equal to the scalar formula of the dense oracle, row by
+        # row, on one row, the four quaternion units and a 2-d stack
         angles = RNG.uniform(0, 1, (40, 3)) * (math.pi, TWO_PI, TWO_PI)
-        angles[:4] = [(0, 0, 0), (math.pi, 0, 0), (0, TWO_PI / 4, 0), (math.pi, 0, 3 * math.pi / 2)]
-        stack = su2_array(angles.reshape(8, 5, 3))
+        stack = su2(angles.reshape(8, 5, 3))
         assert stack.shape == (8, 5, 2, 2)
-        for a, u in zip(angles, stack.reshape(-1, 2, 2)):
-            assert np.abs(u - su2(SU2Params(*a))).max() <= 1e-15
+        for rows, got in [
+            (angles[:1], su2(angles[0])[None]),
+            (_UNIT_ANGLES, su2(_UNIT_ANGLES)),
+            (angles, stack.reshape(-1, 2, 2)),
+        ]:
+            want = np.stack([su2_oracle(SU2Params(*a)) for a in rows])
+            assert got.tobytes() == want.tobytes()
 
     def test_unitary_and_det_one_many_draws(self):
         for _ in range(1000):
-            u = su2(random_params(RNG))
+            u = su2(random_params(RNG).as_tuple())
             assert is_unitary(u, tol=1e-12)
             assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
@@ -95,7 +107,7 @@ class TestSU2Matrix:
     )
     @settings(max_examples=50, deadline=None)
     def test_unitary_property(self, theta, alpha, beta):
-        u = su2(SU2Params(theta, alpha, beta))
+        u = su2((theta, alpha, beta))
         assert np.abs(u.conj().T @ u - ID2).max() < 1e-12
 
 
@@ -109,7 +121,7 @@ class TestTensor:
 
     def test_associativity(self):
         for _ in range(20):
-            mats = [su2(random_params(RNG)) for _ in range(3)]
+            mats = su2([random_params(RNG).as_tuple() for _ in range(3)])
             a = tensor(mats)
             b = np.kron(mats[0], tensor(mats[1:]))
             assert np.abs(a - b).max() < 1e-12
@@ -173,7 +185,7 @@ class TestPermutationOperator:
 
     def test_conjugation_reorders_factors(self):
         for perm in permutations(range(3)):
-            us = [su2(random_params(RNG)) for _ in range(3)]
+            us = su2([random_params(RNG).as_tuple() for _ in range(3)])
             S = permutation_operator(perm)
             inv = [perm.index(k) for k in range(3)]
             lhs = S @ tensor(us) @ S.conj().T
