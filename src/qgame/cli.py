@@ -196,7 +196,7 @@ def cmd_lift_verify(args) -> int:
     fa, fb = _load(args.game_a), _load(args.game_b)
     ga, gb = fa.game, fb.game
     _memory_left(
-        args.samples * verify_lift_bytes(ga.n_players),
+        verify_lift_bytes(ga.n_players, args.samples),
         f"{args.samples:,} samples of angles and payoffs",
     )
     isos = find_strong_isomorphisms(ga, gb)
@@ -348,7 +348,9 @@ def cmd_ne(args) -> int:
     # a strategy's label holds three angles; each row holds the search's
     # arrays, an index and a distinct value for each of its 2n + 1 fields
     # and, while stdout is written, for each payoff again, and a label per
-    # payoff and improvement, of one output at a time
+    # payoff and improvement, of one output at a time. The search counts
+    # the rows it holds against `max_rows`; they include rows that player
+    # 0's later best replies rule out, which it drops before it refuses
     left = _memory_left(
         grid_search_bytes(grid, game.spaces) + 3 * LABEL_BYTES * sum(dims),
         "the strategies and their labels, one block of payoff tables and mask, "

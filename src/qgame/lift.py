@@ -30,6 +30,7 @@ from .linalg import (
     su2,
     tensor,
 )
+from .search import BLOCK_BYTES
 
 LIFT_TOL = 1e-10
 IDENTITY_TOL = 1e-12
@@ -128,6 +129,9 @@ def verify_lift(
     transform maps column i to column eta(i) of the image profiles. The
     check passes when the worst payoff deviation stays within LIFT_TOL
     and no transformed strategy escapes g2's declared spaces.
+
+    Only the drawn columns are held for every sample; the profiles are
+    formed, mapped and evaluated `_sample_block(n)` samples at a time.
     """
     n = g.n_players
     if g2.n_players != n or len(lm.eta) != n:
@@ -143,30 +147,54 @@ def verify_lift(
         ]
     )
     drawn = box > 0.0
-    rng = np.random.default_rng(seed)
-    angles = np.zeros((samples, 3 * n))
-    angles[:, drawn] = rng.random((samples, int(drawn.sum()))) * box[drawn]
-    angles = angles.reshape(samples, n, 3)
-    angles[..., 1:] %= TWO_PI
-    mapped = np.empty_like(angles)
-    for i, t in enumerate(lm.transforms):
-        mapped[:, lm.eta[i]] = t.angles(angles[:, i])
-    escapes = tuple(
-        k
-        for k, s in enumerate(g2.spaces)
-        if (s.alpha_frozen and mapped[:, k, 1].any()) or (s.beta_frozen and mapped[:, k, 2].any())
-    )
-    devs = _angle_payoffs(g, angles) - _angle_payoffs(g2, mapped)[:, list(lm.eta)]
-    max_dev = float(np.abs(devs).max())
+    drawn_angles = np.random.default_rng(seed).random((samples, int(drawn.sum())))
+    drawn_angles *= box[drawn]
+    escapes, max_dev = set(), 0.0
+    step = _sample_block(n)
+    for start in range(0, samples, step):
+        block = drawn_angles[start : start + step]
+        angles = np.zeros((len(block), 3 * n))
+        angles[:, drawn] = block
+        angles = angles.reshape(-1, n, 3)
+        angles[..., 1:] %= TWO_PI
+        payoffs = _angle_payoffs(g, angles)
+        mapped = np.empty_like(angles)
+        for i, t in enumerate(lm.transforms):
+            mapped[:, lm.eta[i]] = t.angles(angles[:, i])
+        del angles
+        escapes.update(
+            k
+            for k, s in enumerate(g2.spaces)
+            if (s.alpha_frozen and mapped[:, k, 1].any()) or (s.beta_frozen and mapped[:, k, 2].any())
+        )
+        devs = payoffs - _angle_payoffs(g2, mapped)[:, list(lm.eta)]
+        max_dev = max(max_dev, float(np.abs(devs).max()))
+    escapes = tuple(sorted(escapes))
     passed = not escapes and max_dev <= LIFT_TOL
     return LiftReport(passed, max_dev, escapes, samples, seed, LIFT_TOL)
 
 
-def verify_lift_bytes(players: int) -> int:
-    """Bytes `verify_lift` holds per sample: the drawn and the mapped
-    (n, 3) angle rows, one game's n payoffs and the other game's payoff
+def _block_sample_bytes(players: int) -> int:
+    """Bytes `verify_lift` holds per sample of a block: its (n, 3) angle
+    rows or their image, one game's n payoffs and the other game's payoff
     evaluation (`payoff_bytes`)."""
-    return 24 * players * 2 + 8 * players + payoff_bytes(players)
+    return 24 * players + 8 * players + payoff_bytes(players)
+
+
+def _sample_block(players: int) -> int:
+    """Samples `verify_lift` forms, maps and evaluates at once: as many as
+    keep a block within `BLOCK_BYTES`, at least one."""
+    return max(1, BLOCK_BYTES // _block_sample_bytes(players))
+
+
+def verify_lift_bytes(players: int, samples: int) -> int:
+    """Bytes `verify_lift` holds for `samples` samples: every sample's
+    drawn angles (24n bytes at most) and one block of
+    `_block_sample_bytes` per sample. A run of one block counts the drawn
+    and the mapped (n, 3) angle rows, one game's n payoffs and the other
+    game's payoff evaluation per sample."""
+    block = min(samples, _sample_block(players))
+    return 24 * players * samples + block * _block_sample_bytes(players)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,12 @@
 
 The search is evidence at grid resolution: a profile qualifies when no
 single player can improve by more than eps using another grid point.
-The analytic best reply and the deviation witness for the column-swapped
-prisoner's dilemma are the exact counterparts.
+It goes candidate-first in one pass over blocks of player 0's
+strategies: player 0's payoff table rules out most rows before the
+other players' tables are contracted, and one filter at the end, against
+player 0's finished best replies, leaves the rows. The analytic best
+reply and the deviation witness for the column-swapped prisoner's
+dilemma are the exact counterparts.
 """
 
 from __future__ import annotations
@@ -142,7 +146,11 @@ def _operands(game: EwlGame, angles) -> tuple[np.ndarray, list[np.ndarray]]:
     payoff core on the columns they keep."""
     formed = {id(a): _kept_features(a) for a in {id(a): a for a in angles}.values()}
     kept = [formed[id(a)] for a in angles]
-    core = game.payoff_core[np.ix_(range(game.n_players), *(keep for _, keep in kept))]
+    # one axis at a time: a gather per axis costs about half of one
+    # np.ix_ gather over all of them
+    core = game.payoff_core
+    for k, (_, keep) in enumerate(kept, 1):
+        core = core.take(keep, axis=k)
     return core, [f for f, _ in kept]
 
 
@@ -169,8 +177,8 @@ def _tables(core: np.ndarray, feats, order, buffer: np.ndarray) -> list[np.ndarr
         rows = out.reshape(-1, out.shape[-1])
         into = None
         if k == order[-1]:
-            into = buffer[: len(rows) * len(feats[k])].reshape(len(rows), -1)
-        out = np.dot(rows, feats[k].T, out=into).reshape(*out.shape[:-1], -1)
+            into = buffer[: len(rows) * len(feats[k])].reshape(len(rows), len(feats[k]))
+        out = np.dot(rows, feats[k].T, out=into).reshape(*out.shape[:-1], len(feats[k]))
     out = out.transpose([0] + [1 + order.index(k) for k in range(n)])
     return list(np.ascontiguousarray(out))
 
@@ -184,12 +192,14 @@ def _block_strategies(dims, tables: int) -> int:
 
 def grid_table_bytes(dims) -> int:
     """Bytes of the payoff tables and masks of a search over `dims[i]`
-    strategies for player i: the tables buffer, as large as the larger of
-    a first-pass block's player-0 table and a block's payoff tables, and
-    a block's two bool masks."""
+    strategies for player i: the tables buffer, which holds a block's
+    payoff tables of every player, and a block's bool masks, two for a
+    search of one block and three for a blocked one (player 0's
+    candidates, the mask of their rows and the working mask of each
+    other player's test)."""
     n, rest = len(dims), math.prod(dims[1:])
-    first, step = _block_strategies(dims, 1), _block_strategies(dims, n)
-    return 8 * max(first, n * step) * rest + 2 * step * rest
+    step = _block_strategies(dims, n)
+    return (8 * n + 2 + (step < dims[0])) * step * rest
 
 
 def grid_search_bytes(grid: ParamGrid, spaces) -> int:
@@ -199,26 +209,48 @@ def grid_search_bytes(grid: ParamGrid, spaces) -> int:
     the larger of two phases that never overlap: forming one grid's
     features (its whole features, 80 bytes a strategy, and FEATURE_BYTES
     for each of `_feature_chunk()` strategies at a time), and the search
-    (`grid_table_bytes`: the tables buffer and a block's two masks, up
-    to three arrays the size of a block's tables or of the payoff core
-    while the next block is contracted, and every player's best replies,
-    8 * prod(dims) / dims[i] bytes each)."""
+    (`grid_table_bytes`: the tables buffer and a block's masks; in a
+    blocked search, the features of a block's candidate rows and their
+    two index arrays, 96 bytes a row; up to three arrays the size of a
+    block's tables or of the payoff core while the next block is
+    contracted; and every player's best replies, 8 * prod(dims) / dims[i]
+    bytes each)."""
     dims = [grid.size(s) for s in spaces]
     sizes = [grid.size(s) for s in dict.fromkeys(spaces)]
     n, total, rest = len(dims), math.prod(dims), math.prod(dims[1:])
     forming = 80 * max(sizes) + FEATURE_BYTES * min(max(sizes), _feature_chunk())
     step = _block_strategies(dims, n)
+    candidates = 96 * step * (step < dims[0])
     contraction = 3 * 8 * n * max(10**n, step * rest)
     replies = sum(8 * (total // m) for m in dims)
-    search = grid_table_bytes(dims) + contraction + replies
+    search = grid_table_bytes(dims) + candidates + contraction + replies
     return (24 + 80) * sum(sizes) + max(forming, search)
 
 
 def grid_row_bytes(players: int) -> int:
-    """Bytes `grid_equilibria` holds per equilibrium row: the index,
-    payoffs and eps arrays (16n + 8 bytes), twice, since the block
-    pieces and their join exist together."""
+    """Bytes `grid_equilibria` holds per row it holds, at most: a row is
+    its flat profile index, payoffs and the other players' improvement
+    (8n + 16 bytes), held twice while the block pieces are joined or
+    filtered, and at the end a row also has its grid index (16n bytes
+    while it is formed)."""
     return 2 * (16 * players + 8)
+
+
+def _allowed(held, best0: np.ndarray, eps: float, rest: int) -> np.ndarray:
+    """Join each of the `held` lists of row pieces (flat profile index,
+    payoffs and the other players' improvement) into one piece, less the
+    rows whose player-0 payoff falls more than eps below `best0`. Returns
+    `best0` at the rows kept."""
+    joined = [np.concatenate(pieces) for pieces in held]
+    for pieces in held:
+        pieces.clear()
+    best = best0.reshape(-1)[joined[0] % rest]
+    # `take` on the row numbers: a bool mask over the rows of the 2-d
+    # payoffs costs about 15x more
+    keep = np.flatnonzero(joined[1][:, 0] >= best - eps)
+    for pieces in held:
+        pieces.append(joined.pop(0).take(keep, axis=0))
+    return best[keep]
 
 
 def grid_equilibria(
@@ -232,9 +264,14 @@ def grid_equilibria(
     The search holds one block of payoff tables at a time, a run of
     player 0's strategies taken whole for the other players. A grid that
     fits one block takes its tables from `grid_payoff_tables`. Otherwise
-    a first pass keeps player 0's best replies, block by block, and a
-    second pass finds each block's rows. A search that would hold more
-    than `max_rows` rows raises ValueError before it gathers them.
+    each block contracts player 0's table alone, raises player 0's
+    running best replies and marks its candidates against them; only the
+    block's player-0 strategies that hold a candidate get the other
+    players' tables. The running best replies only rise, so the rows held
+    this way include every row, and one filter against the finished best
+    replies leaves exactly the rows. A search that would hold more than
+    `max_rows` rows, once the rows that the running best replies rule out
+    are dropped, raises ValueError before it gathers them.
     """
     n = game.n_players
     # players on the same space share one read-only angle array, and so
@@ -247,58 +284,78 @@ def grid_equilibria(
     step, rest = _block_strategies(dims, n), math.prod(dims[1:])
     if step == dims[0]:
         tables = grid_payoff_tables(game, angles)
-        best0 = tables[0].max(axis=0, keepdims=True)
-        blocks = [(0, tables)]
+        blocks = [(0, tables[0], tables[1:])]
+        masks = np.empty((2, tables[0].size), dtype=bool)
     else:
         core, feats = _operands(game, angles)
         order = _contraction_order(dims)
-        # player 0's table alone fits n times the strategies in a block
-        first = _block_strategies(dims, 1)
-        # every block of both passes is contracted into this one buffer;
-        # a block's tables are used up before the next is contracted
-        buffer = np.empty(max(first, n * step) * rest)
+        # every block is contracted into this one buffer: player 0's table
+        # at the front, the other players' tables on its candidate rows
+        # behind it; a block's tables are used up before the next is
+        # contracted
+        buffer = np.empty(n * step * rest)
+        masks = np.empty((3, step * rest), dtype=bool)
 
-        def block(start, count, players):
-            block_feats = [feats[0][start : start + count], *feats[1:]]
-            return _tables(core[:players], block_feats, order, buffer)
+        def player0(start):
+            block_feats = [feats[0][start : start + step], *feats[1:]]
+            return _tables(core[:1], block_feats, order, buffer)[0]
 
-        best0 = np.full([1, *dims[1:]], -np.inf)
-        for start in range(0, dims[0], first):
-            np.maximum(best0, block(start, first, 1)[0].max(axis=0, keepdims=True), out=best0)
-        blocks = ((start, block(start, step, n)) for start in range(0, dims[0], step))
-    # empty pieces give a search without rows arrays of the right shapes
-    index, payoffs, improvements = [np.empty((0, n), np.intp)], [np.empty((0, n))], [np.empty(0)]
-    rows = 0
-    masks = np.empty((2, step * rest), dtype=bool)
-    for start, tables in blocks:
-        shape = tables[0].shape
-        bests = [best0] + [t.max(axis=i, keepdims=True) for i, t in enumerate(tables) if i]
-        mask, holds = (m[: tables[0].size].reshape(shape) for m in masks)
-        np.greater_equal(tables[0], best0 - eps, out=mask)
-        for t, b in zip(tables[1:], bests[1:]):
+        blocks = ((start, player0(start), None) for start in range(0, dims[0], step))
+    best0 = np.full([1, *dims[1:]], -np.inf)
+    # the rows held so far, as pieces of flat profile indices, payoffs and
+    # the other players' improvement; empty pieces give a search without
+    # rows arrays of the right shapes
+    held = [[np.empty(0, np.intp)], [np.empty((0, n))], [np.empty(0)]]
+    count = 0
+    for start, t0, others in blocks:
+        np.maximum(best0, t0.max(axis=0, keepdims=True), out=best0)
+        mask = masks[0][: t0.size].reshape(t0.shape)
+        np.greater_equal(t0, best0 - eps, out=mask)
+        live = np.arange(len(t0))
+        if others is None:
+            # the block's player-0 strategies that hold a candidate
+            live = np.flatnonzero(mask.reshape(len(t0), -1).any(axis=1))
+            if not len(live):
+                continue
+            live_feats = [feats[0][start + live], *feats[1:]]
+            others = _tables(core[1:], live_feats, order, buffer[t0.size :])
+            if len(live) < len(t0):
+                into = masks[1][: len(live) * rest].reshape(len(live), *t0.shape[1:])
+                mask = np.take(mask, live, axis=0, out=into)
+        holds = masks[-1][: mask.size].reshape(mask.shape)
+        bests = [t.max(axis=i, keepdims=True) for i, t in enumerate(others, 1)]
+        for t, b in zip(others, bests):
             mask &= np.greater_equal(t, b - eps, out=holds)
         # flat indices: np.nonzero on the n-d mask costs about 12x more
         flat = np.flatnonzero(mask)
         if not len(flat):
             continue
-        rows += len(flat)
-        if max_rows is not None and rows > max_rows:
-            searched, total = (start + shape[0]) * rest, math.prod(dims)
-            raise ValueError(
-                f"more than {max_rows:,} equilibrium rows: {rows:,} in the first "
-                f"{searched:,} of {total:,} profiles, about {rows * total / searched:,.0f} "
-                f"rows in all at that rate"
-            )
-        idx = np.unravel_index(flat, shape)
-        pays = np.stack([t.reshape(-1)[flat] for t in tables], axis=1)
-        best = np.stack([np.broadcast_to(b, shape)[idx] for b in bests])
-        improvements.append(np.max(best - pays.T, axis=0))
-        idx[0][:] += start
-        index.append(np.stack(idx, axis=1))
-        payoffs.append(pays)
-    return GridEquilibria(
-        angles, np.concatenate(index), np.concatenate(improvements), np.concatenate(payoffs)
-    )
+        idx = np.unravel_index(flat, mask.shape)
+        # the rows' flat indices into the block's player-0 table
+        profiles = flat + (live[idx[0]] - idx[0]) * rest
+        pays = np.stack([t0.reshape(-1)[profiles], *(t.reshape(-1)[flat] for t in others)], axis=1)
+        gaps = np.full(len(flat), -np.inf)
+        for i, b in enumerate(bests, 1):
+            np.maximum(gaps, np.broadcast_to(b, mask.shape)[idx] - pays[:, i], out=gaps)
+        profiles += start * rest
+        for pieces, rows in zip(held, (profiles, pays, gaps)):
+            pieces.append(rows)
+        count += len(flat)
+        if max_rows is not None and count > max_rows:
+            count = len(_allowed(held, best0, eps, rest))
+            if count > max_rows:
+                searched, total = (start + len(t0)) * rest, math.prod(dims)
+                raise ValueError(
+                    f"more than {max_rows:,} equilibrium rows: {count:,} in the first "
+                    f"{searched:,} of {total:,} profiles, about "
+                    f"{count * total / searched:,.0f} rows in all at that rate"
+                )
+    best = _allowed(held, best0, eps, rest)
+    profiles, payoffs, improvements = (pieces.pop() for pieces in held)
+    # player 0's improvement, then the other players'
+    np.maximum(best - payoffs[:, 0], improvements, out=improvements)
+    index = np.stack(np.unravel_index(profiles, dims), axis=1)
+    return GridEquilibria(angles, index, improvements, payoffs)
 
 
 def grid_pure_ne(

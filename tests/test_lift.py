@@ -2,6 +2,8 @@ import importlib
 import math
 import tracemalloc
 import types
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +41,15 @@ from qgame import (
     unrestricted_payoffs,
     verify_lift,
 )
-from qgame.lift import IDENTITY_DRAW_BYTES, LIFT_TOL, _identity_draws, lift, verify_lift_bytes
+from qgame.lift import (
+    IDENTITY_DRAW_BYTES,
+    LIFT_TOL,
+    _block_sample_bytes,
+    _identity_draws,
+    _sample_block,
+    lift,
+    verify_lift_bytes,
+)
 from qgame.linalg import PAULI_X, TWO_PI
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
@@ -263,11 +273,14 @@ class TestVerifyLift:
         st.booleans(),
         st.integers(1, 60),
         st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 1, 7]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_report_equals_the_per_profile_oracle(self, data, n, image, samples, seed):
+    def test_report_equals_the_per_profile_oracle(self, data, n, image, samples, seed, block):
         # mixed spaces on both sides make escapes common; images of the
-        # classical game give deviations near 1e-15, other pairs large ones
+        # classical game give deviations near 1e-15, other pairs large ones;
+        # `block` samples at a time, or as many as fit in BLOCK_BYTES. A
+        # block of another size may round the payoffs differently
         rng = np.random.default_rng(seed)
         g = random_game(rng, (2,) * n)
         if image:
@@ -282,8 +295,16 @@ class TestVerifyLift:
             lm = LiftedMapping(eta, tuple(data.draw(transforms) for _ in range(n)))
         spaces = st.lists(st.sampled_from(list(StrategySpace)), min_size=n, max_size=n)
         qa, qb = EwlGame(g, data.draw(spaces)), EwlGame(g2, data.draw(spaces))
-        report = verify_lift(lm, qa, qb, samples=samples, seed=seed)
-        assert report == verify_lift_oracle(lm, qa, qb, samples, seed, LIFT_TOL)
+        lift_module = importlib.import_module("qgame.lift")
+        block_bytes = lift_module.BLOCK_BYTES if block is None else block * _block_sample_bytes(n)
+        with mock.patch.object(lift_module, "BLOCK_BYTES", block_bytes):
+            report = verify_lift(lm, qa, qb, samples=samples, seed=seed)
+        want = verify_lift_oracle(lm, qa, qb, samples, seed, LIFT_TOL)
+        if block is None:
+            assert report == want
+        else:
+            assert abs(report.max_deviation - want.max_deviation) <= 1e-12
+            assert replace(report, max_deviation=want.max_deviation) == want
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sample_count_below_one_rejected(self, samples):
@@ -325,9 +346,31 @@ class TestVerifyLift:
         g = random_game(rng, (2,) * n)
         f = random_mapping(rng, (2,) * n)
         qa, qb, lm = EwlGame(g), EwlGame(image_game(f, g)), lift(f, g)
-        need = 4000 * verify_lift_bytes(n)
+        need = verify_lift_bytes(n, 4000)
         peak = traced_peak(lambda: verify_lift(lm, qa, qb, samples=4000))
         assert 0.6 * need < peak <= need + (256 << 10)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_peak_of_many_samples_stays_within_one_block(self, n):
+        # every sample at once held 2.1-3.0 KB each at 3-4 players; in
+        # blocks, the drawn angles are all that grows with the samples
+        rng = np.random.default_rng(n)
+        g = random_game(rng, (2,) * n)
+        f = random_mapping(rng, (2,) * n)
+        qa, qb, lm = EwlGame(g), EwlGame(image_game(f, g)), lift(f, g)
+        samples = 20000
+        assert _sample_block(n) < samples
+        need = verify_lift_bytes(n, samples)
+        assert need == 24 * n * samples + _sample_block(n) * _block_sample_bytes(n) < samples * 200
+        peak = traced_peak(lambda: verify_lift(lm, qa, qb, samples=samples))
+        assert 0.6 * need < peak <= need + (256 << 10)
+        # the report of one block of every sample, but for rounding
+        lift_module = importlib.import_module("qgame.lift")
+        with mock.patch.object(lift_module, "BLOCK_BYTES", samples * _block_sample_bytes(n)):
+            whole = verify_lift(lm, qa, qb, samples=samples)
+        report = verify_lift(lm, qa, qb, samples=samples)
+        assert report.passed and abs(report.max_deviation - whole.max_deviation) <= 1e-12
+        assert replace(report, max_deviation=whole.max_deviation) == whole
 
 
 class TestOperatorIdentitySuite:

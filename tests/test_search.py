@@ -182,6 +182,24 @@ def blocks_of(dims, count) -> int:
     return 1
 
 
+def held_rows(game, grid, eps, step):
+    """(end, held, unpruned) for each block of `step` player-0 strategies,
+    from the whole payoff tables: the block's end, the rows a search holds
+    after it once player 0's running best replies have dropped what they
+    rule out, and the rows it holds if it drops none."""
+    tables = grid_payoff_tables(game, [grid.angles(s) for s in game.spaces])
+    others = np.ones(tables[0].shape, dtype=bool)
+    for i, t in enumerate(tables[1:], 1):
+        others &= t >= t.max(axis=i, keepdims=True) - eps
+    m, unpruned, out = len(tables[0]), 0, []
+    for start in range(0, m, step):
+        end = min(start + step, m)
+        passes = others[:end] & (tables[0][:end] >= tables[0][:end].max(axis=0) - eps)
+        unpruned += int(passes[start:end].sum())
+        out.append((end, int(passes.sum()), unpruned))
+    return out
+
+
 class TestBlockedSearch:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -235,10 +253,10 @@ class TestBlockedSearch:
     @pytest.mark.parametrize("spaces", [(StrategySpace.FULL_SU2, D), (D, StrategySpace.FULL_SU2)])
     def test_blocks_share_one_tables_buffer(self, spaces):
         game, grid, dims = random_search(3, spaces, (5, 5, 3))
-        buffers = []
+        calls = []
 
-        def tables(core, feats, order, buffer=None):
-            buffers.append(buffer)
+        def tables(core, feats, order, buffer):
+            calls.append((len(core), len(feats[0]), buffer))
             return _tables(core, feats, order, buffer)
 
         _tables = search._tables
@@ -246,14 +264,28 @@ class TestBlockedSearch:
             mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, 2)),
             mock.patch.object(search, "_tables", tables),
         ):
-            found = grid_equilibria(game, grid, 2.0)
+            found = grid_equilibria(game, grid, 0.5)
             step = search._block_strategies(dims, 2)
             table_bytes = grid_table_bytes(dims)
-        # every block of both passes, out of one buffer that the count holds
-        assert len(buffers) == -(-dims[0] // step) + -(-dims[0] // (2 * step))
-        assert all(b is buffers[0] for b in buffers)
-        assert table_bytes == buffers[0].nbytes + 2 * step * math.prod(dims[1:])
-        want = grid_equilibria_oracle(game, grid, 2.0)
+        # per block, player 0's table, then the other player's table on
+        # the block's rows that hold a candidate for player 0
+        t0 = grid_payoff_tables(game, [grid.angles(s) for s in spaces])[0]
+        want = []
+        for start in range(0, dims[0], step):
+            block = t0[start : start + step]
+            live = int((block >= t0[: start + step].max(axis=0) - 0.5).any(axis=1).sum())
+            want += [(1, len(block))] + [(1, live)] * (live > 0)
+        assert [(p, k) for p, k, _ in calls] == want
+        # two blocks, and the second has strategies without a candidate
+        assert len(want) == 4 and 0 < want[-1][1] < step
+        # one buffer that the count holds: player 0's table at its front,
+        # the other player's tables behind it
+        buffer, rest = calls[0][2], math.prod(dims[1:])
+        assert all(b is buffer for _, _, b in calls[::2])
+        behind = len(buffer) - step * rest
+        assert all(b.base is buffer and len(b) == behind for _, _, b in calls[1::2])
+        assert table_bytes == buffer.nbytes + 3 * step * rest
+        want = grid_equilibria_oracle(game, grid, 0.5)
         assert found.index.tobytes() == want.index.tobytes()
 
     @pytest.mark.parametrize("blocks", [1, 2, "many"])
@@ -261,20 +293,58 @@ class TestBlockedSearch:
         game, grid, dims = random_search(3, (D, StrategySpace.FULL_SU2), (5, 5, 3))
         rest, total = math.prod(dims[1:]), math.prod(dims)
         with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)):
-            first = grid_equilibria(game, grid, 2.0).index[:, 0]
-            limit = len(first) // 2
-            # the search stops at the end of the first block whose rows pass
-            # the limit
+            limit = len(grid_equilibria(game, grid, 2.0).eps) // 2
+            # the search stops at the end of the first block after which it
+            # holds more rows than the limit, once player 0's running best
+            # replies have dropped the rows they rule out
             step = search._block_strategies(dims, 2)
-            ends = [min(e, dims[0]) for e in range(step, dims[0] + step, step)]
-            end = next(e for e in ends if (first < e).sum() > limit)
-            rows = int((first < end).sum())
+            end, rows = next((e, h) for e, h, _ in held_rows(game, grid, 2.0, step) if h > limit)
             with pytest.raises(ValueError) as err:
                 grid_equilibria(game, grid, 2.0, max_rows=limit)
         assert str(err.value) == (
             f"more than {limit:,} equilibrium rows: {rows:,} in the first {end * rest:,} of "
             f"{total:,} profiles, about {rows * total / (end * rest):,.0f} rows in all at that rate"
         )
+
+    @pytest.mark.parametrize("blocks", [2, "many"])
+    @pytest.mark.parametrize(
+        "spaces,steps", [((D, StrategySpace.FULL_SU2), (5, 5, 3)), ((ONE,) * 3, (9, 1, 1))]
+    )
+    def test_later_blocks_drop_held_rows(self, spaces, steps, blocks):
+        # player 0's best replies rise in a later block, so some rows held
+        # after an earlier one are not rows
+        game, grid, dims = random_search(2, spaces, steps)
+        with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)):
+            step = search._block_strategies(dims, len(dims))
+            found = grid_equilibria(game, grid, 0.5)
+        _, held, unpruned = held_rows(game, grid, 0.5, step)[-1]
+        assert unpruned > held == len(found.eps) > 0
+        want = grid_equilibria_oracle(game, grid, 0.5)
+        assert found.index.tobytes() == want.index.tobytes()
+        assert np.abs(found.payoffs - want.payoffs).max() <= PAYOFF_TOL
+        assert np.abs(found.eps - want.eps).max() <= PAYOFF_TOL
+
+    def test_row_limit_at_the_row_count_drops_held_rows_mid_search(self):
+        game, grid, dims = random_search(2, (D, StrategySpace.FULL_SU2), (5, 5, 3))
+        held = []
+        allowed = search._allowed
+
+        def count_held(pieces, *args):
+            held.append(sum(map(len, pieces[0])))
+            return allowed(pieces, *args)
+
+        with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, "many")):
+            found = grid_equilibria(game, grid, 0.5)
+            k = len(found.eps)
+            with mock.patch.object(search, "_allowed", count_held):
+                again = grid_equilibria(game, grid, 0.5, max_rows=k)
+            with pytest.raises(ValueError, match=f"more than {k - 1:,} equilibrium rows"):
+                grid_equilibria(game, grid, 0.5, max_rows=k - 1)
+        # the search held more than k rows before its last block, and
+        # dropped the rows player 0's running best replies ruled out
+        assert len(held) > 1 and held[0] > k
+        for name in ("index", "eps", "payoffs"):
+            assert getattr(again, name).tobytes() == getattr(found, name).tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, 3640])
     def test_features_formed_in_chunks_equal_one_pass(self, chunk):
@@ -299,12 +369,13 @@ class TestBlockedSearch:
         grid = ParamGrid(3, 4, 1)
         assert grid_search_bytes(grid, (D, D)) == 104 * 9 + 18 * 81 + 3 * 1600 + 8 * (9 + 9)
         # 17,408 full-space strategies each, one grid: blocks of 3 strategies
-        # of player 0, whose tables outgrow the core, in a buffer that also
-        # holds the first pass's player-0 table of 7 strategies
+        # of player 0, whose tables outgrow the core, in a buffer of both
+        # players' tables; three masks, and the features and two index
+        # arrays of up to 3 candidate rows, 96 bytes each
         m = 17 * 32 * 32
         full = (StrategySpace.FULL_SU2,) * 2
         grid = ParamGrid(17, 33, 33)
-        tables = 8 * 7 * m + 2 * 3 * m
+        tables = 8 * 2 * 3 * m + 3 * 3 * m + 96 * 3
         assert grid_search_bytes(grid, full) == 104 * m + tables + 3 * 16 * 3 * m + 16 * m
         # 2 one-parameter strategies against 39,762 full-space ones:
         # forming the larger grid's features, 3,640 strategies at a time,
