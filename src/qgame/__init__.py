@@ -6,7 +6,6 @@ from .games import (
     GameMapping,
     MixedProfile2x2,
     apply_mapping,
-    bimatrix,
     equilibrium_transport_check,
     find_strong_isomorphisms,
     image_game,
@@ -43,10 +42,8 @@ from .search import (
     EpsEquilibrium,
     GridEquilibria,
     ParamGrid,
-    best_reply_two_param,
     grid_equilibria,
     grid_pure_ne,
-    witness_deviation,
 )
 from .gamefile import (
     GameFile,

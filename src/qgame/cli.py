@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ewl import EwlGame, StrategySpace, parse_space
+from .ewl import EwlGame, StrategySpace, checked_spaces, game_bytes, parse_space
 from .games import (
     GameMapping,
     find_strong_isomorphisms,
@@ -32,7 +32,7 @@ from .lift import (
     verify_lift,
     verify_lift_bytes,
 )
-from .linalg import TWO_PI, SU2Params
+from .linalg import MAX_QUBITS, TWO_PI, SU2Params
 from .search import (
     ParamGrid,
     grid_equilibria,
@@ -195,8 +195,12 @@ def cmd_lift_verify(args) -> int:
     )
     fa, fb = _load(args.game_a), _load(args.game_b)
     ga, gb = fa.game, fb.game
+    # the samples and the two games, which are built once a mapping is
+    # found; a game of more than MAX_QUBITS players is refused before its
+    # payoff core is built
+    games = 2 * game_bytes(min(ga.n_players, MAX_QUBITS))
     _memory_left(
-        verify_lift_bytes(ga.n_players, args.samples),
+        games + verify_lift_bytes(ga.n_players, args.samples),
         f"{args.samples:,} samples of angles and payoffs",
     )
     isos = find_strong_isomorphisms(ga, gb)
@@ -338,24 +342,26 @@ def cmd_ne(args) -> int:
     )
     gf = _load(args.game)
     g = gf.game
+    n = g.n_players
     spaces = gf.spaces
     if args.spaces:
-        spaces = _parse_spaces(args.spaces, g.n_players)
-    game = EwlGame(g, spaces)
+        spaces = _parse_spaces(args.spaces, n)
+    spaces = checked_spaces(g, spaces)
     grid = _parse_grid(args.grid)
-    dims = [grid.size(s) for s in game.spaces]
-    n = g.n_players
-    # a strategy's label holds three angles; each row holds the search's
+    dims = [grid.size(s) for s in spaces]
+    # the check counts the game, which is built only once it passes; a
+    # strategy's label holds three angles; each row holds the search's
     # arrays, an index and a distinct value for each of its 2n + 1 fields
     # and, while stdout is written, for each payoff again, and a label per
     # payoff and improvement, of one output at a time. The search counts
     # the rows it holds against `max_rows`; they include rows that player
     # 0's later best replies rule out, which it drops before it refuses
     left = _memory_left(
-        grid_search_bytes(grid, game.spaces) + 3 * LABEL_BYTES * sum(dims),
+        game_bytes(n) + grid_search_bytes(grid, spaces) + 3 * LABEL_BYTES * sum(dims),
         "the strategies and their labels, one block of payoff tables and mask, "
         "and the best replies",
     )
+    game = EwlGame(g, spaces)
     row_bytes = grid_row_bytes(n) + 16 * (3 * n + 1) + LABEL_BYTES * (n + 1)
     found = grid_equilibria(game, grid, eps=args.eps, max_rows=left // row_bytes)
     count = len(found.eps)
@@ -408,7 +414,6 @@ def cmd_surface(args) -> int:
     g = gf.game
     if g.n_players != 2:
         raise ValueError("surface needs a 2-player game")
-    game = EwlGame(g)
     mover = args.player - 1
     if mover not in (0, 1):
         raise ValueError("player must be 1 or 2")
@@ -420,6 +425,7 @@ def cmd_surface(args) -> int:
         raise ValueError("grid steps must be positive")
     # the axes are the only arrays held whole; the rest is one block
     _memory_left(8 * t_steps + 16 * a_steps, "the theta and alpha axes")
+    game = EwlGame(g)
     # unlike ParamGrid, the alpha axis keeps its 2pi endpoint (printed as 0)
     thetas = np.linspace(0.0, math.pi, t_steps)
     alphas = np.linspace(0.0, TWO_PI, a_steps) % TWO_PI

@@ -149,6 +149,22 @@ def strategy_features(angles) -> np.ndarray:
 FEATURE_BYTES = 8 * (2 + 4 + 3 * 10)
 
 
+def checked_spaces(base: ClassicalGame, spaces=None) -> tuple[StrategySpace, ...]:
+    """The strategy spaces of an `EwlGame` of `base`, found without its
+    payoff core: `spaces` as a tuple, or full SU(2) for every player when
+    None. Raises ValueError unless `base` is a binary game of at most
+    MAX_QUBITS players and there is one space per player."""
+    n = base.n_players
+    if any(m != 2 for m in base.shape):
+        raise ValueError("EWL quantization needs a binary game")
+    if n > MAX_QUBITS:
+        raise ValueError(f"at most {MAX_QUBITS} players supported")
+    spaces = (StrategySpace.FULL_SU2,) * n if spaces is None else tuple(spaces)
+    if len(spaces) != n:
+        raise ValueError("need one strategy space per player")
+    return spaces
+
+
 @dataclass(frozen=True, eq=False)
 class EwlGame:
     """Binary classical game with per-player strategy-space restrictions.
@@ -162,16 +178,7 @@ class EwlGame:
 
     def __post_init__(self):
         n = self.base.n_players
-        if any(m != 2 for m in self.base.shape):
-            raise ValueError("EWL quantization needs a binary game")
-        if n > MAX_QUBITS:
-            raise ValueError(f"at most {MAX_QUBITS} players supported")
-        spaces = self.spaces
-        if spaces is None:
-            spaces = (StrategySpace.FULL_SU2,) * n
-        spaces = tuple(spaces)
-        if len(spaces) != n:
-            raise ValueError("need one strategy space per player")
+        spaces = checked_spaces(self.base, self.spaces)
         # the row-major payoff tensor is in ket order, so player i's column
         # is the diagonal of their payoff observable; a view unless the
         # tensor is stored out of row-major order
@@ -184,6 +191,13 @@ class EwlGame:
     @property
     def n_players(self) -> int:
         return self.base.n_players
+
+
+def game_bytes(players: int) -> int:
+    """Bytes counted for building an `EwlGame` of `players` players: twice
+    its payoff core of n * 10^n float64, the core and the terms and rows
+    it is summed from."""
+    return 16 * players * 10**players
 
 
 def payoff_bytes(players: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,17 +58,6 @@ class ClassicalGame:
     def shape(self) -> tuple[int, ...]:
         return self.payoffs.shape[:-1]
 
-    def payoff(self, profile: Sequence[int]) -> np.ndarray:
-        """Payoff vector at a strategy-index profile."""
-        return self.payoffs[tuple(profile)]
-
-    def profiles(self) -> Iterable[StrategyProfile]:
-        """All strategy profiles in row-major order."""
-        return product(*(range(m) for m in self.shape))
-
-    def label_profile(self, profile: Sequence[int]) -> tuple[str, ...]:
-        return tuple(self.labels[i][j] for i, j in enumerate(profile))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassicalGame):
             return NotImplemented
@@ -76,15 +65,6 @@ class ClassicalGame:
 
     def __repr__(self) -> str:
         return f"ClassicalGame(players={self.n_players}, shape={self.shape})"
-
-
-def bimatrix(rows, cols, cells) -> ClassicalGame:
-    """2-player game from a nested list cells[i][j] = (u1, u2), with
-    strategy labels `rows` and `cols`."""
-    arr = np.array(cells, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("cells must be a rows x cols table of payoff pairs")
-    return ClassicalGame((tuple(rows), tuple(cols)), arr)
 
 
 @dataclass(frozen=True)
@@ -118,19 +98,8 @@ class GameMapping:
         return len(self.eta)
 
     def inverse(self) -> "GameMapping":
-        n = self.n_players
-        eta_inv = [0] * n
-        for i, k in enumerate(self.eta):
-            eta_inv[k] = i
-        psi = []
-        for k in range(n):
-            i = eta_inv[k]
-            p = self.phi[i]
-            p_inv = [0] * len(p)
-            for a, b in enumerate(p):
-                p_inv[b] = a
-            psi.append(tuple(p_inv))
-        return GameMapping(tuple(eta_inv), tuple(psi))
+        eta_inv = np.argsort(self.eta)
+        return GameMapping(eta_inv, [np.argsort(self.phi[i]) for i in eta_inv])
 
 
 def apply_mapping(f: GameMapping, profile: Sequence[int]) -> StrategyProfile:

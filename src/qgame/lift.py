@@ -125,7 +125,8 @@ def verify_lift(
     measure over the angle boxes, reproducible from the seed) as one
     (samples, n, 3) angle array: one random column per angle the space
     leaves free, profile by profile, player by player, theta before
-    alpha before beta, with the phases reduced mod 2pi. Player i's
+    alpha before beta. Each phase is 2pi * u with 0 <= u < 1, which
+    rounds below 2pi, so it is already reduced mod 2pi. Player i's
     transform maps column i to column eta(i) of the image profiles. The
     check passes when the worst payoff deviation stays within LIFT_TOL
     and no transformed strategy escapes g2's declared spaces.
@@ -156,7 +157,6 @@ def verify_lift(
         angles = np.zeros((len(block), 3 * n))
         angles[:, drawn] = block
         angles = angles.reshape(-1, n, 3)
-        angles[..., 1:] %= TWO_PI
         payoffs = _angle_payoffs(g, angles)
         mapped = np.empty_like(angles)
         for i, t in enumerate(lm.transforms):

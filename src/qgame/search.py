@@ -5,9 +5,7 @@ single player can improve by more than eps using another grid point.
 It goes candidate-first in one pass over blocks of player 0's
 strategies: player 0's payoff table rules out most rows before the
 other players' tables are contracted, and one filter at the end, against
-player 0's finished best replies, leaves the rows. The analytic best
-reply and the deviation witness for the column-swapped prisoner's
-dilemma are the exact counterparts.
+player 0's finished best replies, leaves the rows.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ewl import FEATURE_BYTES, EwlGame, StrategySpace, _theta_alpha, strategy_features
+from .ewl import FEATURE_BYTES, EwlGame, StrategySpace, strategy_features
 from .linalg import TWO_PI, SU2Params
 
 
@@ -183,11 +181,12 @@ def _tables(core: np.ndarray, feats, order, buffer: np.ndarray) -> list[np.ndarr
     return list(np.ascontiguousarray(out))
 
 
-def _block_strategies(dims, tables: int) -> int:
+def _block_strategies(dims) -> int:
     """Player-0 strategies per block of `grid_equilibria`: as many as keep
-    a block of `tables` payoff tables within `BLOCK_BYTES`, at least one."""
+    a block of every player's payoff table within `BLOCK_BYTES`, at least
+    one."""
     rest = math.prod(dims[1:])
-    return min(dims[0], max(1, BLOCK_BYTES // (8 * tables * rest)))
+    return min(dims[0], max(1, BLOCK_BYTES // (8 * len(dims) * rest)))
 
 
 def grid_table_bytes(dims) -> int:
@@ -198,7 +197,7 @@ def grid_table_bytes(dims) -> int:
     candidates, the mask of their rows and the working mask of each
     other player's test)."""
     n, rest = len(dims), math.prod(dims[1:])
-    step = _block_strategies(dims, n)
+    step = _block_strategies(dims)
     return (8 * n + 2 + (step < dims[0])) * step * rest
 
 
@@ -219,7 +218,7 @@ def grid_search_bytes(grid: ParamGrid, spaces) -> int:
     sizes = [grid.size(s) for s in dict.fromkeys(spaces)]
     n, total, rest = len(dims), math.prod(dims), math.prod(dims[1:])
     forming = 80 * max(sizes) + FEATURE_BYTES * min(max(sizes), _feature_chunk())
-    step = _block_strategies(dims, n)
+    step = _block_strategies(dims)
     candidates = 96 * step * (step < dims[0])
     contraction = 3 * 8 * n * max(10**n, step * rest)
     replies = sum(8 * (total // m) for m in dims)
@@ -281,7 +280,7 @@ def grid_equilibria(
         a.setflags(write=False)
     angles = tuple(shared[s] for s in game.spaces)
     dims = [len(a) for a in angles]
-    step, rest = _block_strategies(dims, n), math.prod(dims[1:])
+    step, rest = _block_strategies(dims), math.prod(dims[1:])
     if step == dims[0]:
         tables = grid_payoff_tables(game, angles)
         blocks = [(0, tables[0], tables[1:])]
@@ -372,26 +371,3 @@ def grid_pure_ne(
         EpsEquilibrium(tuple(p[k] for p, k in zip(params, ks)), e, tuple(pays))
         for ks, e, pays in zip(found.index.tolist(), found.eps.tolist(), found.payoffs.tolist())
     ]
-
-
-def best_reply_two_param(opponent) -> SU2Params:
-    """Player 1's best two-parameter reply to a two-parameter opponent.
-
-    Reply (theta', alpha') = (theta, 3pi/2 - alpha) for alpha in
-    [0, 3pi/2], else (theta, 7pi/2 - alpha); it earns exactly the
-    temptation payoff in the column-swapped prisoner's dilemma.
-    """
-    theta, alpha = _theta_alpha(opponent)
-    if alpha <= 1.5 * math.pi:
-        reply_alpha = 1.5 * math.pi - alpha
-    else:
-        reply_alpha = 3.5 * math.pi - alpha
-    return SU2Params(theta, reply_alpha, 0.0)
-
-
-def witness_deviation(p1) -> SU2Params:
-    """Player 2's deviation (0, 2pi - alpha_1) against a fixed player-1
-    two-parameter strategy; it earns player 2 strictly more than the
-    sucker payoff, so player 1 falls short of the temptation payoff."""
-    _, alpha = _theta_alpha(p1)
-    return SU2Params(0.0, (TWO_PI - alpha) % TWO_PI, 0.0)

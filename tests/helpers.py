@@ -18,12 +18,11 @@ from qgame import (
     SU2Params,
     apply_mapping,
     basis_index,
-    bimatrix,
     entangler,
     tensor,
     unrestricted_payoffs,
 )
-from qgame.ewl import StrategySpace, _angle_payoffs, _unit_amplitudes, parse_space
+from qgame.ewl import StrategySpace, _angle_payoffs, _theta_alpha, _unit_amplitudes, parse_space
 from qgame.gamefile import GameFile, GameFileError
 from qgame.lift import FLIP, LiftReport
 from qgame.linalg import ID2, MAX_QUBITS, PAULI_X, TWO_PI
@@ -42,7 +41,7 @@ def pd_game(T=5.0, R=3.0, P=1.0, S=0.0) -> ClassicalGame:
     """Prisoner's dilemma [[ (R,R), (S,T) ], [ (T,S), (P,P) ]]; enforces T > R > P > S."""
     if not T > R > P > S:
         raise ValueError(f"prisoner's dilemma needs T > R > P > S, got {(T, R, P, S)}")
-    return bimatrix(("t", "b"), ("l", "r"), [[(R, R), (S, T)], [(T, S), (P, P)]])
+    return ClassicalGame((("t", "b"), ("l", "r")), [[(R, R), (S, T)], [(T, S), (P, P)]])
 
 
 def identity_mapping(shape) -> GameMapping:
@@ -115,9 +114,9 @@ def serialize_game_file(gf) -> str:
     if gf.spaces is not None:
         for i, sp in enumerate(gf.spaces, start=1):
             lines.append(f"space {i}: {sp.value}")
-    for profile in g.profiles():
-        labs = ",".join(g.label_profile(profile))
-        vals = " ".join(format(v, ".17g") for v in g.payoff(profile))
+    for profile in np.ndindex(*g.shape):
+        labs = ",".join(g.labels[i][k] for i, k in enumerate(profile))
+        vals = " ".join(format(v, ".17g") for v in g.payoffs[profile])
         lines.append(f"payoff ({labs}): {vals}")
     return "\n".join(lines) + "\n"
 
@@ -343,6 +342,35 @@ def classical_mixed_payoffs(g: ClassicalGame, probs) -> np.ndarray:
         w = math.prod(probs[i] if s[i] == 0 else 1.0 - probs[i] for i in range(n))
         out += w * g.payoffs[s]
     return out
+
+
+# The exact counterparts of the grid search in the column-swapped
+# prisoner's dilemma (criterion 4): the analytic best reply that always
+# earns the temptation payoff, and the deviation witness that keeps the
+# game free of pure equilibria.
+
+
+def best_reply_two_param(opponent) -> SU2Params:
+    """Player 1's best two-parameter reply to a two-parameter opponent.
+
+    Reply (theta', alpha') = (theta, 3pi/2 - alpha) for alpha in
+    [0, 3pi/2], else (theta, 7pi/2 - alpha); it earns exactly the
+    temptation payoff in the column-swapped prisoner's dilemma.
+    """
+    theta, alpha = _theta_alpha(opponent)
+    if alpha <= 1.5 * math.pi:
+        reply_alpha = 1.5 * math.pi - alpha
+    else:
+        reply_alpha = 3.5 * math.pi - alpha
+    return SU2Params(theta, reply_alpha, 0.0)
+
+
+def witness_deviation(p1) -> SU2Params:
+    """Player 2's deviation (0, 2pi - alpha_1) against a fixed player-1
+    two-parameter strategy; it earns player 2 strictly more than the
+    sucker payoff, so player 1 falls short of the temptation payoff."""
+    _, alpha = _theta_alpha(p1)
+    return SU2Params(0.0, (TWO_PI - alpha) % TWO_PI, 0.0)
 
 
 # Dense Kronecker/entangler construction of the EWL game, kept as the

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    best_reply_two_param,
     brute_force_pure_nash,
     classical_mixed_payoffs,
     angle_rows,
@@ -17,6 +18,7 @@ from helpers import (
     random_game,
     random_mapping,
     refined,
+    witness_deviation,
 )
 from qgame import (
     AngleTransform,
@@ -26,8 +28,6 @@ from qgame import (
     ParamGrid,
     StrategySpace,
     SU2Params,
-    best_reply_two_param,
-    bimatrix,
     equilibrium_transport_check,
     find_strong_isomorphisms,
     image_game,
@@ -38,7 +38,6 @@ from qgame import (
     two_param_payoff_closed_form,
     unrestricted_payoffs,
     verify_lift,
-    witness_deviation,
 )
 from qgame.lift import lift
 from qgame.linalg import TWO_PI
@@ -49,7 +48,7 @@ GAMES = Path(__file__).resolve().parent.parent / "games"
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
 RSTP = (R, S, T, P)
 PD = pd_game(T, R, P, S)
-PD_SWAPPED = bimatrix(("t", "b"), ("l", "r"), [[(S, T), (R, R)], [(P, P), (T, S)]])
+PD_SWAPPED = ClassicalGame((("t", "b"), ("l", "r")), [[(S, T), (R, R)], [(P, P), (T, S)]])
 D = StrategySpace.TWO_PARAM_ALPHA
 
 MAGIC = SU2Params(0.0, math.pi / 2, 0.0)
@@ -138,7 +137,7 @@ def _unique_magic(strategies, table_game, found):
         return False
     (idx,) = found
     return (strategies[0][idx[0]], strategies[1][idx[1]]) == (MAGIC, MAGIC) and (
-        np.abs(table_game.payoff(idx) - [R, R]).max() <= 1e-10
+        np.abs(table_game.payoffs[idx] - [R, R]).max() <= 1e-10
     )
 
 
@@ -284,7 +283,7 @@ def test_criterion_7_classical_reproduction():
         for bits in np.ndindex(*g.shape):
             params = [SU2Params(math.pi if b else 0.0, 0.0, 0.0) for b in bits]
             u = ewl_payoffs(game, params)
-            worst_pure = max(worst_pure, np.abs(u - g.payoff(bits)).max())
+            worst_pure = max(worst_pure, np.abs(u - g.payoffs[bits]).max())
     assert worst_pure <= 1e-12
 
     worst_mixed = 0.0

@@ -73,7 +73,7 @@ class TestGameFileFormat:
             "payoff (b,x): 5 6\npayoff (b,y): 7 8\n"
         )
         gf = parse_game_file(text)
-        assert tuple(gf.game.payoff((1, 1))) == (7.0, 8.0)
+        assert tuple(gf.game.payoffs[1, 1]) == (7.0, 8.0)
 
     @pytest.mark.parametrize(
         "mutation, line",
@@ -257,9 +257,25 @@ class TestNeCommand:
         assert code == 1
         assert "profiles found: 0" in capsys.readouterr().out
 
-    def test_unknown_space_exit_2(self, capsys):
-        code = main(["ne", str(GAMES / "pd.game"), "--spaces", "bogus"])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "spaces,message",
+        [("bogus", "unknown strategy space"), ("one,one,one", "need one space per player, got 3 for 2")],
+    )
+    def test_bad_spaces_exit_2(self, spaces, message, capsys):
+        code = main(["ne", str(GAMES / "pd.game"), "--spaces", spaces])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_csv_into_a_missing_directory_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "ne.csv"
+        argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
+        code = main(argv + ["--csv", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 3
+        # stdout is written before the CSV is opened
+        assert "verdict: 1 equilibria" in out
+        assert f"cannot write {path}" in err and not path.parent.exists()
 
     @pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
     @pytest.mark.parametrize("game", ["pd.game", "missing.game"])
@@ -404,9 +420,19 @@ class TestSurfaceCommand:
         )
         assert code == 3
 
-    def test_three_player_game_rejected(self, capsys):
-        code = main(["surface", str(GAMES / "three_player.game"), "--grid", "2,2"])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "game,args,message",
+        [
+            ("three_player.game", ["--grid", "2,2"], "surface needs a 2-player game"),
+            ("pd.game", ["--player", "3"], "player must be 1 or 2"),
+            ("pd.game", ["--grid", "0,5"], "grid steps must be positive"),
+        ],
+    )
+    def test_bad_input_exit_2(self, game, args, message, capsys):
+        code = main(["surface", str(GAMES / game), *args])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert message in err
 
     @pytest.mark.parametrize("opponent", ["1,inf", "1,nan,0", "1,0,-inf"])
     def test_non_finite_opponent_phase_exit_2(self, opponent, capsys):
@@ -772,28 +798,29 @@ class TestPreflightMemoryCheck:
         assert f"GiB for {what}" in err and "physical memory" in err
 
     def test_budget_is_half_of_physical_memory(self, capsys, monkeypatch):
+        # the game: twice its 2 x 100 float64 payoff core, 3,200 bytes;
         # 2 x 2 profiles in one block over one grid of 2 strategies, which
         # both players share: its angles and features, 2 x 104 bytes, then
         # the search, which outweighs forming the features: two float64
         # tables plus two bool masks, 72 bytes, three contraction arrays the
-        # size of the 2 x 100 float64 payoff core, 4,800 bytes, and best
-        # replies of 2 float64 per player, 32 bytes; labels of 3 x 128
-        # bytes for the 4 strategies, 1,536 bytes, and the one equilibrium
-        # row, 576 bytes: 80 of search arrays, 16 for each of its 5 fields
-        # and again for its 2 payoffs while stdout is written, and 128 for
-        # each of its 3 payoff and improvement labels
+        # size of the payoff core, 4,800 bytes, and best replies of 2
+        # float64 per player, 32 bytes; labels of 3 x 128 bytes for the 4
+        # strategies, 1,536 bytes, and the one equilibrium row, 576 bytes:
+        # 80 of search arrays, 16 for each of its 5 fields and again for
+        # its 2 payoffs while stdout is written, and 128 for each of its 3
+        # payoff and improvement labels
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        for phys_bytes, code in [(14448, 0), (14447, 2)]:
+        for phys_bytes, code in [(20848, 0), (20847, 2)]:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
             assert main(argv) == code
         capsys.readouterr()
 
     def test_rows_count_against_what_the_search_leaves(self, capsys, monkeypatch):
-        # a budget of 6,648 bytes holds the search and labels of the test
-        # above, not its row
+        # a budget of 9,848 bytes holds the game, search and labels of the
+        # test above, not its row
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        refusals = [(13296, "more than 0 equilibrium rows"), (13295, "GiB for the strategies")]
+        refusals = [(19696, "more than 0 equilibrium rows"), (19695, "GiB for the strategies")]
         for phys_bytes, text in refusals:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
@@ -805,27 +832,28 @@ class TestPreflightMemoryCheck:
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 40}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        for limit, code in [(14448, 0), (14447, 2), (None, 0)]:
+        for limit, code in [(20848, 0), (20847, 2), (None, 0)]:
             monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
             assert main(argv) == code
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "argv,samples,per_sample",
+        "argv,samples,per_sample,fixed",
         [
             # two players: 48 bytes of drawn and 48 of mapped angles, 16 of
             # one game's payoffs and 576 while the other game's strategy
-            # features are formed
-            (["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")], 100, 688),
-            (["identities"], 50, 1576),
+            # features are formed; and the two games, each counted as twice
+            # its 2 x 100 float64 payoff core, 3,200 bytes
+            (["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")], 100, 688, 6400),
+            (["identities"], 50, 1576, 0),
         ],
     )
     def test_sample_budget_is_half_of_a_lower_cgroup_limit(
-        self, argv, samples, per_sample, capsys, monkeypatch
+        self, argv, samples, per_sample, fixed, capsys, monkeypatch
     ):
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 40}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        need = samples * per_sample
+        need = samples * per_sample + fixed
         for limit, code in [(2 * need, 0), (2 * need - 1, 2)]:
             monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
             assert main(argv + ["--samples", str(samples)]) == code
@@ -899,7 +927,7 @@ class TestPreflightMemoryCheck:
                 break
         eps = float(rng.choice([0.0, 0.1, 1.0, 3.0, 100.0]))
         peak, need = self.ne_peak_and_estimate(game, ",".join(spaces), f"{t},{a},{b}", eps, csv)
-        assert peak <= need + (512 << 10)
+        assert peak <= need + (64 << 10)
 
     def test_ne_peak_with_every_payoff_distinct(self):
         rng = np.random.default_rng(0)
@@ -910,7 +938,7 @@ class TestPreflightMemoryCheck:
         assert len(found.eps) == 9**4
         assert len(np.unique(found.payoffs)) == found.payoffs.size
         peak, need = self.ne_peak_and_estimate(game, "one", "9,1,1", 100.0, csv=True)
-        assert peak <= need + (512 << 10)
+        assert peak <= need + (64 << 10)
 
     def test_ne_peak_with_the_longest_labels(self):
         # 20,000 rows whose payoffs and improvements are all distinct and
@@ -926,7 +954,7 @@ class TestPreflightMemoryCheck:
             return GridEquilibria((angles,) * n, index, values[:, n].copy(), values[:, :n].copy())
 
         peak, need = self.ne_peak_and_estimate(game, "one", "9,1,1", 100.0, True, found)
-        assert peak <= need + (512 << 10)
+        assert peak <= need + (64 << 10)
 
     @pytest.mark.parametrize(
         "cgroup,files,limit",

@@ -18,7 +18,6 @@ from qgame import (
     EwlGame,
     StrategySpace,
     SU2Params,
-    bimatrix,
     parse_space,
     su2,
     tensor,
@@ -29,7 +28,7 @@ from qgame.linalg import TWO_PI, entangler
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
 PD = pd_game(T, R, P, S)
-PD_SWAPPED = bimatrix(("t", "b"), ("l", "r"), [[(S, T), (R, R)], [(P, P), (T, S)]])
+PD_SWAPPED = ClassicalGame((("t", "b"), ("l", "r")), [[(S, T), (R, R)], [(P, P), (T, S)]])
 
 RNG = np.random.default_rng(99)
 
@@ -76,7 +75,7 @@ class TestPayoffOperator:
         assert np.allclose(np.diag(m1).real, [S, R, P, T])
 
     def test_constant_game_is_scaled_identity(self):
-        g = bimatrix(("a", "b"), ("x", "y"), [[(7, 7), (7, 7)], [(7, 7), (7, 7)]])
+        g = ClassicalGame((("a", "b"), ("x", "y")), [[(7, 7), (7, 7)], [(7, 7), (7, 7)]])
         assert np.allclose(payoff_operator(g, 0), 7.0 * np.eye(4))
 
     def test_non_binary_rejected(self):
@@ -90,10 +89,18 @@ class TestEwlGame:
         game = EwlGame(PD)
         assert game.spaces == (StrategySpace.FULL_SU2, StrategySpace.FULL_SU2)
 
-    def test_non_binary_rejected(self):
-        g = ClassicalGame((("a", "b", "c"), ("x", "y")), np.zeros((3, 2, 2)))
-        with pytest.raises(ValueError):
-            EwlGame(g)
+    @pytest.mark.parametrize(
+        "shape,spaces,message",
+        [
+            ((3, 2), None, "EWL quantization needs a binary game"),
+            ((2,) * 5, None, "at most 4 players supported"),
+            ((2, 2), (StrategySpace.FULL_SU2,), "need one strategy space per player"),
+        ],
+    )
+    def test_game_and_spaces_checked(self, shape, spaces, message):
+        g = random_game(np.random.default_rng(0), shape)
+        with pytest.raises(ValueError, match=message):
+            EwlGame(g, spaces)
 
 
 class TestFinalState:
@@ -149,13 +156,13 @@ class TestEwlPayoffs:
         for g in (PD, PD_SWAPPED):
             game = EwlGame(g)
             u = ewl_payoffs(game, (SU2Params(0, 0, 0), SU2Params(0, 0, 0)))
-            assert np.allclose(u, g.payoff((0, 0)), atol=1e-12)
+            assert np.allclose(u, g.payoffs[0, 0], atol=1e-12)
 
     def test_classical_bit_profiles(self):
         game = EwlGame(PD)
         for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             params = [SU2Params(math.pi if b else 0.0, 0, 0) for b in bits]
-            assert np.allclose(ewl_payoffs(game, params), PD.payoff(bits), atol=1e-12)
+            assert np.allclose(ewl_payoffs(game, params), PD.payoffs[bits], atol=1e-12)
 
     def test_one_param_equals_classical_mixed(self):
         rng = np.random.default_rng(5)
@@ -176,6 +183,10 @@ class TestEwlPayoffs:
             ewl_payoffs(game, (bad, SU2Params(0, 0, 0)))
         # same profile is fine without the restriction
         assert unrestricted_payoffs(game, (bad, SU2Params(0, 0, 0))) is not None
+
+    def test_unrestricted_payoffs_need_one_strategy_per_player(self):
+        with pytest.raises(ValueError, match="need one strategy per player"):
+            unrestricted_payoffs(EwlGame(PD), (SU2Params(0, 0, 0),))
 
     def test_payoff_bounds(self):
         rng = np.random.default_rng(8)

@@ -20,7 +20,6 @@ from qgame import (
     GameMapping,
     MixedProfile2x2,
     apply_mapping,
-    bimatrix,
     equilibrium_transport_check,
     find_strong_isomorphisms,
     image_game,
@@ -34,23 +33,31 @@ from qgame import (
 # order, reverse player 2's.
 SWAP_PLAYERS = GameMapping(eta=(1, 0), phi=((0, 1), (1, 0)))
 
-ANTIDIAG = bimatrix(("t", "b"), ("l", "r"), [[(4, 4), (1, 3)], [(3, 1), (2, 2)]])
-ANTIDIAG_SWAPPED = bimatrix(("t", "b"), ("l", "r"), [[(4, 4), (3, 1)], [(1, 3), (2, 2)]])
+ANTIDIAG = ClassicalGame((("t", "b"), ("l", "r")), [[(4, 4), (1, 3)], [(3, 1), (2, 2)]])
+ANTIDIAG_SWAPPED = ClassicalGame((("t", "b"), ("l", "r")), [[(4, 4), (3, 1)], [(1, 3), (2, 2)]])
 
 PD = pd_game(5, 3, 1, 0)
-PD_SWAPPED = bimatrix(("t", "b"), ("l", "r"), [[(0, 5), (3, 3)], [(1, 1), (5, 0)]])
+PD_SWAPPED = ClassicalGame((("t", "b"), ("l", "r")), [[(0, 5), (3, 3)], [(1, 1), (5, 0)]])
 COLUMN_SWAP = GameMapping(eta=(0, 1), phi=((0, 1), (1, 0)))
 
 
 class TestClassicalGame:
     def test_shape_and_payoff_access(self):
         assert PD.shape == (2, 2)
-        assert tuple(PD.payoff((1, 0))) == (5.0, 0.0)
-        assert PD.label_profile((1, 0)) == ("b", "l")
+        assert tuple(PD.payoffs[1, 0]) == (5.0, 0.0)
+        assert (PD.labels[0][1], PD.labels[1][0]) == ("b", "l")
 
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            ClassicalGame((("a", "a"),), np.zeros((2, 1)))
+    @pytest.mark.parametrize(
+        "labels,shape,message",
+        [
+            ((("a", "a"),), (2, 1), "player 1 has duplicate strategy labels"),
+            ((), (0,), "need at least one player"),
+            ((("a",), ("x", "y")), (1, 2, 2), "player 1 needs at least two strategies"),
+        ],
+    )
+    def test_bad_labels_rejected(self, labels, shape, message):
+        with pytest.raises(ValueError, match=message):
+            ClassicalGame(labels, np.zeros(shape))
 
     def test_wrong_tensor_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -59,7 +66,7 @@ class TestClassicalGame:
     def test_non_finite_rejected(self):
         cells = [[(np.inf, 0), (0, 0)], [(0, 0), (0, 0)]]
         with pytest.raises(ValueError):
-            bimatrix(("a", "b"), ("x", "y"), cells)
+            ClassicalGame((("a", "b"), ("x", "y")), cells)
 
     def test_pd_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -67,11 +74,13 @@ class TestClassicalGame:
 
 
 class TestGameMapping:
-    def test_rejects_non_permutation(self):
+    def test_rejects_non_permutation_or_wrong_phi_count(self):
         with pytest.raises(ValueError):
             GameMapping(eta=(0, 0), phi=((0, 1), (0, 1)))
         with pytest.raises(ValueError):
             GameMapping(eta=(0, 1), phi=((0, 0), (0, 1)))
+        with pytest.raises(ValueError, match="need one strategy bijection per player"):
+            GameMapping(eta=(0, 1), phi=((0, 1),))
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(3)
@@ -81,6 +90,7 @@ class TestGameMapping:
             g = random_game(rng, shape)
             s = tuple(int(rng.integers(0, m)) for m in shape)
             assert apply_mapping(f.inverse(), apply_mapping(f, s)) == s
+            assert f.inverse().inverse() == f
 
     def test_identity(self):
         f = identity_mapping((2, 2))
@@ -112,12 +122,12 @@ class TestStrongIsomorphism:
         # second game built so the player-swapping mapping preserves payoffs
         a = [[1, 2], [3, 4]]
         b = [[5, 6], [7, 8]]
-        g = bimatrix(("t", "b"), ("l", "r"),
-                     [[(a[0][0], b[0][0]), (a[0][1], b[0][1])],
-                      [(a[1][0], b[1][0]), (a[1][1], b[1][1])]])
-        g2 = bimatrix(("t", "b"), ("l", "r"),
-                      [[(b[0][1], a[0][1]), (b[1][1], a[1][1])],
-                       [(b[0][0], a[0][0]), (b[1][0], a[1][0])]])
+        g = ClassicalGame((("t", "b"), ("l", "r")),
+                          [[(a[0][0], b[0][0]), (a[0][1], b[0][1])],
+                           [(a[1][0], b[1][0]), (a[1][1], b[1][1])]])
+        g2 = ClassicalGame((("t", "b"), ("l", "r")),
+                           [[(b[0][1], a[0][1]), (b[1][1], a[1][1])],
+                            [(b[0][0], a[0][0]), (b[1][0], a[1][0])]])
         assert is_strong_isomorphism(SWAP_PLAYERS, g, g2)
 
     def test_identity_on_self(self):
@@ -178,6 +188,11 @@ class TestFindStrongIsomorphisms:
             g2 = image_game(f, g)
             assert is_strong_isomorphism(f, g, g2)
             assert is_strong_isomorphism(f.inverse(), g2, g)
+
+    def test_image_of_a_mismatched_shape_rejected(self):
+        g = random_game(np.random.default_rng(7), (3, 2))
+        with pytest.raises(ValueError, match="mapping does not match game shape"):
+            image_game(SWAP_PLAYERS, g)
 
     def test_composition_closure(self):
         rng = np.random.default_rng(11)
@@ -249,8 +264,8 @@ class TestIsomorphismSearchAgainstOracle:
     def test_equal_signatures_still_need_the_profile_check(self):
         # swapping u1(t, l) and u1(t, r) keeps every signature, so only
         # the per-profile check at PAYOFF_TOL rejects the identity
-        g = bimatrix(("t", "b"), ("l", "r"), [[(1, 0), (1 + 1e-11, 0)], [(0, 0), (0, 0)]])
-        g2 = bimatrix(("t", "b"), ("l", "r"), [[(1 + 1e-11, 0), (1, 0)], [(0, 0), (0, 0)]])
+        g = ClassicalGame((("t", "b"), ("l", "r")), [[(1, 0), (1 + 1e-11, 0)], [(0, 0), (0, 0)]])
+        g2 = ClassicalGame((("t", "b"), ("l", "r")), [[(1 + 1e-11, 0), (1, 0)], [(0, 0), (0, 0)]])
         found = find_strong_isomorphisms(g, g2)
         assert identity_mapping((2, 2)) not in found
         assert found == brute_force_strong_isomorphisms(g, g2)
@@ -285,12 +300,12 @@ class TestStrategicEquivalence:
             assert alpha == pytest.approx(2.0, abs=1e-9)
             assert beta == pytest.approx(0.0, abs=1e-9)
         # direct substitution: v = 2u + 0 at every profile
-        for s in PD.profiles():
-            assert np.allclose(doubled.payoff(s), 2.0 * PD.payoff(s))
+        for s in np.ndindex(*PD.shape):
+            assert np.allclose(doubled.payoffs[s], 2.0 * PD.payoffs[s])
 
     def test_constant_payoff_convention(self):
-        g = bimatrix(("t", "b"), ("l", "r"), [[(1, 0), (1, 2)], [(1, 5), (1, 1)]])
-        g2 = bimatrix(("t", "b"), ("l", "r"), [[(4, 0), (4, 2)], [(4, 5), (4, 1)]])
+        g = ClassicalGame((("t", "b"), ("l", "r")), [[(1, 0), (1, 2)], [(1, 5), (1, 1)]])
+        g2 = ClassicalGame((("t", "b"), ("l", "r")), [[(4, 0), (4, 2)], [(4, 5), (4, 1)]])
         fits = strategic_equivalence(g, g2)
         assert fits is not None
         assert fits[0] == (1.0, 3.0)
@@ -303,7 +318,7 @@ class TestStrategicEquivalence:
         assert strategic_equivalence(PD, g2) is None
 
     def test_label_mismatch_raises(self):
-        other = bimatrix(("x", "y"), ("l", "r"), [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
+        other = ClassicalGame((("x", "y"), ("l", "r")), [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
         with pytest.raises(ValueError):
             strategic_equivalence(PD, other)
 
@@ -326,7 +341,7 @@ class TestPureNash:
         assert pure_nash_equilibria(ANTIDIAG_SWAPPED) == [(0, 0)]
 
     def test_constant_game_all_profiles(self):
-        g = bimatrix(("t", "b"), ("l", "r"), [[(1, 1), (1, 1)], [(1, 1), (1, 1)]])
+        g = ClassicalGame((("t", "b"), ("l", "r")), [[(1, 1), (1, 1)], [(1, 1), (1, 1)]])
         assert pure_nash_equilibria(g) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_matches_brute_force_scan(self):
@@ -351,12 +366,12 @@ class TestMixedNash2x2:
         assert mixed_nash_2x2(ANTIDIAG_SWAPPED) == [MixedProfile2x2(1.0, 1.0)]
 
     def test_matching_pennies(self):
-        g = bimatrix(("h", "t"), ("h", "t"), [[(1, -1), (-1, 1)], [(-1, 1), (1, -1)]])
+        g = ClassicalGame((("h", "t"), ("h", "t")), [[(1, -1), (-1, 1)], [(-1, 1), (1, -1)]])
         assert mixed_nash_2x2(g) == [MixedProfile2x2(0.5, 0.5)]
 
     def test_degenerate_continuum_flagged(self):
         # player 2 indifferent everywhere; segments of equilibria exist
-        g = bimatrix(("t", "b"), ("l", "r"), [[(1, 0), (0, 0)], [(0, 0), (1, 0)]])
+        g = ClassicalGame((("t", "b"), ("l", "r")), [[(1, 0), (0, 0)], [(0, 0), (1, 0)]])
         eqs = mixed_nash_2x2(g)
         assert any(e.continuum for e in eqs)
         for e in eqs:

@@ -27,12 +27,12 @@ from qgame import (
     FLIP,
     KEEP,
     AngleTransform,
+    ClassicalGame,
     EwlGame,
     GameMapping,
     LiftedMapping,
     StrategySpace,
     SU2Params,
-    bimatrix,
     image_game,
     is_strong_isomorphism,
     operator_identity_suite,
@@ -54,12 +54,12 @@ from qgame.linalg import PAULI_X, TWO_PI
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
 PD = pd_game(T, R, P, S)
-PD_SWAPPED = bimatrix(("t", "b"), ("l", "r"), [[(S, T), (R, R)], [(P, P), (T, S)]])
+PD_SWAPPED = ClassicalGame((("t", "b"), ("l", "r")), [[(S, T), (R, R)], [(P, P), (T, S)]])
 COLUMN_SWAP = GameMapping(eta=(0, 1), phi=((0, 1), (1, 0)))
 CYCLE3 = GameMapping(eta=(1, 2, 0), phi=((0, 1), (1, 0), (1, 0)))
 
-ANTIDIAG = bimatrix(("t", "b"), ("l", "r"), [[(4, 4), (1, 3)], [(3, 1), (2, 2)]])
-ANTIDIAG_SWAPPED = bimatrix(("t", "b"), ("l", "r"), [[(4, 4), (3, 1)], [(1, 3), (2, 2)]])
+ANTIDIAG = ClassicalGame((("t", "b"), ("l", "r")), [[(4, 4), (1, 3)], [(3, 1), (2, 2)]])
+ANTIDIAG_SWAPPED = ClassicalGame((("t", "b"), ("l", "r")), [[(4, 4), (3, 1)], [(1, 3), (2, 2)]])
 
 D = StrategySpace.TWO_PARAM_ALPHA
 F = StrategySpace.TWO_PARAM_BETA
@@ -147,11 +147,30 @@ class TestLift:
         assert [t.reflect for t in lm.transforms] == [False, True, True]
         assert lm.eta == (1, 2, 0)
 
-    def test_non_binary_rejected(self):
-        g = random_game(np.random.default_rng(0), (3, 2))
+    @pytest.mark.parametrize(
+        "g,message",
+        [
+            (random_game(np.random.default_rng(0), (3, 2)), "lifting is defined for binary games only"),
+            # binary, but the mapping gives player 1 three strategies
+            (PD, "mapping does not match a binary game"),
+        ],
+        ids=["game", "mapping"],
+    )
+    def test_non_binary_rejected(self, g, message):
         f = GameMapping(eta=(0, 1), phi=((0, 1, 2), (0, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             lift(f, g)
+
+    @pytest.mark.parametrize(
+        "eta,transforms,message",
+        [
+            ((0, 0), (KEEP, KEEP), "eta is not a permutation"),
+            ((0, 1), (KEEP,), "need one angle transform per player"),
+        ],
+    )
+    def test_lifted_mapping_rejects_bad_eta_and_transform_count(self, eta, transforms, message):
+        with pytest.raises(ValueError, match=message):
+            LiftedMapping(eta, transforms)
 
     def test_module_name_binds_the_module(self):
         import qgame.lift as lift_module
@@ -311,6 +330,12 @@ class TestVerifyLift:
         lm = lift(COLUMN_SWAP, PD)
         with pytest.raises(ValueError, match="at least one sample"):
             verify_lift(lm, EwlGame(PD), EwlGame(PD_SWAPPED), samples=samples)
+
+    def test_player_counts_must_agree(self):
+        lm = lift(COLUMN_SWAP, PD)
+        g3 = EwlGame(random_game(np.random.default_rng(0), (2, 2, 2)))
+        with pytest.raises(ValueError, match="must agree on the player count"):
+            verify_lift(lm, EwlGame(PD), g3)
 
     def test_flip_escape_reported_not_raised(self):
         lm = lift(COLUMN_SWAP, PD)

@@ -8,20 +8,23 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_equilibria_oracle, pd_game, refined
+from helpers import (
+    best_reply_two_param,
+    grid_equilibria_oracle,
+    pd_game,
+    refined,
+    witness_deviation,
+)
 from qgame import (
     ClassicalGame,
     EwlGame,
     ParamGrid,
     StrategySpace,
     SU2Params,
-    best_reply_two_param,
-    bimatrix,
     grid_pure_ne,
     pure_nash_equilibria,
     two_param_payoff_closed_form,
     unrestricted_payoffs,
-    witness_deviation,
 )
 from qgame import search
 from qgame.ewl import FEATURE_BYTES, strategy_features
@@ -38,7 +41,7 @@ from qgame.search import (
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
 RSTP = (R, S, T, P)
 PD = pd_game(T, R, P, S)
-PD_SWAPPED = bimatrix(("t", "b"), ("l", "r"), [[(S, T), (R, R)], [(P, P), (T, S)]])
+PD_SWAPPED = ClassicalGame((("t", "b"), ("l", "r")), [[(S, T), (R, R)], [(P, P), (T, S)]])
 
 D = StrategySpace.TWO_PARAM_ALPHA
 ONE = StrategySpace.ONE_PARAM
@@ -265,7 +268,7 @@ class TestBlockedSearch:
             mock.patch.object(search, "_tables", tables),
         ):
             found = grid_equilibria(game, grid, 0.5)
-            step = search._block_strategies(dims, 2)
+            step = search._block_strategies(dims)
             table_bytes = grid_table_bytes(dims)
         # per block, player 0's table, then the other player's table on
         # the block's rows that hold a candidate for player 0
@@ -297,7 +300,7 @@ class TestBlockedSearch:
             # the search stops at the end of the first block after which it
             # holds more rows than the limit, once player 0's running best
             # replies have dropped the rows they rule out
-            step = search._block_strategies(dims, 2)
+            step = search._block_strategies(dims)
             end, rows = next((e, h) for e, h, _ in held_rows(game, grid, 2.0, step) if h > limit)
             with pytest.raises(ValueError) as err:
                 grid_equilibria(game, grid, 2.0, max_rows=limit)
@@ -315,7 +318,7 @@ class TestBlockedSearch:
         # after an earlier one are not rows
         game, grid, dims = random_search(2, spaces, steps)
         with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)):
-            step = search._block_strategies(dims, len(dims))
+            step = search._block_strategies(dims)
             found = grid_equilibria(game, grid, 0.5)
         _, held, unpruned = held_rows(game, grid, 0.5, step)[-1]
         assert unpruned > held == len(found.eps) > 0
@@ -457,6 +460,14 @@ class TestPayoffTables:
         base = tables[0].base
         assert base is not None and base.size == len(dims) * math.prod(dims)
         assert all(t.base is base for t in tables)
+
+    @pytest.mark.parametrize(
+        "players,message", [(2, "empty strategy grid"), (1, "need one strategy list per player")]
+    )
+    def test_empty_grid_and_wrong_list_count_rejected(self, players, message):
+        angles = [np.empty((0, 3)), ParamGrid(3, 1, 1).angles(ONE)][:players]
+        with pytest.raises(ValueError, match=message):
+            grid_payoff_tables(EwlGame(PD), angles)
 
 
 class TestGridPureNE:
