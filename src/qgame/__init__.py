@@ -27,7 +27,6 @@ from .ewl import (
     StrategySpace,
     parse_space,
     two_param_payoff_closed_form,
-    unrestricted_payoffs,
 )
 from .lift import (
     FLIP,
@@ -39,11 +38,9 @@ from .lift import (
     verify_lift,
 )
 from .search import (
-    EpsEquilibrium,
     GridEquilibria,
     ParamGrid,
     grid_equilibria,
-    grid_pure_ne,
 )
 from .gamefile import (
     GameFile,

@@ -423,8 +423,8 @@ def cmd_surface(args) -> int:
     )
     if t_steps < 1 or a_steps < 1:
         raise ValueError("grid steps must be positive")
-    # the axes are the only arrays held whole; the rest is one block
-    _memory_left(8 * t_steps + 16 * a_steps, "the theta and alpha axes")
+    # only the game and the axes are held whole; the rest is one block
+    _memory_left(game_bytes(2) + 8 * t_steps + 16 * a_steps, "the theta and alpha axes")
     game = EwlGame(g)
     # unlike ParamGrid, the alpha axis keeps its 2pi endpoint (printed as 0)
     thetas = np.linspace(0.0, math.pi, t_steps)

@@ -194,10 +194,18 @@ class EwlGame:
 
 
 def game_bytes(players: int) -> int:
-    """Bytes counted for building an `EwlGame` of `players` players: twice
-    its payoff core of n * 10^n float64, the core and the terms and rows
-    it is summed from."""
-    return 16 * players * 10**players
+    """Bytes building an `EwlGame` of `players` players holds at its peak:
+    8 KiB of NumPy's fixed cost, and the larger of two phases over the 8^n
+    terms of `_core_terms`. Forming them holds 24 bytes a term of
+    amplitudes and entries, and either 24n of gathered unit indices and
+    their two broadcast index copies or 48 of complex weights and their
+    two broadcast factors. Summing them holds the core and one `bincount`
+    row, (n + 1) * 10^n float64, and 40 bytes a term: the three term
+    arrays and a player's two products."""
+    terms, entries = 8**players, 10**players
+    forming = (24 + max(24 * players, 48)) * terms
+    summing = 8 * (players + 1) * entries + 40 * terms
+    return (8 << 10) + max(forming, summing)
 
 
 def payoff_bytes(players: int) -> int:

@@ -229,27 +229,27 @@ def grid_search_bytes(grid: ParamGrid, spaces) -> int:
 def grid_row_bytes(players: int) -> int:
     """Bytes `grid_equilibria` holds per row it holds, at most: a row is
     its flat profile index, payoffs and the other players' improvement
-    (8n + 16 bytes), held twice while the block pieces are joined or
+    (8n + 16 bytes), held twice while the held blocks are joined or
     filtered, and at the end a row also has its grid index (16n bytes
     while it is formed)."""
     return 2 * (16 * players + 8)
 
 
-def _allowed(held, best0: np.ndarray, eps: float, rest: int) -> np.ndarray:
-    """Join each of the `held` lists of row pieces (flat profile index,
-    payoffs and the other players' improvement) into one piece, less the
-    rows whose player-0 payoff falls more than eps below `best0`. Returns
-    `best0` at the rows kept."""
-    joined = [np.concatenate(pieces) for pieces in held]
-    for pieces in held:
-        pieces.clear()
+def _allowed(held, best0: np.ndarray, eps: float, rest: int):
+    """Join the `held` blocks of rows (flat profile indices, payoffs, the
+    other players' improvement) into one, less the rows whose player-0
+    payoff falls more than eps below `best0`, and leave it as the only
+    block held. Returns its three arrays and `best0` at its rows."""
+    joined = [np.concatenate(rows) for rows in zip(*held)]
+    # the blocks go before the rows are filtered, and each joined array
+    # after its rows are taken, so no row is held more than twice
+    held.clear()
     best = best0.reshape(-1)[joined[0] % rest]
     # `take` on the row numbers: a bool mask over the rows of the 2-d
     # payoffs costs about 15x more
     keep = np.flatnonzero(joined[1][:, 0] >= best - eps)
-    for pieces in held:
-        pieces.append(joined.pop(0).take(keep, axis=0))
-    return best[keep]
+    held.append(tuple(joined.pop(0).take(keep, axis=0) for _ in range(3)))
+    return (*held[0], best[keep])
 
 
 def grid_equilibria(
@@ -301,10 +301,10 @@ def grid_equilibria(
 
         blocks = ((start, player0(start), None) for start in range(0, dims[0], step))
     best0 = np.full([1, *dims[1:]], -np.inf)
-    # the rows held so far, as pieces of flat profile indices, payoffs and
-    # the other players' improvement; empty pieces give a search without
+    # the rows held so far, as blocks of flat profile indices, payoffs and
+    # the other players' improvement; an empty block gives a search without
     # rows arrays of the right shapes
-    held = [[np.empty(0, np.intp)], [np.empty((0, n))], [np.empty(0)]]
+    held = [(np.empty(0, np.intp), np.empty((0, n)), np.empty(0))]
     count = 0
     for start, t0, others in blocks:
         np.maximum(best0, t0.max(axis=0, keepdims=True), out=best0)
@@ -337,11 +337,10 @@ def grid_equilibria(
         for i, b in enumerate(bests, 1):
             np.maximum(gaps, np.broadcast_to(b, mask.shape)[idx] - pays[:, i], out=gaps)
         profiles += start * rest
-        for pieces, rows in zip(held, (profiles, pays, gaps)):
-            pieces.append(rows)
+        held.append((profiles, pays, gaps))
         count += len(flat)
         if max_rows is not None and count > max_rows:
-            count = len(_allowed(held, best0, eps, rest))
+            count = len(_allowed(held, best0, eps, rest)[0])
             if count > max_rows:
                 searched, total = (start + len(t0)) * rest, math.prod(dims)
                 raise ValueError(
@@ -349,25 +348,18 @@ def grid_equilibria(
                     f"{searched:,} of {total:,} profiles, about "
                     f"{count * total / searched:,.0f} rows in all at that rate"
                 )
-    best = _allowed(held, best0, eps, rest)
-    profiles, payoffs, improvements = (pieces.pop() for pieces in held)
+    profiles, payoffs, improvements, best = _allowed(held, best0, eps, rest)
     # player 0's improvement, then the other players'
     np.maximum(best - payoffs[:, 0], improvements, out=improvements)
     index = np.stack(np.unravel_index(profiles, dims), axis=1)
     return GridEquilibria(angles, index, improvements, payoffs)
 
 
-def grid_pure_ne(
-    game: EwlGame, grid: ParamGrid, eps: float = 1e-9
-) -> list[EpsEquilibrium]:
+def grid_pure_ne(game: EwlGame, grid: ParamGrid, eps: float = 1e-9) -> list[EpsEquilibrium]:
     """`grid_equilibria` as one `EpsEquilibrium` per row, in row-major
     profile order."""
     found = grid_equilibria(game, grid, eps)
-    params = []
-    for angles, col in zip(found.angles, found.index.T):
-        used = np.unique(col)
-        params.append(dict(zip(used.tolist(), (SU2Params(*a) for a in angles[used].tolist()))))
     return [
-        EpsEquilibrium(tuple(p[k] for p, k in zip(params, ks)), e, tuple(pays))
-        for ks, e, pays in zip(found.index.tolist(), found.eps.tolist(), found.payoffs.tolist())
+        EpsEquilibrium(tuple(SU2Params(*a[k]) for a, k in zip(found.angles, ks)), e, tuple(p))
+        for ks, e, p in zip(found.index.tolist(), found.eps.tolist(), found.payoffs.tolist())
     ]

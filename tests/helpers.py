@@ -20,9 +20,15 @@ from qgame import (
     basis_index,
     entangler,
     tensor,
+)
+from qgame.ewl import (
+    StrategySpace,
+    _angle_payoffs,
+    _theta_alpha,
+    _unit_amplitudes,
+    parse_space,
     unrestricted_payoffs,
 )
-from qgame.ewl import StrategySpace, _angle_payoffs, _theta_alpha, _unit_amplitudes, parse_space
 from qgame.gamefile import GameFile, GameFileError
 from qgame.lift import FLIP, LiftReport
 from qgame.linalg import ID2, MAX_QUBITS, PAULI_X, TWO_PI

@@ -36,9 +36,9 @@ from qgame import (
     operator_identity_suite,
     pure_nash_equilibria,
     two_param_payoff_closed_form,
-    unrestricted_payoffs,
     verify_lift,
 )
+from qgame.ewl import unrestricted_payoffs
 from qgame.lift import lift
 from qgame.linalg import TWO_PI
 from qgame.search import grid_payoff_tables, grid_pure_ne

@@ -32,7 +32,6 @@ from qgame import (
     ParamGrid,
     StrategySpace,
     SU2Params,
-    grid_pure_ne,
     load_game_file,
     parse_game_file,
     parse_space,
@@ -40,7 +39,7 @@ from qgame import (
 )
 from qgame import cli
 from qgame.cli import main
-from qgame.search import GridEquilibria, grid_equilibria, grid_payoff_tables
+from qgame.search import GridEquilibria, grid_equilibria, grid_payoff_tables, grid_pure_ne
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
 BUNDLED = sorted(GAMES.glob("*.game"))
@@ -797,30 +796,42 @@ class TestPreflightMemoryCheck:
         err = capsys.readouterr().err
         assert f"GiB for {what}" in err and "physical memory" in err
 
-    def test_budget_is_half_of_physical_memory(self, capsys, monkeypatch):
-        # the game: twice its 2 x 100 float64 payoff core, 3,200 bytes;
-        # 2 x 2 profiles in one block over one grid of 2 strategies, which
-        # both players share: its angles and features, 2 x 104 bytes, then
-        # the search, which outweighs forming the features: two float64
-        # tables plus two bool masks, 72 bytes, three contraction arrays the
-        # size of the payoff core, 4,800 bytes, and best replies of 2
-        # float64 per player, 32 bytes; labels of 3 x 128 bytes for the 4
-        # strategies, 1,536 bytes, and the one equilibrium row, 576 bytes:
-        # 80 of search arrays, 16 for each of its 5 fields and again for
-        # its 2 payoffs while stdout is written, and 128 for each of its 3
-        # payoff and improvement labels
-        argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        for phys_bytes, code in [(20848, 0), (20847, 2)]:
-            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
+    @pytest.mark.parametrize(
+        "argv,phys_bytes",
+        [
+            # the game: `game_bytes(2)`, 13,152 bytes, 8 KiB of NumPy's fixed
+            # cost and, while its 64 core terms are summed, its 2 x 100
+            # float64 payoff core, one 100 float64 bincount row and 40 bytes
+            # a term; 2 x 2 profiles in one block over one grid of 2
+            # strategies, which both players share: its angles and features,
+            # 2 x 104 bytes, then the search, which outweighs forming the
+            # features: two float64 tables plus two bool masks, 72 bytes,
+            # three contraction arrays the size of the payoff core, 4,800
+            # bytes, and best replies of 2 float64 per player, 32 bytes;
+            # labels of 3 x 128 bytes for the 4 strategies, 1,536 bytes, and
+            # the one equilibrium row, 576 bytes: 80 of search arrays, 16 for
+            # each of its 5 fields and again for its 2 payoffs while stdout
+            # is written, and 128 for each of its 3 payoff and improvement
+            # labels
+            (["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"], 40752),
+            # the game, 13,152 bytes, and the axes of a 2 x 2 grid, 16 + 32;
+            # a budget a byte short of both still fits the axes
+            (["surface", str(GAMES / "pd_swapped.game"), "--grid", "2,2"], 26400),
+        ],
+        ids=["ne", "surface"],
+    )
+    def test_budget_is_half_of_physical_memory(self, argv, phys_bytes, capsys, monkeypatch):
+        for phys, code in [(phys_bytes, 0), (phys_bytes - 1, 2)]:
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
             assert main(argv) == code
         capsys.readouterr()
 
     def test_rows_count_against_what_the_search_leaves(self, capsys, monkeypatch):
-        # a budget of 9,848 bytes holds the game, search and labels of the
+        # a budget of 19,800 bytes holds the game, search and labels of the
         # test above, not its row
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        refusals = [(19696, "more than 0 equilibrium rows"), (19695, "GiB for the strategies")]
+        refusals = [(39600, "more than 0 equilibrium rows"), (39599, "GiB for the strategies")]
         for phys_bytes, text in refusals:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
@@ -832,7 +843,7 @@ class TestPreflightMemoryCheck:
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 40}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        for limit, code in [(20848, 0), (20847, 2), (None, 0)]:
+        for limit, code in [(40752, 0), (40751, 2), (None, 0)]:
             monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
             assert main(argv) == code
         capsys.readouterr()
@@ -842,9 +853,9 @@ class TestPreflightMemoryCheck:
         [
             # two players: 48 bytes of drawn and 48 of mapped angles, 16 of
             # one game's payoffs and 576 while the other game's strategy
-            # features are formed; and the two games, each counted as twice
-            # its 2 x 100 float64 payoff core, 3,200 bytes
-            (["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")], 100, 688, 6400),
+            # features are formed; and the two games, `game_bytes(2)` or
+            # 13,152 bytes each
+            (["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")], 100, 688, 26304),
             (["identities"], 50, 1576, 0),
         ],
     )
@@ -927,7 +938,7 @@ class TestPreflightMemoryCheck:
                 break
         eps = float(rng.choice([0.0, 0.1, 1.0, 3.0, 100.0]))
         peak, need = self.ne_peak_and_estimate(game, ",".join(spaces), f"{t},{a},{b}", eps, csv)
-        assert peak <= need + (64 << 10)
+        assert peak <= need + (16 << 10)
 
     def test_ne_peak_with_every_payoff_distinct(self):
         rng = np.random.default_rng(0)
@@ -938,7 +949,7 @@ class TestPreflightMemoryCheck:
         assert len(found.eps) == 9**4
         assert len(np.unique(found.payoffs)) == found.payoffs.size
         peak, need = self.ne_peak_and_estimate(game, "one", "9,1,1", 100.0, csv=True)
-        assert peak <= need + (64 << 10)
+        assert peak <= need + (16 << 10)
 
     def test_ne_peak_with_the_longest_labels(self):
         # 20,000 rows whose payoffs and improvements are all distinct and
@@ -954,7 +965,7 @@ class TestPreflightMemoryCheck:
             return GridEquilibria((angles,) * n, index, values[:, n].copy(), values[:, :n].copy())
 
         peak, need = self.ne_peak_and_estimate(game, "one", "9,1,1", 100.0, True, found)
-        assert peak <= need + (64 << 10)
+        assert peak <= need + (16 << 10)
 
     @pytest.mark.parametrize(
         "cgroup,files,limit",

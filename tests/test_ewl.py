@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from qgame import (
     su2,
     tensor,
     two_param_payoff_closed_form,
-    unrestricted_payoffs,
 )
+from qgame.ewl import game_bytes, unrestricted_payoffs
 from qgame.linalg import TWO_PI, entangler
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
@@ -101,6 +102,21 @@ class TestEwlGame:
         g = random_game(np.random.default_rng(0), shape)
         with pytest.raises(ValueError, match=message):
             EwlGame(g, spaces)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_build_peak_stays_within_game_bytes(self, n):
+        rng = np.random.default_rng(n)
+        # NumPy's one-time allocations are made by a first build
+        EwlGame(random_game(rng, (2,) * n))
+        for _ in range(3):
+            g = random_game(rng, (2,) * n)
+            tracemalloc.start()
+            try:
+                EwlGame(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= game_bytes(n)
 
 
 class TestFinalState:

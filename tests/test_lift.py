@@ -38,9 +38,9 @@ from qgame import (
     operator_identity_suite,
     permutation_operator,
     su2,
-    unrestricted_payoffs,
     verify_lift,
 )
+from qgame.ewl import unrestricted_payoffs
 from qgame.lift import (
     IDENTITY_DRAW_BYTES,
     LIFT_TOL,

@@ -8,7 +8,6 @@ import qgame
 PUBLIC_NAMES = [
     "AngleTransform",
     "ClassicalGame",
-    "EpsEquilibrium",
     "EwlGame",
     "FLIP",
     "GameFile",
@@ -28,7 +27,6 @@ PUBLIC_NAMES = [
     "equilibrium_transport_check",
     "find_strong_isomorphisms",
     "grid_equilibria",
-    "grid_pure_ne",
     "image_game",
     "is_strong_isomorphism",
     "load_game_file",
@@ -42,7 +40,6 @@ PUBLIC_NAMES = [
     "su2",
     "tensor",
     "two_param_payoff_closed_form",
-    "unrestricted_payoffs",
     "verify_lift",
 ]
 

@@ -21,18 +21,17 @@ from qgame import (
     ParamGrid,
     StrategySpace,
     SU2Params,
-    grid_pure_ne,
     pure_nash_equilibria,
     two_param_payoff_closed_form,
-    unrestricted_payoffs,
 )
 from qgame import search
-from qgame.ewl import FEATURE_BYTES, strategy_features
+from qgame.ewl import FEATURE_BYTES, strategy_features, unrestricted_payoffs
 from qgame.games import PAYOFF_TOL
 from qgame.linalg import TWO_PI
 from qgame.search import (
     grid_equilibria,
     grid_payoff_tables,
+    grid_pure_ne,
     grid_row_bytes,
     grid_search_bytes,
     grid_table_bytes,
@@ -332,9 +331,9 @@ class TestBlockedSearch:
         held = []
         allowed = search._allowed
 
-        def count_held(pieces, *args):
-            held.append(sum(map(len, pieces[0])))
-            return allowed(pieces, *args)
+        def count_held(blocks, *args):
+            held.append(sum(len(profiles) for profiles, _, _ in blocks))
+            return allowed(blocks, *args)
 
         with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, "many")):
             found = grid_equilibria(game, grid, 0.5)
@@ -348,6 +347,36 @@ class TestBlockedSearch:
         assert len(held) > 1 and held[0] > k
         for name in ("index", "eps", "payoffs"):
             assert getattr(again, name).tobytes() == getattr(found, name).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("kept", [0.5, 1.0])
+    def test_held_rows_are_held_at_most_twice(self, n, kept):
+        # three blocks of 3,000 rows over 40 profiles of the other players,
+        # with player 0's payoffs uniform in [0, 1) and best replies of
+        # 1 - kept, so about `kept` of the rows stay. The blocks are traced
+        # from their allocation, and `_allowed` may hold their rows once
+        # more, as `grid_row_bytes` counts
+        rng = np.random.default_rng(n)
+        rest, eps = 40, 0.0
+        tracemalloc.start()
+        try:
+            held = [
+                (rng.integers(0, 50 * rest, 3000), rng.random((3000, n)), rng.random(3000))
+                for _ in range(3)
+            ]
+            best0 = np.full((1, rest), 1.0 - kept)
+            size = sum(a.nbytes for block in held for a in block)
+            rows = sum(int((pays[:, 0] >= 1.0 - kept).sum()) for _, pays, _ in held)
+            tracemalloc.reset_peak()
+            profiles, payoffs, improvements, best = search._allowed(held, best0, eps, rest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * size + (8 << 10)
+        # the kept rows are the only block left
+        assert len(held) == 1 and all(a is b for a, b in zip(held[0], (profiles, payoffs, improvements)))
+        assert len(profiles) == rows > 0
+        assert np.array_equal(best, best0.reshape(-1)[profiles % rest])
 
     @pytest.mark.parametrize("chunk", [1, 7, 3640])
     def test_features_formed_in_chunks_equal_one_pass(self, chunk):
