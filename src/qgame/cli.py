@@ -195,13 +195,12 @@ def cmd_lift_verify(args) -> int:
     )
     fa, fb = _load(args.game_a), _load(args.game_b)
     ga, gb = fa.game, fb.game
-    # the samples and the two games, which are built once a mapping is
-    # found; a game of more than MAX_QUBITS players is refused before its
-    # payoff core is built
+    # the games are built once a mapping is found; a game of more than
+    # MAX_QUBITS players is refused before its payoff core is built
     games = 2 * game_bytes(min(ga.n_players, MAX_QUBITS))
     _memory_left(
         games + verify_lift_bytes(ga.n_players, args.samples),
-        f"{args.samples:,} samples of angles and payoffs",
+        f"the two games and {args.samples:,} samples of angles and payoffs",
     )
     isos = find_strong_isomorphisms(ga, gb)
     if not isos:
@@ -215,15 +214,12 @@ def cmd_lift_verify(args) -> int:
         lm = lift(f, ga)
         res = verify_lift(lm, qa, qb, samples=args.samples, seed=seed)
         status = "pass" if res.passed else "FAIL"
-        extra = ""
         if res.space_escapes:
             pos = ", ".join(str(k + 1) for k in res.space_escapes)
-            extra = f" (space-escape at position {pos})"
-            status = "space-escape"
+            status = f"space-escape (space-escape at position {pos})"
         report.lines.append(
             f"iso {k}: {_describe_mapping(f, ga, gb)} | "
-            f"max deviation {res.max_deviation:.3e} over {res.samples} samples "
-            f"-> {status}{extra}"
+            f"max deviation {res.max_deviation:.3e} over {res.samples} samples -> {status}"
         )
         all_ok &= res.passed
     report.verdict = "all lifted mappings verified" if all_ok else "verification failed"
@@ -358,8 +354,8 @@ def cmd_ne(args) -> int:
     # 0's later best replies rule out, which it drops before it refuses
     left = _memory_left(
         game_bytes(n) + grid_search_bytes(grid, spaces) + 3 * LABEL_BYTES * sum(dims),
-        "the strategies and their labels, one block of payoff tables and mask, "
-        "and the best replies",
+        "the game, the strategies, their features and labels, one block of payoff "
+        "tables and mask, and the best replies",
     )
     game = EwlGame(g, spaces)
     row_bytes = grid_row_bytes(n) + 16 * (3 * n + 1) + LABEL_BYTES * (n + 1)
@@ -424,7 +420,7 @@ def cmd_surface(args) -> int:
     if t_steps < 1 or a_steps < 1:
         raise ValueError("grid steps must be positive")
     # only the game and the axes are held whole; the rest is one block
-    _memory_left(game_bytes(2) + 8 * t_steps + 16 * a_steps, "the theta and alpha axes")
+    _memory_left(game_bytes(2) + 8 * t_steps + 16 * a_steps, "the game and the theta and alpha axes")
     game = EwlGame(g)
     # unlike ParamGrid, the alpha axis keeps its 2pi endpoint (printed as 0)
     thetas = np.linspace(0.0, math.pi, t_steps)

@@ -94,31 +94,32 @@ def _unit_amplitudes(n: int) -> np.ndarray:
     return state.transpose(order).reshape(4**n, 2**n) @ J.conj()
 
 
-def _core_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(entry, ket, weight) of every term of the n-player payoff core:
-    term t adds d[ket[t]] * weight[t] to the flat core entry `entry[t]`
-    of a player with payoff diagonal d. Terms come ket by ket, so
-    accumulating them in order fixes the summation order."""
+def _core_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(entry, weight) of every term of the n-player payoff core: terms
+    come ket by ket, 4^n a ket, and term t adds d[t // 4^n] * weight[t]
+    to the flat core entry `entry[t]` of a player with payoff diagonal
+    d. Accumulating them in order fixes the summation order."""
     amps = _unit_amplitudes(n)
     # B_a maps |0..0> and |1..1> to complementary kets up to phase, so
-    # every row has one nonzero amplitude z[a] (the rest are rounding
-    # residue below 1e-15) on ket[a], and Re(amps diag(d) amps^H) only
-    # pairs rows on the same ket
+    # every row has one nonzero amplitude (the rest are rounding residue
+    # below 1e-15) on ket[a], and Re(amps diag(d) amps^H) only pairs rows
+    # on the same ket; a stable sort groups each ket's 2^n rows, in
+    # ascending order, into one row of `rows`
     ket = np.abs(amps).argmax(axis=1)
-    z = amps[np.arange(4**n), ket]
-    # pair (a, b) adds to the entry whose k-th index is player k's units
-    # (a_k, b_k) folded onto their upper triangle, C[k, l] + C[l, k]
+    rows = np.argsort(ket, kind="stable").reshape(2**n, 2**n)
+    z = amps[rows, ket[rows]]
+    del amps  # so that forming the terms holds less than summing them
+    weight = (z[:, :, None] * z[:, None, :].conj()).real.ravel()
+    # pair (a, b) adds to the entry whose decimal digit k holds the base-4
+    # digits k of a and b, one player's two units, folded onto their upper
+    # triangle, C[k, l] + C[l, k]
     fold = np.zeros((4, 4), dtype=int)
     fold[_ROW, _COL] = fold[_COL, _ROW] = np.arange(10)
-    unit_of = np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
-    places = 10 ** np.arange(n - 1, -1, -1)
-    # every ket has 2^n rows: a stable sort groups them ket by ket, rows
-    # in ascending order, one group per row of `rows`
-    rows = np.argsort(ket, kind="stable").reshape(2**n, 2**n)
-    units, zr = unit_of[rows], z[rows]
-    entry = fold[units[:, :, None], units[:, None, :]] @ places
-    weight = (zr[:, :, None] * zr[:, None, :].conj()).real
-    return entry.ravel(), np.repeat(np.arange(2**n), 4**n), weight.ravel()
+    entry = np.zeros((2**n,) * 3, dtype=int)
+    for k in range(n):
+        unit = rows // 4**k % 4
+        entry += (10**k * fold)[unit[:, :, None], unit[:, None, :]]
+    return entry.ravel(), weight
 
 
 def _payoff_core(diags: np.ndarray) -> np.ndarray:
@@ -126,10 +127,10 @@ def _payoff_core(diags: np.ndarray) -> np.ndarray:
     u_i = sum C[i, p_1, .., p_n] f_1[p_1] .. f_n[p_n] for the features
     f of `strategy_features`."""
     n = diags.shape[0]
-    entry, ket, weight = _core_terms(n)
+    entry, weight = _core_terms(n)
     core = np.empty((n, 10**n))
     for row, d in zip(core, diags):
-        row[:] = np.bincount(entry, d[ket] * weight, minlength=10**n)
+        row[:] = np.bincount(entry, np.repeat(d, 4**n) * weight, minlength=10**n)
     return core.reshape((n,) + (10,) * n)
 
 
@@ -194,18 +195,15 @@ class EwlGame:
 
 
 def game_bytes(players: int) -> int:
-    """Bytes building an `EwlGame` of `players` players holds at its peak:
-    8 KiB of NumPy's fixed cost, and the larger of two phases over the 8^n
-    terms of `_core_terms`. Forming them holds 24 bytes a term of
-    amplitudes and entries, and either 24n of gathered unit indices and
-    their two broadcast index copies or 48 of complex weights and their
-    two broadcast factors. Summing them holds the core and one `bincount`
-    row, (n + 1) * 10^n float64, and 40 bytes a term: the three term
-    arrays and a player's two products."""
-    terms, entries = 8**players, 10**players
-    forming = (24 + max(24 * players, 48)) * terms
-    summing = 8 * (players + 1) * entries + 40 * terms
-    return (8 << 10) + max(forming, summing)
+    """Bytes building an `EwlGame` of `players` players holds at its peak,
+    while the 8^n terms of `_core_terms` are summed: 8 KiB of NumPy's
+    fixed cost, the core and one `bincount` row, (n + 1) * 10^n float64,
+    and 32 bytes a term, the two term arrays and a player's two products.
+    Forming the terms holds at most 48 bytes a term, less than that for
+    every n: the last state of `_unit_amplitudes`, its transposed copy and
+    the amplitudes, or the complex weights and the two buffers NumPy
+    allocates for their broadcast product."""
+    return (8 << 10) + 8 * (players + 1) * 10**players + 32 * 8**players
 
 
 def payoff_bytes(players: int) -> int:

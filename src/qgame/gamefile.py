@@ -114,6 +114,9 @@ def parse_game_file(text: str) -> GameFile:
                 raise GameFileError(f"bad player index {idx}", lineno)
             if idx in labels:
                 raise GameFileError(f"duplicate strategies line for player {idx}", lineno)
+            # a payoff line could not name a label holding either
+            if bad := re.search(r"[,)]", m["labels"]):
+                raise GameFileError(f"strategy labels cannot contain {bad[0]!r}", lineno)
             toks = tuple(m["labels"].split())
             if len(toks) < 2 or len(set(toks)) != len(toks):
                 raise GameFileError("need at least two distinct strategy labels", lineno)
@@ -122,6 +125,8 @@ def parse_game_file(text: str) -> GameFile:
             idx = int(m["space_player"])
             if n is None or not 1 <= idx <= n:
                 raise GameFileError(f"bad player index {idx}", lineno)
+            if idx in spaces:
+                raise GameFileError(f"duplicate space line for player {idx}", lineno)
             try:
                 spaces[idx] = parse_space(m["space"])
             except ValueError as exc:
@@ -144,12 +149,9 @@ def parse_game_file(text: str) -> GameFile:
     tensor = np.fromiter(rows, float, total * n).reshape(dims + (n,))
 
     game = ClassicalGame(tuple(labels[i + 1] for i in range(n)), tensor)
-    space_tuple = None
-    if spaces:
-        space_tuple = tuple(
-            spaces.get(i + 1, StrategySpace.FULL_SU2) for i in range(n)
-        )
-    return GameFile(game, space_tuple)
+    if not spaces:
+        return GameFile(game)
+    return GameFile(game, tuple(spaces.get(i + 1, StrategySpace.FULL_SU2) for i in range(n)))
 
 
 def load_game_file(path) -> GameFile:

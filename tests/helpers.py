@@ -166,6 +166,9 @@ def parse_game_file_oracle(text: str) -> GameFile:
                 raise GameFileError(f"bad player index {idx}", lineno)
             if idx in labels:
                 raise GameFileError(f"duplicate strategies line for player {idx}", lineno)
+            for ch in m.group(2):
+                if ch in ",)":
+                    raise GameFileError(f"strategy labels cannot contain {ch!r}", lineno)
             toks = tuple(m.group(2).split())
             if len(toks) < 2 or len(set(toks)) != len(toks):
                 raise GameFileError("need at least two distinct strategy labels", lineno)
@@ -176,6 +179,8 @@ def parse_game_file_oracle(text: str) -> GameFile:
             idx = int(m.group(1))
             if n is None or not 1 <= idx <= n:
                 raise GameFileError(f"bad player index {idx}", lineno)
+            if idx in spaces:
+                raise GameFileError(f"duplicate space line for player {idx}", lineno)
             try:
                 spaces[idx] = parse_space(m.group(2))
             except ValueError as exc:

@@ -139,6 +139,20 @@ class TestIsoCommand:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("players: 2\nstrategies 1: t,b\n", "line 2: strategy labels cannot contain ','"),
+            ("players: 1\nspace 1: one\nspace 1: full\n", "line 3: duplicate space line"),
+        ],
+        ids=["label-character", "duplicate-space"],
+    )
+    def test_unusable_line_exit_2(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.game"
+        bad.write_text(text)
+        assert main(["iso", str(bad), str(GAMES / "pd.game")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["iso", "/nonexistent.game", "/nonexistent.game"]) == 2
 
@@ -755,29 +769,33 @@ class TestPreflightMemoryCheck:
         assert cli._memory_left(0, "nothing") == first
 
     @pytest.mark.parametrize(
-        "argv,what",
+        "argv,what,games",
         [
             (
                 ["ne", str(GAMES / "pd.game"), "--spaces", "full", "--grid", "1000,1000,1000"],
-                "the strategies and their labels, one block of payoff tables and mask, "
-                "and the best replies",
+                "the game, the strategies, their features and labels, one block of payoff "
+                "tables and mask, and the best replies",
+                "the game",
             ),
             (
                 ["surface", str(GAMES / "pd.game"), "--grid", "1000000000000,1"],
-                "the theta and alpha axes",
+                "the game and the theta and alpha axes",
+                "the game",
             ),
             (
                 ["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")]
                 + ["--samples", "100000000000"],
-                "100,000,000,000 samples of angles and payoffs",
+                "the two games and 100,000,000,000 samples of angles and payoffs",
+                "the two games",
             ),
             (
                 ["identities", "--samples", "100000000000"],
                 "100,000,000,000 draws of the identity checks",
+                None,
             ),
         ],
     )
-    def test_huge_grid_exits_2_before_allocating(self, argv, what, capsys, monkeypatch):
+    def test_huge_grid_exits_2_before_allocating(self, argv, what, games, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("grid arrays built or samples drawn")
 
@@ -795,13 +813,15 @@ class TestPreflightMemoryCheck:
         assert peak < 1 << 20
         err = capsys.readouterr().err
         assert f"GiB for {what}" in err and "physical memory" in err
+        # a command that builds EWL games counts them first
+        assert games is None or f"GiB for {games}" in err
 
     @pytest.mark.parametrize(
         "argv,phys_bytes",
         [
-            # the game: `game_bytes(2)`, 13,152 bytes, 8 KiB of NumPy's fixed
+            # the game: `game_bytes(2)`, 12,640 bytes, 8 KiB of NumPy's fixed
             # cost and, while its 64 core terms are summed, its 2 x 100
-            # float64 payoff core, one 100 float64 bincount row and 40 bytes
+            # float64 payoff core, one 100 float64 bincount row and 32 bytes
             # a term; 2 x 2 profiles in one block over one grid of 2
             # strategies, which both players share: its angles and features,
             # 2 x 104 bytes, then the search, which outweighs forming the
@@ -813,10 +833,10 @@ class TestPreflightMemoryCheck:
             # each of its 5 fields and again for its 2 payoffs while stdout
             # is written, and 128 for each of its 3 payoff and improvement
             # labels
-            (["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"], 40752),
-            # the game, 13,152 bytes, and the axes of a 2 x 2 grid, 16 + 32;
+            (["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"], 39728),
+            # the game, 12,640 bytes, and the axes of a 2 x 2 grid, 16 + 32;
             # a budget a byte short of both still fits the axes
-            (["surface", str(GAMES / "pd_swapped.game"), "--grid", "2,2"], 26400),
+            (["surface", str(GAMES / "pd_swapped.game"), "--grid", "2,2"], 25376),
         ],
         ids=["ne", "surface"],
     )
@@ -828,10 +848,10 @@ class TestPreflightMemoryCheck:
         capsys.readouterr()
 
     def test_rows_count_against_what_the_search_leaves(self, capsys, monkeypatch):
-        # a budget of 19,800 bytes holds the game, search and labels of the
+        # a budget of 19,288 bytes holds the game, search and labels of the
         # test above, not its row
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
-        refusals = [(39600, "more than 0 equilibrium rows"), (39599, "GiB for the strategies")]
+        refusals = [(38576, "more than 0 equilibrium rows"), (38575, "GiB for the game, the strategies")]
         for phys_bytes, text in refusals:
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": phys_bytes}
             monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
@@ -843,7 +863,7 @@ class TestPreflightMemoryCheck:
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "one", "--grid", "2,1,1"]
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 40}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        for limit, code in [(40752, 0), (40751, 2), (None, 0)]:
+        for limit, code in [(39728, 0), (39727, 2), (None, 0)]:
             monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
             assert main(argv) == code
         capsys.readouterr()
@@ -854,8 +874,8 @@ class TestPreflightMemoryCheck:
             # two players: 48 bytes of drawn and 48 of mapped angles, 16 of
             # one game's payoffs and 576 while the other game's strategy
             # features are formed; and the two games, `game_bytes(2)` or
-            # 13,152 bytes each
-            (["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")], 100, 688, 26304),
+            # 12,640 bytes each
+            (["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")], 100, 688, 25280),
             (["identities"], 50, 1576, 0),
         ],
     )

@@ -105,6 +105,8 @@ MUTATIONS = [
     "zero players",
     "repeated label",
     "unknown space",
+    "duplicate space",
+    "label character",
 ]
 
 
@@ -164,6 +166,18 @@ def mutate(data, kind, n, labels, lines):
         s = data.draw(st.sampled_from(strategies))
         i = int(lines[s].split(":", 1)[0].split()[1])
         lines[s] = f"strategies {i}: {labels[i - 1][0]} {labels[i - 1][0]}"
+    elif kind == "duplicate space":
+        space = f"space {data.draw(st.integers(1, n))}: {data.draw(st.sampled_from(SPACE_NAMES))}"
+        at = data.draw(st.integers(players + 1, len(lines)))
+        lines.insert(at, space)
+        lines.insert(data.draw(st.integers(at + 1, len(lines))), space)
+    elif kind == "label character":
+        # a label no payoff line could name
+        s = data.draw(st.sampled_from(strategies))
+        i = int(lines[s].split(":", 1)[0].split()[1])
+        first, *rest = labels[i - 1]
+        bad = first[:1] + data.draw(st.sampled_from([",", ")"])) + first[1:]
+        lines[s] = f"strategies {i}: {' '.join([bad, *rest])}"
     else:
         lines.insert(data.draw(st.integers(players + 1, len(lines))), "space 1: sideways")
     return lines
@@ -206,6 +220,10 @@ class TestParserAgainstOracle:
             PAIR + "payoff (a,zz): abc\n",
             PAIR + "payoff (zz): 1 2\n",
             PAIR + "payoff (a,c): 1 2\npayoff (a,c): nan\n",
+            "players: 1\nstrategies 1: a,b\n",
+            "players: 1\nstrategies 1: a) b,c\n",
+            "players: 1\nstrategies 1: a a)\n",
+            "players: 1\nspace 1: one\nspace 1: sideways\n",
         ],
     )
     def test_edge_files_parse_alike(self, text):

@@ -142,8 +142,8 @@ def test_payoff_core_equals_the_ket_by_ket_oracle_bitwise(diags):
 
 def test_four_player_game_peaks_at_its_core_and_one_row():
     # besides the core and the row being accumulated: the 8^4 terms'
-    # entry, ket and weight arrays and one row's weighted terms, at most
-    # 5 x 32 KiB, and the diagonals
+    # entry and weight arrays and one row's repeated diagonal and weighted
+    # terms, 4 x 32 KiB, and the diagonals
     g = random_game(np.random.default_rng(4), (2,) * 4)
     tracemalloc.start()
     try:
@@ -152,13 +152,15 @@ def test_four_player_game_peaks_at_its_core_and_one_row():
     finally:
         tracemalloc.stop()
     core = game.payoff_core.nbytes
-    assert peak <= core + core // 4 + (160 << 10)
+    assert peak <= core + core // 4 + (128 << 10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_core_terms_equal_the_ket_by_ket_loop(n):
-    got, want = _core_terms(n), core_terms_oracle(n)
-    for g, w in zip(got, want):
+    entry, ket, weight = core_terms_oracle(n)
+    # terms come ket by ket, 4^n a ket
+    assert np.array_equal(ket, np.repeat(np.arange(2**n), 4**n))
+    for g, w in zip(_core_terms(n), (entry, weight)):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
         assert g.tobytes() == w.tobytes()
