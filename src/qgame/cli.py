@@ -249,10 +249,6 @@ def _numbers(spec: str, kind, counts, message: str) -> list:
     return values
 
 
-def _parse_grid(spec: str) -> ParamGrid:
-    return ParamGrid(*_numbers(spec, int, (3,), f"grid must be t,a,b step counts, got {spec!r}"))
-
-
 def _parse_spaces(spec: str, players: int) -> tuple[StrategySpace, ...]:
     names = _fields(spec)
     if len(names) == 1:
@@ -299,7 +295,7 @@ def _cgroup_memory_limit() -> int | None:
         parts = [p for p in cgroup.split("/") if p]
         for depth in range(len(parts) + 1):
             try:
-                with open(os.path.join(root, *parts[:depth], name), encoding="ascii") as fh:
+                with open(os.path.join(root, *parts[:depth], name), encoding="utf-8") as fh:
                     text = fh.read().strip()
             except OSError:
                 continue
@@ -333,9 +329,7 @@ def cmd_ne(args) -> int:
     # nan and negative eps would find nothing, inf every grid profile
     if not (math.isfinite(args.eps) and args.eps >= 0):
         raise ValueError(f"eps must be a finite number >= 0, got {args.eps!r}")
-    report = RunReport(
-        command=f"ne {args.game}", tolerances={"eps": args.eps}
-    )
+    report = RunReport(command=f"ne {args.game}", tolerances={"eps": args.eps})
     gf = _load(args.game)
     g = gf.game
     n = g.n_players
@@ -343,7 +337,8 @@ def cmd_ne(args) -> int:
     if args.spaces:
         spaces = _parse_spaces(args.spaces, n)
     spaces = checked_spaces(g, spaces)
-    grid = _parse_grid(args.grid)
+    message = f"grid must be t,a,b step counts, got {args.grid!r}"
+    grid = ParamGrid(*_numbers(args.grid, int, (3,), message))
     dims = [grid.size(s) for s in spaces]
     # the check counts the game, which is built only once it passes; a
     # strategy's label holds three angles; each row holds the search's
@@ -385,24 +380,23 @@ def cmd_ne(args) -> int:
         fmts = ["%.15g,%.15g,%.15g,"] * n + ["%.15g,"] * n + ["%.15g\n"]
         # one label array for all n payoff columns
         rows = _table(fmts, [*strategies, *((values, w) for w in where), improvement])
-        try:
-            _write_text(args.csv, ",".join(cols) + "\n", rows)
-        except OSError as exc:
-            print(f"cannot write {args.csv}: {exc}", file=sys.stderr)
+        if _write_csv(args.csv, ",".join(cols) + "\n", rows) == EXIT_IO:
             return EXIT_IO
     return EXIT_OK if count else EXIT_NEGATIVE
 
 
-def _write_text(path, head, blocks) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
-        for text in blocks:
-            fh.write(text)
-
-
-def _parse_params(spec: str) -> SU2Params:
-    message = f"opponent parameters must be theta,alpha[,beta], got {spec!r}"
-    return SU2Params(*_numbers(spec, float, (2, 3), message))
+def _write_csv(path, head, blocks) -> int:
+    """Write `head`, then the text `blocks`, to the file `path`: EXIT_OK,
+    or EXIT_IO with a message on stderr when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(head)
+            for text in blocks:
+                fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def cmd_surface(args) -> int:
@@ -413,7 +407,8 @@ def cmd_surface(args) -> int:
     mover = args.player - 1
     if mover not in (0, 1):
         raise ValueError("player must be 1 or 2")
-    opponent = _parse_params(args.opponent)
+    message = f"opponent parameters must be theta,alpha[,beta], got {args.opponent!r}"
+    opponent = SU2Params(*_numbers(args.opponent, float, (2, 3), message))
     t_steps, a_steps = _numbers(
         args.grid, int, (2,), f"surface grid must be theta_steps,alpha_steps, got {args.grid!r}"
     )
@@ -442,15 +437,10 @@ def cmd_surface(args) -> int:
 
     head = "theta,alpha,payoff1,payoff2\n"
     if args.csv:
-        try:
-            _write_text(args.csv, head, blocks())
-        except OSError as exc:
-            print(f"cannot write {args.csv}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(head)
-        for text in blocks():
-            sys.stdout.write(text)
+        return _write_csv(args.csv, head, blocks())
+    sys.stdout.write(head)
+    for text in blocks():
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -223,18 +223,26 @@ def _angle_payoffs(game: EwlGame, angles: np.ndarray) -> np.ndarray:
     n = game.n_players
     feats = strategy_features(angles.reshape(-1, 3)).reshape(-1, n, 10)
     # per-profile Kronecker products of the first and the last players'
-    # features; splitting in halves keeps the intermediates at P * 10^(n/2)
+    # features; splitting in halves keeps the intermediates at P * 10^(n/2).
+    # The left half is column-major: BLAS rounds `left @ c` differently for
+    # a row-major one, which moves `lift-verify`'s deviations. The right half
+    # is row-major like `left @ c`, so their product needs no iterator buffers
     half = n // 2
-    left, right = _kron_rows(feats[:, :half]), _kron_rows(feats[:, half:])
+    left, right = _kron_rows(feats[:, :half], "F"), _kron_rows(feats[:, half:], "C")
     core = game.payoff_core.reshape(n, left.shape[1], right.shape[1])
     return np.stack([((left @ c) * right).sum(axis=1) for c in core], axis=1)
 
 
-def _kron_rows(feats: np.ndarray) -> np.ndarray:
-    """(P, k, 10) -> (P, 10^k): each row's Kronecker product over k."""
+def _kron_rows(feats: np.ndarray, order: str) -> np.ndarray:
+    """(P, k, 10) -> (P, 10^k) in `order` ("C" or "F"): each row's
+    Kronecker product over k, one batched outer product a factor that
+    `np.matmul` writes in place; a broadcast product would make NumPy
+    allocate iterator buffers of up to 64 KiB an operand besides it."""
     out = np.ones((len(feats), 1))
     for k in range(feats.shape[1]):
-        out = (out[:, :, None] * feats[:, k, None, :]).reshape(len(feats), out.shape[1] * 10)
+        step = np.empty((len(feats), out.shape[1] * 10), order=order)
+        np.matmul(out[:, :, None], feats[:, k, None, :], out=step.reshape(*out.shape, 10))
+        out = step
     return out
 
 

@@ -169,6 +169,8 @@ def verify_lift(
         )
         devs = payoffs - _angle_payoffs(g2, mapped)[:, list(lm.eta)]
         max_dev = max(max_dev, float(np.abs(devs).max()))
+        # so that the next block's evaluation does not hold this block's
+        del payoffs, mapped, devs
     escapes = tuple(sorted(escapes))
     passed = not escapes and max_dev <= LIFT_TOL
     return LiftReport(passed, max_dev, escapes, samples, seed, LIFT_TOL)

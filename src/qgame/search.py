@@ -23,11 +23,11 @@ from .linalg import TWO_PI, SU2Params
 class ParamGrid:
     """(theta, alpha, beta) step counts, the same for every player.
 
-    Axes are inclusive linspaces over [0, pi] resp. [0, 2pi]; phase
-    values are reduced mod 2pi and deduplicated, so the 2pi endpoint
-    collapses onto 0. Angles frozen by a player's space always get the
-    single value 0 regardless of the requested count. theta needs at
-    least 2 steps so both endpoints 0 and pi are on the grid.
+    Axes are inclusive linspaces over [0, pi] resp. [0, 2pi]; a phase
+    axis drops its 2pi endpoint, which is 0 mod 2pi. Angles frozen by a
+    player's space always get the single value 0 regardless of the
+    requested count. theta needs at least 2 steps so both endpoints 0
+    and pi are on the grid.
     """
 
     theta: int = 17
@@ -42,31 +42,28 @@ class ParamGrid:
         if self.alpha < 1 or self.beta < 1:
             raise ValueError("phase axes need at least 1 step")
 
+    def _counts(self, space: StrategySpace) -> tuple[int, int, int]:
+        """(theta, alpha, beta) value counts in `space`: a frozen or 1-step
+        phase axis holds only 0, a k-step one k - 1 (its 2pi end is 0)."""
+        a = 1 if space.alpha_frozen else max(self.alpha - 1, 1)
+        b = 1 if space.beta_frozen else max(self.beta - 1, 1)
+        return self.theta, a, b
+
     def size(self, space: StrategySpace) -> int:
         """Number of grid strategies in `space`, from the step counts
         alone."""
-        a = 1 if space.alpha_frozen else max(self.alpha - 1, 1)
-        b = 1 if space.beta_frozen else max(self.beta - 1, 1)
-        return self.theta * a * b
+        return math.prod(self._counts(space))
 
     def angles(self, space: StrategySpace) -> np.ndarray:
         """(m, 3) array of the grid (theta, alpha, beta) rows in `space`,
         theta outermost and beta innermost."""
-        thetas = np.linspace(0.0, math.pi, self.theta)
-        alphas = _phase_axis(1 if space.alpha_frozen else self.alpha)
-        betas = _phase_axis(1 if space.beta_frozen else self.beta)
-        axes = np.meshgrid(thetas, alphas, betas, indexing="ij")
-        return np.stack(axes, axis=-1).reshape(-1, 3)
+        t, a, b = self._counts(space)
+        axes = [np.linspace(0.0, math.pi, t)]
+        axes += [np.linspace(0.0, TWO_PI, k + 1)[:-1] for k in (a, b)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
     def strategies(self, space: StrategySpace) -> tuple[SU2Params, ...]:
         return tuple(SU2Params(*row) for row in self.angles(space).tolist())
-
-
-def _phase_axis(steps: int) -> np.ndarray:
-    if steps == 1:
-        return np.zeros(1)
-    # the 2pi endpoint reduces to 0 and is dropped
-    return (np.linspace(0.0, TWO_PI, steps) % TWO_PI)[:-1]
 
 
 @dataclass(frozen=True)

@@ -930,6 +930,9 @@ class TestPreflightMemoryCheck:
             save_game_file(GameFile(game, (StrategySpace.FULL_SU2,) * n), path)
             argv = ["ne", str(path), "--spaces", spaces, "--grid", grid, "--eps", repr(eps)]
             argv += ["--csv", str(Path(tmp) / "ne.csv")] if csv else []
+            # the parser is built once per process, before any preflight
+            # runs, so no estimate can count it
+            cli.build_parser()
             with mock.patch.object(cli, "_memory_left", memory_left):
                 with mock.patch.object(cli, "grid_equilibria", search):
                     with contextlib.redirect_stdout(io.StringIO()):

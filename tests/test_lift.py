@@ -68,6 +68,13 @@ FULL = StrategySpace.FULL_SU2
 RNG = np.random.default_rng(31)
 
 
+# Beyond what `verify_lift_bytes` counts: NumPy's fixed cost of a call, and
+# the small objects CPython keeps on its free lists, which tracemalloc
+# still counts as held (about 19 KB after the 71 blocks of 20,000 samples
+# at 4 players, freed by a full `gc.collect()`)
+SLACK = 64 << 10
+
+
 def traced_peak(run) -> int:
     """Peak bytes tracemalloc sees while `run()` runs."""
     tracemalloc.start()
@@ -373,7 +380,7 @@ class TestVerifyLift:
         qa, qb, lm = EwlGame(g), EwlGame(image_game(f, g)), lift(f, g)
         need = verify_lift_bytes(n, 4000)
         peak = traced_peak(lambda: verify_lift(lm, qa, qb, samples=4000))
-        assert 0.6 * need < peak <= need + (256 << 10)
+        assert 0.6 * need < peak <= need + SLACK
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_peak_of_many_samples_stays_within_one_block(self, n):
@@ -388,7 +395,7 @@ class TestVerifyLift:
         need = verify_lift_bytes(n, samples)
         assert need == 24 * n * samples + _sample_block(n) * _block_sample_bytes(n) < samples * 200
         peak = traced_peak(lambda: verify_lift(lm, qa, qb, samples=samples))
-        assert 0.6 * need < peak <= need + (256 << 10)
+        assert 0.6 * need < peak <= need + SLACK
         # the report of one block of every sample, but for rounding
         lift_module = importlib.import_module("qgame.lift")
         with mock.patch.object(lift_module, "BLOCK_BYTES", samples * _block_sample_bytes(n)):

@@ -106,6 +106,19 @@ class TestGridConsistency:
         # SU2Params keeps the grid values as they are
         assert [list(p.as_tuple()) for p in grid.strategies(space)] == angles.tolist()
 
+    @given(
+        t=st.integers(2, 40),
+        a=st.integers(1, 40),
+        b=st.integers(1, 40),
+        space=st.sampled_from(SPACES),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_size_and_angles_follow_one_count(self, t, a, b, space):
+        grid = ParamGrid(t, a, b)
+        angles = grid.angles(space)
+        assert angles.shape == (grid.size(space), 3)
+        assert angles.tolist() == product_grid((t, a, b), space)
+
     def test_table_bytes_estimate_matches_the_arrays(self):
         # one block: the tables of every player and the search's two masks
         game = EwlGame(PD, (StrategySpace.FULL_SU2, D))
