@@ -29,8 +29,8 @@ from .lift import (
     LIFT_TOL,
     lift,
     operator_identity_suite,
-    verify_lift,
     verify_lift_bytes,
+    verify_lifts,
 )
 from .linalg import MAX_QUBITS, TWO_PI, SU2Params
 from .search import (
@@ -210,9 +210,8 @@ def cmd_lift_verify(args) -> int:
     qa = EwlGame(ga, fa.spaces)
     qb = EwlGame(gb, fb.spaces)
     all_ok = True
-    for k, f in enumerate(isos, start=1):
-        lm = lift(f, ga)
-        res = verify_lift(lm, qa, qb, samples=args.samples, seed=seed)
+    reports = verify_lifts([lift(f, ga) for f in isos], qa, qb, samples=args.samples, seed=seed)
+    for k, (f, res) in enumerate(zip(isos, reports), start=1):
         status = "pass" if res.passed else "FAIL"
         if res.space_escapes:
             pos = ", ".join(str(k + 1) for k in res.space_escapes)

@@ -209,11 +209,11 @@ def game_bytes(players: int) -> int:
 def payoff_bytes(players: int) -> int:
     """Bytes `_angle_payoffs` holds per profile at its peak: the n rows of
     features while they are formed, or the features, both halves'
-    Kronecker rows, a player's two products the size of the larger half
-    and the n payoffs twice (the per-player columns and their stack)."""
+    Kronecker rows, a player's product the size of the larger half and
+    the n payoffs twice (the per-player columns and their stack)."""
     half = players // 2
     left, right = 10**half, 10 ** (players - half)
-    contract = 80 * players + 8 * (left + right) + 16 * right + 16 * players
+    contract = 80 * players + 8 * (left + right) + 8 * right + 16 * players
     return max(players * FEATURE_BYTES, contract)
 
 
@@ -230,7 +230,15 @@ def _angle_payoffs(game: EwlGame, angles: np.ndarray) -> np.ndarray:
     half = n // 2
     left, right = _kron_rows(feats[:, :half], "F"), _kron_rows(feats[:, half:], "C")
     core = game.payoff_core.reshape(n, left.shape[1], right.shape[1])
-    return np.stack([((left @ c) * right).sum(axis=1) for c in core], axis=1)
+    payoffs = []
+    for c in core:
+        # `payoff_bytes` counts one product the size of the right half: it
+        # is taken in place and freed before the next player's is formed
+        terms = left @ c
+        terms *= right
+        payoffs.append(terms.sum(axis=1))
+        del terms
+    return np.stack(payoffs, axis=1)
 
 
 def _kron_rows(feats: np.ndarray, order: str) -> np.ndarray:

@@ -5,7 +5,8 @@ permuting players with eta and transforming each player's angles:
 strategy-preserving players keep (theta, alpha, beta), strategy-swapping
 players get the reflected angles (pi - theta, 2pi - beta, pi - alpha),
 whose matrix is -i sigma_x times the original. `verify_lift` checks the
-induced payoff equality numerically on random strategy profiles, and
+induced payoff equality numerically on random strategy profiles
+(`verify_lifts` for several mappings on the same profiles), and
 `operator_identity_suite` the operator identities behind the lift; both
 work on arrays of all draws at once.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
+from typing import Sequence
 
 import numpy as np
 
@@ -119,7 +121,16 @@ class LiftReport:
 def verify_lift(
     lm: LiftedMapping, g: EwlGame, g2: EwlGame, samples: int = 100, seed: int = 0
 ) -> LiftReport:
-    """Check u_i(U) = u'_{eta(i)}(lifted U) on random strategy profiles.
+    """Check u_i(U) = u'_{eta(i)}(lifted U) on random strategy profiles:
+    `verify_lifts` of the one mapping."""
+    return verify_lifts((lm,), g, g2, samples, seed)[0]
+
+
+def verify_lifts(
+    lms: Sequence[LiftedMapping], g: EwlGame, g2: EwlGame, samples: int = 100, seed: int = 0
+) -> tuple[LiftReport, ...]:
+    """Check u_i(U) = u'_{eta(i)}(lifted U) for every mapping of `lms` on
+    the same random strategy profiles, one report per mapping.
 
     Profiles are drawn uniformly from g's declared spaces (product
     measure over the angle boxes, reproducible from the seed) as one
@@ -127,15 +138,17 @@ def verify_lift(
     leaves free, profile by profile, player by player, theta before
     alpha before beta. Each phase is 2pi * u with 0 <= u < 1, which
     rounds below 2pi, so it is already reduced mod 2pi. Player i's
-    transform maps column i to column eta(i) of the image profiles. The
-    check passes when the worst payoff deviation stays within LIFT_TOL
-    and no transformed strategy escapes g2's declared spaces.
+    transform maps column i to column eta(i) of the image profiles. A
+    mapping's check passes when its worst payoff deviation stays within
+    LIFT_TOL and no transformed strategy escapes g2's declared spaces.
 
     Only the drawn columns are held for every sample; the profiles are
-    formed, mapped and evaluated `_sample_block(n)` samples at a time.
+    formed and evaluated on g `_sample_block(n)` samples at a time, and
+    each block is then mapped and evaluated on g2 once per mapping, so a
+    mapping's report is the one it gets alone.
     """
     n = g.n_players
-    if g2.n_players != n or len(lm.eta) != n:
+    if g2.n_players != n or any(len(lm.eta) != n for lm in lms):
         raise ValueError("mapping and games must agree on the player count")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -150,7 +163,7 @@ def verify_lift(
     drawn = box > 0.0
     drawn_angles = np.random.default_rng(seed).random((samples, int(drawn.sum())))
     drawn_angles *= box[drawn]
-    escapes, max_dev = set(), 0.0
+    escapes, max_dev = [set() for _ in lms], [0.0] * len(lms)
     step = _sample_block(n)
     for start in range(0, samples, step):
         block = drawn_angles[start : start + step]
@@ -158,43 +171,44 @@ def verify_lift(
         angles[:, drawn] = block
         angles = angles.reshape(-1, n, 3)
         payoffs = _angle_payoffs(g, angles)
-        mapped = np.empty_like(angles)
-        for i, t in enumerate(lm.transforms):
-            mapped[:, lm.eta[i]] = t.angles(angles[:, i])
-        del angles
-        escapes.update(
-            k
-            for k, s in enumerate(g2.spaces)
-            if (s.alpha_frozen and mapped[:, k, 1].any()) or (s.beta_frozen and mapped[:, k, 2].any())
-        )
-        devs = payoffs - _angle_payoffs(g2, mapped)[:, list(lm.eta)]
-        max_dev = max(max_dev, float(np.abs(devs).max()))
-        # so that the next block's evaluation does not hold this block's
-        del payoffs, mapped, devs
-    escapes = tuple(sorted(escapes))
-    passed = not escapes and max_dev <= LIFT_TOL
-    return LiftReport(passed, max_dev, escapes, samples, seed, LIFT_TOL)
+        for k, lm in enumerate(lms):
+            mapped = np.empty_like(angles)
+            for i, t in enumerate(lm.transforms):
+                mapped[:, lm.eta[i]] = t.angles(angles[:, i])
+            escapes[k].update(
+                j
+                for j, s in enumerate(g2.spaces)
+                if (s.alpha_frozen and mapped[:, j, 1].any()) or (s.beta_frozen and mapped[:, j, 2].any())
+            )
+            devs = payoffs - _angle_payoffs(g2, mapped)[:, list(lm.eta)]
+            max_dev[k] = max(max_dev[k], float(np.abs(devs).max()))
+            # so that the next evaluation does not hold this mapping's
+            del mapped, devs
+        del angles, payoffs
+    reports = []
+    for found, dev in zip(escapes, max_dev):
+        found = tuple(sorted(found))
+        reports.append(LiftReport(not found and dev <= LIFT_TOL, dev, found, samples, seed, LIFT_TOL))
+    return tuple(reports)
 
 
 def _block_sample_bytes(players: int) -> int:
-    """Bytes `verify_lift` holds per sample of a block: its (n, 3) angle
-    rows or their image, one game's n payoffs and the other game's payoff
+    """Bytes `verify_lifts` holds per sample of a block: its (n, 3) angle
+    rows and one mapping's image of them, g's n payoffs and g2's payoff
     evaluation (`payoff_bytes`)."""
-    return 24 * players + 8 * players + payoff_bytes(players)
+    return 48 * players + 8 * players + payoff_bytes(players)
 
 
 def _sample_block(players: int) -> int:
-    """Samples `verify_lift` forms, maps and evaluates at once: as many as
+    """Samples `verify_lifts` forms, maps and evaluates at once: as many as
     keep a block within `BLOCK_BYTES`, at least one."""
     return max(1, BLOCK_BYTES // _block_sample_bytes(players))
 
 
 def verify_lift_bytes(players: int, samples: int) -> int:
-    """Bytes `verify_lift` holds for `samples` samples: every sample's
-    drawn angles (24n bytes at most) and one block of
-    `_block_sample_bytes` per sample. A run of one block counts the drawn
-    and the mapped (n, 3) angle rows, one game's n payoffs and the other
-    game's payoff evaluation per sample."""
+    """Bytes `verify_lifts` holds for `samples` samples, whatever the
+    number of mappings: every sample's drawn angles (24n bytes at most)
+    and one block of `_block_sample_bytes` per sample."""
     block = min(samples, _sample_block(players))
     return 24 * players * samples + block * _block_sample_bytes(players)
 

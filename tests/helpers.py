@@ -280,6 +280,18 @@ def random_game(rng, shape, players=None, low=0, high=10) -> ClassicalGame:
     return ClassicalGame(labels, payoffs)
 
 
+def symmetric_game(rng, n, low=0, high=10) -> ClassicalGame:
+    """Random symmetric binary game of n players: each player's payoff
+    depends on their own strategy and on how many others play their
+    second one, so every player permutation is an automorphism."""
+    table = rng.integers(low, high, size=(2, n)).astype(float)
+    payoffs = np.empty((2,) * n + (n,))
+    for s in product((0, 1), repeat=n):
+        payoffs[s] = [table[s[i], sum(s) - s[i]] for i in range(n)]
+    labels = tuple((f"s{i+1}0", f"s{i+1}1") for i in range(n))
+    return ClassicalGame(labels, payoffs)
+
+
 def random_mapping(rng, shape) -> GameMapping:
     """Random mapping applicable to a game of the given shape; the image
     shape must stay consistent, so eta only permutes equal-size players."""

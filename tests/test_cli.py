@@ -801,7 +801,7 @@ class TestPreflightMemoryCheck:
 
         monkeypatch.setattr(ParamGrid, "angles", refuse)
         monkeypatch.setattr(cli, "grid_payoff_tables", refuse)
-        monkeypatch.setattr(cli, "verify_lift", refuse)
+        monkeypatch.setattr(cli, "verify_lifts", refuse)
         monkeypatch.setattr(cli, "operator_identity_suite", refuse)
         tracemalloc.start()
         try:
@@ -871,11 +871,11 @@ class TestPreflightMemoryCheck:
     @pytest.mark.parametrize(
         "argv,samples,per_sample,fixed",
         [
-            # two players: 48 bytes of drawn and 48 of mapped angles, 16 of
-            # one game's payoffs and 576 while the other game's strategy
-            # features are formed; and the two games, `game_bytes(2)` or
-            # 12,640 bytes each
-            (["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")], 100, 688, 25280),
+            # two players: 48 bytes of drawn angles, 48 of formed and 48 of
+            # mapped angles, 16 of one game's payoffs and 576 while the
+            # other game's strategy features are formed; and the two games,
+            # `game_bytes(2)` or 12,640 bytes each
+            (["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")], 100, 736, 25280),
             (["identities"], 50, 1576, 0),
         ],
     )

@@ -20,6 +20,7 @@ from helpers import (
     random_game,
     random_mapping,
     sample_strategy,
+    symmetric_game,
     transform_params,
     verify_lift_oracle,
 )
@@ -33,6 +34,7 @@ from qgame import (
     LiftedMapping,
     StrategySpace,
     SU2Params,
+    find_strong_isomorphisms,
     image_game,
     is_strong_isomorphism,
     operator_identity_suite,
@@ -49,6 +51,7 @@ from qgame.lift import (
     _sample_block,
     lift,
     verify_lift_bytes,
+    verify_lifts,
 )
 from qgame.linalg import PAULI_X, TWO_PI
 
@@ -331,6 +334,57 @@ class TestVerifyLift:
         else:
             assert abs(report.max_deviation - want.max_deviation) <= 1e-12
             assert replace(report, max_deviation=want.max_deviation) == want
+
+    @given(
+        st.data(),
+        st.integers(2, 4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 1, 7]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_equals_separate_calls(self, data, n, image, seed, block):
+        # every strong isomorphism of a symmetric game onto an image of
+        # it, at least the n! player permutations, checked against the
+        # image or against a game they do not map onto; mixed spaces let
+        # FLIP escape the alpha plane. `block` samples at a time, or as
+        # many as fit in BLOCK_BYTES, with counts of one to three blocks
+        rng = np.random.default_rng(seed)
+        g = symmetric_game(rng, n)
+        g2 = image_game(random_mapping(rng, (2,) * n), g)
+        lms = [lift(f, g) for f in find_strong_isomorphisms(g, g2)]
+        assert len(lms) >= 2
+        if not image:
+            g2 = random_game(rng, (2,) * n)
+        spaces = st.lists(st.sampled_from(list(StrategySpace)), min_size=n, max_size=n)
+        qa, qb = EwlGame(g, data.draw(spaces)), EwlGame(g2, data.draw(spaces))
+        lift_module = importlib.import_module("qgame.lift")
+        step = _sample_block(n) if block is None else block
+        samples = data.draw(st.integers(1, 3 * step))
+        with mock.patch.object(lift_module, "BLOCK_BYTES", step * _block_sample_bytes(n)):
+            reports = verify_lifts(lms, qa, qb, samples=samples, seed=seed)
+            alone = [verify_lift(lm, qa, qb, samples=samples, seed=seed) for lm in lms]
+        assert len(reports) == len(lms)
+        for report, want in zip(reports, alone):
+            assert np.float64(report.max_deviation).tobytes() == np.float64(want.max_deviation).tobytes()
+            assert report.space_escapes == want.space_escapes
+            assert report.passed == want.passed
+            assert report == want
+
+    def test_one_pass_keeps_each_mappings_escapes(self):
+        # from the alpha and beta planes into two alpha planes: the column
+        # swap reflects player 2's beta strategies out of the second; the
+        # player swap moves them unreflected into the first and reflects
+        # player 1's alpha strategies out of the second
+        qa, qb = EwlGame(PD, (D, F)), EwlGame(PD_SWAPPED, (D, D))
+        lms = [lift(f, PD) for f in find_strong_isomorphisms(PD, PD_SWAPPED)]
+        reports = verify_lifts(lms, qa, qb, samples=50, seed=8)
+        assert [r.space_escapes for r in reports] == [(1,), (0, 1)]
+        assert [r.max_deviation < 1e-10 for r in reports] == [True, True]
+        assert reports == tuple(verify_lift(lm, qa, qb, samples=50, seed=8) for lm in lms)
+
+    def test_one_pass_of_no_mapping_reports_nothing(self):
+        assert verify_lifts([], EwlGame(PD), EwlGame(PD_SWAPPED), samples=5) == ()
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sample_count_below_one_rejected(self, samples):
