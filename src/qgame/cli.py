@@ -17,29 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ewl import EwlGame, StrategySpace, checked_spaces, game_bytes, parse_space
+from .ewl import BLOCK_BYTES, EwlGame, StrategySpace, checked_spaces, game_bytes, parse_space
 from .games import (
     GameMapping,
     find_strong_isomorphisms,
     strategic_equivalence,
 )
 from .gamefile import GameFileError, load_game_file
-from .lift import (
-    IDENTITY_DRAW_BYTES,
-    LIFT_TOL,
-    lift,
-    operator_identity_suite,
-    verify_lift_bytes,
-    verify_lifts,
-)
+from .lift import LIFT_TOL, lift, operator_identity_suite, verify_lifts
 from .linalg import MAX_QUBITS, TWO_PI, SU2Params
-from .search import (
-    ParamGrid,
-    grid_equilibria,
-    grid_payoff_tables,
-    grid_row_bytes,
-    grid_search_bytes,
-)
+from .search import ParamGrid, grid_equilibria, grid_payoff_tables
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -62,14 +49,6 @@ def _compact(values, where) -> tuple[np.ndarray, np.ndarray]:
     `where` re-indexed into them), by counting instead of sorting."""
     used = np.bincount(where, minlength=len(values)) > 0
     return values[used], (np.cumsum(used) - 1)[where]
-
-
-# Bytes `_table` holds per distinct value at most while it formats a
-# field of one value: the label, a str of up to 31 characters (80: 17 of
-# `%.10g` and the 14 of the `] improvement ` that follows `ne`'s last
-# payoff), its object-array slot (8), its slot in the split list (8) and
-# its part of the joined text (32).
-LABEL_BYTES = 80 + 8 + 8 + 32
 
 
 def _table(fmts, distinct) -> Iterator[str]:
@@ -197,9 +176,9 @@ def cmd_lift_verify(args) -> int:
     ga, gb = fa.game, fb.game
     # the games are built once a mapping is found; a game of more than
     # MAX_QUBITS players is refused before its payoff core is built
-    games = 2 * game_bytes(min(ga.n_players, MAX_QUBITS))
+    n = ga.n_players
     _memory_left(
-        games + verify_lift_bytes(ga.n_players, args.samples),
+        _need(SAMPLE_BYTES * n * args.samples, 2 * game_bytes(min(n, MAX_QUBITS))),
         f"the two games and {args.samples:,} samples of angles and payoffs",
     )
     isos = find_strong_isomorphisms(ga, gb)
@@ -305,6 +284,39 @@ def _cgroup_memory_limit() -> int | None:
     return limit if limit is not None and limit < _physical_memory() else None
 
 
+# The preflight counts what a command holds as an affine function of its
+# input. The fixed part is FIXED_BYTES (first-call allocations, the game
+# file, the report's lines), the game or games and WORK_BLOCKS work
+# blocks: the payoff tables, samples or draws formed at once, with their
+# temporaries. A work block is BLOCK_BYTES, or one player-0 strategy's
+# payoff tables in an `ne` search when they are larger. Each array whose
+# size the input sets adds a stated number of bytes per unit.
+FIXED_BYTES = 64 << 10
+WORK_BLOCKS = 4
+STRATEGY_BYTES = 512  # a grid strategy: its angles, features and labels
+REPLY_BYTES = 8  # an entry of a player's best replies
+ROW_BYTES = 192  # an `ne` row's payoff or improvement: its arrays and label
+SAMPLE_BYTES = 32  # a player of a drawn `lift-verify` sample: its angles
+DRAW_BYTES = 2 << 10  # an `identities` draw: its inputs and unitaries
+AXIS_BYTES = 16  # a point of a `surface` axis
+
+
+def _need(units: int, games: int = 0, work: int = BLOCK_BYTES) -> int:
+    """Bytes the preflight counts: the fixed part, with `games` bytes of
+    games and work blocks of `work` bytes or BLOCK_BYTES, whichever is
+    larger, plus `units` bytes of input-sized arrays."""
+    return FIXED_BYTES + games + WORK_BLOCKS * max(work, BLOCK_BYTES) + units
+
+
+def _ne_need(dims) -> int:
+    """What `ne` counts over `dims[i]` strategies for player i: the game,
+    work blocks of at least one player-0 strategy's tables, each strategy
+    and each entry of the players' best replies."""
+    total = math.prod(dims)
+    units = STRATEGY_BYTES * sum(dims) + REPLY_BYTES * sum(total // m for m in dims)
+    return _need(units, game_bytes(len(dims)), 8 * len(dims) * (total // dims[0]))
+
+
 def _memory_left(need: int, what: str) -> int:
     """Bytes left of the memory budget after `need` bytes for `what`, before
     anything is allocated. The budget is half of physical memory or of the
@@ -339,21 +351,15 @@ def cmd_ne(args) -> int:
     message = f"grid must be t,a,b step counts, got {args.grid!r}"
     grid = ParamGrid(*_numbers(args.grid, int, (3,), message))
     dims = [grid.size(s) for s in spaces]
-    # the check counts the game, which is built only once it passes; a
-    # strategy's label holds three angles; each row holds the search's
-    # arrays, an index and a distinct value for each of its 2n + 1 fields
-    # and, while stdout is written, for each payoff again, and a label per
-    # payoff and improvement, of one output at a time. The search counts
-    # the rows it holds against `max_rows`; they include rows that player
-    # 0's later best replies rule out, which it drops before it refuses
+    # the game is built only once the check passes; what is left sets the
+    # rows the search may hold
     left = _memory_left(
-        game_bytes(n) + grid_search_bytes(grid, spaces) + 3 * LABEL_BYTES * sum(dims),
+        _ne_need(dims),
         "the game, the strategies, their features and labels, one block of payoff "
         "tables and mask, and the best replies",
     )
     game = EwlGame(g, spaces)
-    row_bytes = grid_row_bytes(n) + 16 * (3 * n + 1) + LABEL_BYTES * (n + 1)
-    found = grid_equilibria(game, grid, eps=args.eps, max_rows=left // row_bytes)
+    found = grid_equilibria(game, grid, eps=args.eps, max_rows=left // (ROW_BYTES * (n + 1)))
     count = len(found.eps)
     # each field's distinct values, found once for both outputs: the
     # strategies by grid index, the improvements by bit pattern, and the
@@ -414,7 +420,9 @@ def cmd_surface(args) -> int:
     if t_steps < 1 or a_steps < 1:
         raise ValueError("grid steps must be positive")
     # only the game and the axes are held whole; the rest is one block
-    _memory_left(game_bytes(2) + 8 * t_steps + 16 * a_steps, "the game and the theta and alpha axes")
+    _memory_left(
+        _need(AXIS_BYTES * (t_steps + a_steps), game_bytes(2)), "the game and the theta and alpha axes"
+    )
     game = EwlGame(g)
     # unlike ParamGrid, the alpha axis keeps its 2pi endpoint (printed as 0)
     thetas = np.linspace(0.0, math.pi, t_steps)
@@ -445,9 +453,7 @@ def cmd_surface(args) -> int:
 
 def cmd_identities(args) -> int:
     seed = _default_seed(args.seed)
-    _memory_left(
-        args.samples * IDENTITY_DRAW_BYTES, f"{args.samples:,} draws of the identity checks"
-    )
+    _memory_left(_need(DRAW_BYTES * args.samples), f"{args.samples:,} draws of the identity checks")
     res = operator_identity_suite(draws=args.samples, seed=seed)
     report = RunReport(
         command="identities",

@@ -145,9 +145,13 @@ def strategy_features(angles) -> np.ndarray:
 
 
 # Bytes `strategy_features` holds per (theta, alpha, beta) row at its
-# peak: 36 float64, c and s, the quaternion q, and the two gathered (10,)
-# factors and their product.
-FEATURE_BYTES = 8 * (2 + 4 + 3 * 10)
+# peak: 36 float64.
+FEATURE_BYTES = 8 * 36
+
+# Bytes of one work block: the payoff tables, samples or features that
+# the search and the sampled checks form at once. Smaller blocks cost
+# more Python overhead per profile.
+BLOCK_BYTES = 1 << 20
 
 
 def checked_spaces(base: ClassicalGame, spaces=None) -> tuple[StrategySpace, ...]:
@@ -195,26 +199,10 @@ class EwlGame:
 
 
 def game_bytes(players: int) -> int:
-    """Bytes building an `EwlGame` of `players` players holds at its peak,
-    while the 8^n terms of `_core_terms` are summed: 8 KiB of NumPy's
-    fixed cost, the core and one `bincount` row, (n + 1) * 10^n float64,
-    and 32 bytes a term, the two term arrays and a player's two products.
-    Forming the terms holds at most 48 bytes a term, less than that for
-    every n: the last state of `_unit_amplitudes`, its transposed copy and
-    the amplitudes, or the complex weights and the two buffers NumPy
-    allocates for their broadcast product."""
-    return (8 << 10) + 8 * (players + 1) * 10**players + 32 * 8**players
-
-
-def payoff_bytes(players: int) -> int:
-    """Bytes `_angle_payoffs` holds per profile at its peak: the n rows of
-    features while they are formed, or the features, both halves'
-    Kronecker rows, a player's product the size of the larger half and
-    the n payoffs twice (the per-player columns and their stack)."""
-    half = players // 2
-    left, right = 10**half, 10 ** (players - half)
-    contract = 80 * players + 8 * (left + right) + 8 * right + 16 * players
-    return max(players * FEATURE_BYTES, contract)
+    """Bytes building an `EwlGame` of `players` players holds: its payoff
+    core and a row of it as the row is summed, and 32 bytes a core term
+    (its entry and weight, and a player's two products)."""
+    return 8 * (players + 1) * 10**players + 32 * 8**players
 
 
 def _angle_payoffs(game: EwlGame, angles: np.ndarray) -> np.ndarray:
@@ -225,15 +213,13 @@ def _angle_payoffs(game: EwlGame, angles: np.ndarray) -> np.ndarray:
     # per-profile Kronecker products of the first and the last players'
     # features; splitting in halves keeps the intermediates at P * 10^(n/2).
     # The left half is column-major: BLAS rounds `left @ c` differently for
-    # a row-major one, which moves `lift-verify`'s deviations. The right half
-    # is row-major like `left @ c`, so their product needs no iterator buffers
+    # a row-major one, which moves `lift-verify`'s deviations
     half = n // 2
     left, right = _kron_rows(feats[:, :half], "F"), _kron_rows(feats[:, half:], "C")
     core = game.payoff_core.reshape(n, left.shape[1], right.shape[1])
     payoffs = []
     for c in core:
-        # `payoff_bytes` counts one product the size of the right half: it
-        # is taken in place and freed before the next player's is formed
+        # taken in place, and freed before the next player's is formed
         terms = left @ c
         terms *= right
         payoffs.append(terms.sum(axis=1))
@@ -244,8 +230,7 @@ def _angle_payoffs(game: EwlGame, angles: np.ndarray) -> np.ndarray:
 def _kron_rows(feats: np.ndarray, order: str) -> np.ndarray:
     """(P, k, 10) -> (P, 10^k) in `order` ("C" or "F"): each row's
     Kronecker product over k, one batched outer product a factor that
-    `np.matmul` writes in place; a broadcast product would make NumPy
-    allocate iterator buffers of up to 64 KiB an operand besides it."""
+    `np.matmul` writes in place."""
     out = np.ones((len(feats), 1))
     for k in range(feats.shape[1]):
         step = np.empty((len(feats), out.shape[1] * 10), order=order)

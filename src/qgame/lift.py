@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ewl import EwlGame, _angle_payoffs, payoff_bytes
+from .ewl import BLOCK_BYTES, EwlGame, _angle_payoffs
 from .games import ClassicalGame, GameMapping, apply_mapping
 from .linalg import (
     ID2,
@@ -32,7 +32,6 @@ from .linalg import (
     su2,
     tensor,
 )
-from .search import BLOCK_BYTES
 
 LIFT_TOL = 1e-10
 IDENTITY_TOL = 1e-12
@@ -192,25 +191,13 @@ def verify_lifts(
     return tuple(reports)
 
 
-def _block_sample_bytes(players: int) -> int:
-    """Bytes `verify_lifts` holds per sample of a block: its (n, 3) angle
-    rows and one mapping's image of them, g's n payoffs and g2's payoff
-    evaluation (`payoff_bytes`)."""
-    return 48 * players + 8 * players + payoff_bytes(players)
-
-
 def _sample_block(players: int) -> int:
     """Samples `verify_lifts` forms, maps and evaluates at once: as many as
-    keep a block within `BLOCK_BYTES`, at least one."""
-    return max(1, BLOCK_BYTES // _block_sample_bytes(players))
-
-
-def verify_lift_bytes(players: int, samples: int) -> int:
-    """Bytes `verify_lifts` holds for `samples` samples, whatever the
-    number of mappings: every sample's drawn angles (24n bytes at most)
-    and one block of `_block_sample_bytes` per sample."""
-    block = min(samples, _sample_block(players))
-    return 24 * players * samples + block * _block_sample_bytes(players)
+    keep a block within `BLOCK_BYTES`, at least one. A sample counts 320
+    bytes a player (its angles, their image, its payoffs and its features
+    as formed) and 16 a column of the wider Kronecker half that
+    `_angle_payoffs` forms (the row and a player's product)."""
+    return max(1, BLOCK_BYTES // (320 * players + 16 * 10 ** (players - players // 2)))
 
 
 @dataclass(frozen=True)
@@ -242,14 +229,6 @@ _CYCLE = GameMapping(eta=(1, 2, 0), phi=((0, 1), (1, 0), (1, 0)))
 _X1X3 = tensor([PAULI_X, ID2, PAULI_X])
 _PERMS3 = tuple(permutations(range(3)))
 _BLOCK = 32
-
-# Bytes `operator_identity_suite` holds per draw: the three players'
-# angles (72), the permutation pick (8), its inverse (24) and the complex
-# state (128) for the whole run, and at the peak, while they are formed,
-# the eight unitaries (512), their stacked angles (192) and `su2`'s
-# work per unitary: its cosine, sine and two phases (48) and two
-# temporaries (32).
-IDENTITY_DRAW_BYTES = 72 + 8 + 24 + 128 + 512 + 192 + 8 * (48 + 32)
 
 _CHECK_NAMES = (
     "(a) two-param reflection to -i sigma_x",

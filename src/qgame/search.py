@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ewl import FEATURE_BYTES, EwlGame, StrategySpace, strategy_features
+from .ewl import BLOCK_BYTES, FEATURE_BYTES, EwlGame, StrategySpace, strategy_features
 from .linalg import TWO_PI, SU2Params
 
 
@@ -91,11 +91,6 @@ class GridEquilibria:
     index: np.ndarray
     eps: np.ndarray
     payoffs: np.ndarray
-
-
-# Largest payoff-table block, in bytes, that `grid_equilibria` holds at
-# once; smaller blocks cost more Python overhead per profile.
-BLOCK_BYTES = 1 << 20
 
 
 def grid_payoff_tables(game: EwlGame, strategy_lists) -> list[np.ndarray]:
@@ -184,52 +179,6 @@ def _block_strategies(dims) -> int:
     one."""
     rest = math.prod(dims[1:])
     return min(dims[0], max(1, BLOCK_BYTES // (8 * len(dims) * rest)))
-
-
-def grid_table_bytes(dims) -> int:
-    """Bytes of the payoff tables and masks of a search over `dims[i]`
-    strategies for player i: the tables buffer, which holds a block's
-    payoff tables of every player, and a block's bool masks, two for a
-    search of one block and three for a blocked one (player 0's
-    candidates, the mask of their rows and the working mask of each
-    other player's test)."""
-    n, rest = len(dims), math.prod(dims[1:])
-    step = _block_strategies(dims)
-    return (8 * n + 2 + (step < dims[0])) * step * rest
-
-
-def grid_search_bytes(grid: ParamGrid, spaces) -> int:
-    """Bytes `grid_equilibria` holds besides its rows, over `grid` and the
-    players' `spaces`. The grid of each distinct space holds its angles and
-    features (24 + 80 bytes a strategy) throughout. On top of them comes
-    the larger of two phases that never overlap: forming one grid's
-    features (its whole features, 80 bytes a strategy, and FEATURE_BYTES
-    for each of `_feature_chunk()` strategies at a time), and the search
-    (`grid_table_bytes`: the tables buffer and a block's masks; in a
-    blocked search, the features of a block's candidate rows and their
-    two index arrays, 96 bytes a row; up to three arrays the size of a
-    block's tables or of the payoff core while the next block is
-    contracted; and every player's best replies, 8 * prod(dims) / dims[i]
-    bytes each)."""
-    dims = [grid.size(s) for s in spaces]
-    sizes = [grid.size(s) for s in dict.fromkeys(spaces)]
-    n, total, rest = len(dims), math.prod(dims), math.prod(dims[1:])
-    forming = 80 * max(sizes) + FEATURE_BYTES * min(max(sizes), _feature_chunk())
-    step = _block_strategies(dims)
-    candidates = 96 * step * (step < dims[0])
-    contraction = 3 * 8 * n * max(10**n, step * rest)
-    replies = sum(8 * (total // m) for m in dims)
-    search = grid_table_bytes(dims) + candidates + contraction + replies
-    return (24 + 80) * sum(sizes) + max(forming, search)
-
-
-def grid_row_bytes(players: int) -> int:
-    """Bytes `grid_equilibria` holds per row it holds, at most: a row is
-    its flat profile index, payoffs and the other players' improvement
-    (8n + 16 bytes), held twice while the held blocks are joined or
-    filtered, and at the end a row also has its grid index (16n bytes
-    while it is formed)."""
-    return 2 * (16 * players + 8)
 
 
 def _allowed(held, best0: np.ndarray, eps: float, rest: int):

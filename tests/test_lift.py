@@ -42,15 +42,13 @@ from qgame import (
     su2,
     verify_lift,
 )
-from qgame.ewl import unrestricted_payoffs
+from qgame import cli
+from qgame.ewl import game_bytes, unrestricted_payoffs
 from qgame.lift import (
-    IDENTITY_DRAW_BYTES,
     LIFT_TOL,
-    _block_sample_bytes,
     _identity_draws,
     _sample_block,
     lift,
-    verify_lift_bytes,
     verify_lifts,
 )
 from qgame.linalg import PAULI_X, TWO_PI
@@ -69,13 +67,6 @@ F = StrategySpace.TWO_PARAM_BETA
 FULL = StrategySpace.FULL_SU2
 
 RNG = np.random.default_rng(31)
-
-
-# Beyond what `verify_lift_bytes` counts: NumPy's fixed cost of a call, and
-# the small objects CPython keeps on its free lists, which tracemalloc
-# still counts as held (about 19 KB after the 71 blocks of 20,000 samples
-# at 4 players, freed by a full `gc.collect()`)
-SLACK = 64 << 10
 
 
 def traced_peak(run) -> int:
@@ -325,8 +316,8 @@ class TestVerifyLift:
         spaces = st.lists(st.sampled_from(list(StrategySpace)), min_size=n, max_size=n)
         qa, qb = EwlGame(g, data.draw(spaces)), EwlGame(g2, data.draw(spaces))
         lift_module = importlib.import_module("qgame.lift")
-        block_bytes = lift_module.BLOCK_BYTES if block is None else block * _block_sample_bytes(n)
-        with mock.patch.object(lift_module, "BLOCK_BYTES", block_bytes):
+        sample_block = lift_module._sample_block if block is None else lambda players: block
+        with mock.patch.object(lift_module, "_sample_block", sample_block):
             report = verify_lift(lm, qa, qb, samples=samples, seed=seed)
         want = verify_lift_oracle(lm, qa, qb, samples, seed, LIFT_TOL)
         if block is None:
@@ -361,7 +352,7 @@ class TestVerifyLift:
         lift_module = importlib.import_module("qgame.lift")
         step = _sample_block(n) if block is None else block
         samples = data.draw(st.integers(1, 3 * step))
-        with mock.patch.object(lift_module, "BLOCK_BYTES", step * _block_sample_bytes(n)):
+        with mock.patch.object(lift_module, "_sample_block", lambda players: step):
             reports = verify_lifts(lms, qa, qb, samples=samples, seed=seed)
             alone = [verify_lift(lm, qa, qb, samples=samples, seed=seed) for lm in lms]
         assert len(reports) == len(lms)
@@ -428,31 +419,32 @@ class TestVerifyLift:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_peak_stays_within_the_sample_estimate(self, n):
+        # `lift-verify`'s estimate at 4,000 and 20,000 samples, and between
+        # them the peak grows by no more than the estimate: in blocks, the
+        # drawn angles are all that grows with the samples. Every sample
+        # in one block held 0.7-3.0 KB each at 2-4 players
         rng = np.random.default_rng(n)
         g = random_game(rng, (2,) * n)
         f = random_mapping(rng, (2,) * n)
         qa, qb, lm = EwlGame(g), EwlGame(image_game(f, g)), lift(f, g)
-        need = verify_lift_bytes(n, 4000)
-        peak = traced_peak(lambda: verify_lift(lm, qa, qb, samples=4000))
-        assert 0.6 * need < peak <= need + SLACK
+        peaks, needs = [], []
+        for samples in (4000, 20000):
+            assert _sample_block(n) < samples
+            peaks.append(traced_peak(lambda: verify_lift(lm, qa, qb, samples=samples)))
+            needs.append(cli._need(cli.SAMPLE_BYTES * n * samples, 2 * game_bytes(n)))
+            assert peaks[-1] <= needs[-1]
+        assert peaks[1] - peaks[0] <= needs[1] - needs[0]
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_peak_of_many_samples_stays_within_one_block(self, n):
-        # every sample at once held 2.1-3.0 KB each at 3-4 players; in
-        # blocks, the drawn angles are all that grows with the samples
+    def test_blocks_report_as_one_block_of_every_sample(self, n):
         rng = np.random.default_rng(n)
         g = random_game(rng, (2,) * n)
         f = random_mapping(rng, (2,) * n)
         qa, qb, lm = EwlGame(g), EwlGame(image_game(f, g)), lift(f, g)
         samples = 20000
-        assert _sample_block(n) < samples
-        need = verify_lift_bytes(n, samples)
-        assert need == 24 * n * samples + _sample_block(n) * _block_sample_bytes(n) < samples * 200
-        peak = traced_peak(lambda: verify_lift(lm, qa, qb, samples=samples))
-        assert 0.6 * need < peak <= need + SLACK
         # the report of one block of every sample, but for rounding
         lift_module = importlib.import_module("qgame.lift")
-        with mock.patch.object(lift_module, "BLOCK_BYTES", samples * _block_sample_bytes(n)):
+        with mock.patch.object(lift_module, "_sample_block", lambda players: samples):
             whole = verify_lift(lm, qa, qb, samples=samples)
         report = verify_lift(lm, qa, qb, samples=samples)
         assert report.passed and abs(report.max_deviation - whole.max_deviation) <= 1e-12
@@ -513,6 +505,11 @@ class TestOperatorIdentitySuite:
         assert a == b
 
     def test_peak_stays_within_the_draw_estimate(self):
-        need = 4000 * IDENTITY_DRAW_BYTES
-        peak = traced_peak(lambda: operator_identity_suite(draws=4000))
-        assert 0.6 * need < peak <= need + (512 << 10)
+        # `identities`' estimate at 1,000 and 4,000 draws, and between them
+        # the peak grows by no more than the estimate
+        peaks, needs = [], []
+        for draws in (1000, 4000):
+            peaks.append(traced_peak(lambda: operator_identity_suite(draws=draws)))
+            needs.append(cli._need(cli.DRAW_BYTES * draws))
+            assert peaks[-1] <= needs[-1]
+        assert peaks[1] - peaks[0] <= needs[1] - needs[0]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import angle_rows, core_terms_oracle, oracle_payoffs, payoff_core_oracle, random_game
 from qgame import EwlGame, StrategySpace, SU2Params
-from qgame.ewl import _angle_payoffs, _core_terms, _payoff_core, payoff_bytes
+from qgame.ewl import BLOCK_BYTES, _angle_payoffs, _core_terms, _payoff_core
 from qgame.lift import _sample_block
 from qgame.linalg import TWO_PI
 from qgame.search import grid_payoff_tables
@@ -110,10 +110,10 @@ def test_empty_profile_list():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("full_block", [False, True])
-def test_profile_payoffs_peak_within_payoff_bytes(n, full_block):
-    # 100 profiles, or a full `verify_lift` block of them; besides the
-    # count, NumPy's fixed cost of a call (about 1.3 KB with NumPy 2.4); a
-    # broadcast Kronecker product would add up to 128 KiB of iterator buffers
+def test_profile_payoffs_peak_within_the_block_count(n, full_block):
+    # 100 profiles, or a full `verify_lift` block of them, within what a
+    # block counts per sample; the iterator buffers of a broadcast
+    # Kronecker product fail it at 100 profiles of 3 and 4 players
     profiles = _sample_block(n) if full_block else 100
     game = EwlGame(random_game(np.random.default_rng(n), (2,) * n))
     angles = np.random.default_rng(profiles).random((profiles, n, 3)) * (math.pi, TWO_PI, TWO_PI)
@@ -123,7 +123,7 @@ def test_profile_payoffs_peak_within_payoff_bytes(n, full_block):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= profiles * payoff_bytes(n) + (4 << 10)
+    assert peak <= profiles * (BLOCK_BYTES // _sample_block(n))
 
 
 def test_grid_needs_one_list_per_player():

@@ -24,18 +24,11 @@ from qgame import (
     pure_nash_equilibria,
     two_param_payoff_closed_form,
 )
-from qgame import search
+from qgame import cli, search
 from qgame.ewl import FEATURE_BYTES, strategy_features, unrestricted_payoffs
 from qgame.games import PAYOFF_TOL
 from qgame.linalg import TWO_PI
-from qgame.search import (
-    grid_equilibria,
-    grid_payoff_tables,
-    grid_pure_ne,
-    grid_row_bytes,
-    grid_search_bytes,
-    grid_table_bytes,
-)
+from qgame.search import grid_equilibria, grid_payoff_tables, grid_pure_ne
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
 RSTP = (R, S, T, P)
@@ -118,14 +111,6 @@ class TestGridConsistency:
         angles = grid.angles(space)
         assert angles.shape == (grid.size(space), 3)
         assert angles.tolist() == product_grid((t, a, b), space)
-
-    def test_table_bytes_estimate_matches_the_arrays(self):
-        # one block: the tables of every player and the search's two masks
-        game = EwlGame(PD, (StrategySpace.FULL_SU2, D))
-        grid = ParamGrid(5, 5, 3)
-        dims = [grid.size(s) for s in game.spaces]
-        tables = grid_payoff_tables(game, [grid.angles(s) for s in game.spaces])
-        assert grid_table_bytes(dims) == sum(t.nbytes for t in tables) + 2 * tables[0].size
 
     @pytest.mark.parametrize("eps", [1e-9, 2.0])
     def test_rows_rebuilt_from_the_arrays(self, eps):
@@ -281,7 +266,6 @@ class TestBlockedSearch:
         ):
             found = grid_equilibria(game, grid, 0.5)
             step = search._block_strategies(dims)
-            table_bytes = grid_table_bytes(dims)
         # per block, player 0's table, then the other player's table on
         # the block's rows that hold a candidate for player 0
         t0 = grid_payoff_tables(game, [grid.angles(s) for s in spaces])[0]
@@ -293,13 +277,13 @@ class TestBlockedSearch:
         assert [(p, k) for p, k, _ in calls] == want
         # two blocks, and the second has strategies without a candidate
         assert len(want) == 4 and 0 < want[-1][1] < step
-        # one buffer that the count holds: player 0's table at its front,
+        # one buffer of a block's tables: player 0's table at its front,
         # the other player's tables behind it
         buffer, rest = calls[0][2], math.prod(dims[1:])
         assert all(b is buffer for _, _, b in calls[::2])
         behind = len(buffer) - step * rest
         assert all(b.base is buffer and len(b) == behind for _, _, b in calls[1::2])
-        assert table_bytes == buffer.nbytes + 3 * step * rest
+        assert buffer.nbytes == 8 * len(dims) * step * rest
         want = grid_equilibria_oracle(game, grid, 0.5)
         assert found.index.tobytes() == want.index.tobytes()
 
@@ -368,7 +352,7 @@ class TestBlockedSearch:
         # with player 0's payoffs uniform in [0, 1) and best replies of
         # 1 - kept, so about `kept` of the rows stay. The blocks are traced
         # from their allocation, and `_allowed` may hold their rows once
-        # more, as `grid_row_bytes` counts
+        # more
         rng = np.random.default_rng(n)
         rest, eps = 40, 0.0
         tracemalloc.start()
@@ -401,34 +385,19 @@ class TestBlockedSearch:
         assert len(keep) == 6
         assert got.tobytes() == strategy_features(angles)[:, keep].tobytes()
 
-    def test_search_bytes(self):
-        # one block over grids of 9 and 18 strategies: their angles and
-        # features, 104 bytes a strategy, then the larger of forming the 18
-        # strategies' features (80 + 288 bytes each) and the search: both
-        # tables and the two masks of 9 x 18 profiles, three arrays the size
-        # of the tables, which outgrow the 2 x 100 float64 payoff core, and
-        # best replies of 18 and 9 float64
-        grid = ParamGrid(9, 3, 1)
-        assert grid_search_bytes(grid, (ONE, D)) == 104 * 27 + 18 * 162 + 3 * 16 * 162 + 8 * (18 + 9)
-        # both players on one grid of 9 strategies: its angles and features once
-        grid = ParamGrid(3, 4, 1)
-        assert grid_search_bytes(grid, (D, D)) == 104 * 9 + 18 * 81 + 3 * 1600 + 8 * (9 + 9)
-        # 17,408 full-space strategies each, one grid: blocks of 3 strategies
-        # of player 0, whose tables outgrow the core, in a buffer of both
-        # players' tables; three masks, and the features and two index
-        # arrays of up to 3 candidate rows, 96 bytes each
-        m = 17 * 32 * 32
-        full = (StrategySpace.FULL_SU2,) * 2
-        grid = ParamGrid(17, 33, 33)
-        tables = 8 * 2 * 3 * m + 3 * 3 * m + 96 * 3
-        assert grid_search_bytes(grid, full) == 104 * m + tables + 3 * 16 * 3 * m + 16 * m
-        # 2 one-parameter strategies against 39,762 full-space ones:
-        # forming the larger grid's features, 3,640 strategies at a time,
-        # outweighs the search
-        m = 2 * 141 * 141
-        grid = ParamGrid(2, 142, 142)
-        assert grid_search_bytes(grid, (ONE, full[1])) == 104 * (2 + m) + 80 * m + 288 * 3640
-        assert grid_row_bytes(2) == 80
+    def test_features_formed_in_chunks_hold_one_block(self):
+        # 17,408 full-space strategies: besides their features, 80 bytes a
+        # strategy as formed and again as kept, forming them holds one
+        # chunk's temporaries, one block. Every strategy's features at
+        # once held 288 bytes a strategy
+        angles = ParamGrid(17, 33, 33).angles(StrategySpace.FULL_SU2)
+        tracemalloc.start()
+        try:
+            search._kept_features(angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 80 * len(angles) + search.BLOCK_BYTES
 
     def test_full_su2_north_star_grid_runs_within_32_mib(self):
         # Benjamin & Hayden: over full SU(2) the EWL prisoner's dilemma
@@ -443,7 +412,8 @@ class TestBlockedSearch:
             tracemalloc.stop()
         assert len(found.eps) == 0
         assert peak < 32 * 2**20
-        assert peak <= grid_search_bytes(grid, game.spaces)
+        # and within what `ne` counts for it, besides its rows
+        assert peak <= cli._ne_need([grid.size(s) for s in game.spaces])
 
 
 def space_angles(rng, space, m) -> np.ndarray:
