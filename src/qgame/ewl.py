@@ -140,17 +140,18 @@ def strategy_features(angles) -> np.ndarray:
     with c, s = cos(theta/2), sin(theta/2)."""
     theta, alpha, beta = np.asarray(angles, dtype=float).reshape(-1, 3).T
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    q = np.stack([c * np.cos(alpha), c * np.sin(alpha), s * np.cos(beta), -s * np.sin(beta)], 1)
-    return q[:, _ROW] * q[:, _COL]
+    q = (c * np.cos(alpha), c * np.sin(alpha), s * np.cos(beta), -s * np.sin(beta))
+    # each product written straight into its column: at most 16 float64 a
+    # row are held, the output, the four components, c and s
+    out = np.empty((len(theta), 10))
+    for j, (k, l) in enumerate(zip(_ROW.tolist(), _COL.tolist())):
+        np.multiply(q[k], q[l], out=out[:, j])
+    return out
 
 
-# Bytes `strategy_features` holds per (theta, alpha, beta) row at its
-# peak: 36 float64.
-FEATURE_BYTES = 8 * 36
-
-# Bytes of one work block: the payoff tables, samples or features that
-# the search and the sampled checks form at once. Smaller blocks cost
-# more Python overhead per profile.
+# Bytes of one work block: the payoff tables or samples that the search
+# and the sampled checks form at once. Smaller blocks cost more Python
+# overhead per profile.
 BLOCK_BYTES = 1 << 20
 
 

@@ -55,12 +55,17 @@ class AngleTransform:
     def angles(self, a: np.ndarray) -> np.ndarray:
         """The map on a (..., 3) array of (theta, alpha, beta) rows, with
         the phases reduced mod 2pi as `SU2Params` reduces them."""
-        theta, alpha, beta = np.moveaxis(a, -1, 0)
+        shifts = (self.alpha_shift, self.beta_shift)
+        out = np.empty(a.shape)
         if self.reflect:
-            theta, alpha, beta = math.pi - theta, self.alpha_shift - beta, self.beta_shift - alpha
+            np.subtract(math.pi, a[..., 0], out=out[..., 0])
+            # (alpha_shift - beta, beta_shift - alpha)
+            np.subtract(shifts, a[..., 2:0:-1], out=out[..., 1:])
         else:
-            alpha, beta = alpha + self.alpha_shift, beta + self.beta_shift
-        return np.stack([theta, alpha % TWO_PI, beta % TWO_PI], axis=-1)
+            out[..., 0] = a[..., 0]
+            np.add(a[..., 1:], shifts, out=out[..., 1:])
+        np.remainder(out[..., 1:], TWO_PI, out=out[..., 1:])
+        return out
 
 
 KEEP = AngleTransform()
@@ -195,7 +200,8 @@ def _sample_block(players: int) -> int:
     """Samples `verify_lifts` forms, maps and evaluates at once: as many as
     keep a block within `BLOCK_BYTES`, at least one. A sample counts 320
     bytes a player (its angles, their image, its payoffs and its features
-    as formed) and 16 a column of the wider Kronecker half that
+    as formed), an upper bound since features are formed in one output
+    array, and 16 a column of the wider Kronecker half that
     `_angle_payoffs` forms (the row and a player's product)."""
     return max(1, BLOCK_BYTES // (320 * players + 16 * 10 ** (players - players // 2)))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ewl import BLOCK_BYTES, FEATURE_BYTES, EwlGame, StrategySpace, strategy_features
+from .ewl import BLOCK_BYTES, EwlGame, StrategySpace, strategy_features
 from .linalg import TWO_PI, SU2Params
 
 
@@ -111,21 +111,12 @@ def grid_payoff_tables(game: EwlGame, strategy_lists) -> list[np.ndarray]:
     return _tables(core, feats, _contraction_order(dims), buffer)
 
 
-def _feature_chunk() -> int:
-    """Strategies whose features `_kept_features` forms at once: as many
-    as keep `strategy_features` within `BLOCK_BYTES`, at least one."""
-    return max(1, BLOCK_BYTES // FEATURE_BYTES)
-
-
 def _kept_features(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(features, columns): an (m, 3) angle array's `strategy_features`,
-    formed `_feature_chunk()` strategies at a time, less the columns that
-    are zero for every strategy and add nothing to a contraction, and the
-    columns kept; 6 of 10 remain for alpha and beta spaces, 3 for one."""
-    feats = np.empty((len(angles), 10))
-    step = _feature_chunk()
-    for start in range(0, len(angles), step):
-        feats[start : start + step] = strategy_features(angles[start : start + step])
+    """(features, columns): an (m, 3) angle array's `strategy_features`
+    less the columns that are zero for every strategy and add nothing to
+    a contraction, and the columns kept; 6 of 10 remain for alpha and
+    beta spaces, 3 for one."""
+    feats = strategy_features(angles)
     keep = np.flatnonzero(feats.any(axis=0))
     return feats[:, keep], keep
 

@@ -610,9 +610,20 @@ def surface_csv_oracle(game, mover, opponent, t_steps, a_steps) -> str:
 
 
 # Earlier forms of production steps, kept as bitwise references: the
-# ket-by-ket loop over the payoff-core terms and their accumulation, the
-# n-d `np.nonzero` gather of the grid equilibria and the float-template
-# row rendering.
+# stacked quaternion and its two gathered feature columns, the ket-by-ket
+# loop over the payoff-core terms and their accumulation, the n-d
+# `np.nonzero` gather of the grid equilibria and the float-template row
+# rendering.
+
+
+def strategy_features_oracle(angles) -> np.ndarray:
+    """`ewl.strategy_features` as one (m, 4) quaternion stack and a
+    product of its gathered (m, 10) row and column components."""
+    theta, alpha, beta = np.asarray(angles, dtype=float).reshape(-1, 3).T
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    q = np.stack([c * np.cos(alpha), c * np.sin(alpha), s * np.cos(beta), -s * np.sin(beta)], 1)
+    row, col = np.triu_indices(4)
+    return q[:, row] * q[:, col]
 
 
 def core_terms_oracle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

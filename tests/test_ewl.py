@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     basis_state,
@@ -13,10 +15,12 @@ from helpers import (
     payoff_operator,
     pd_game,
     random_game,
+    strategy_features_oracle,
 )
 from qgame import (
     ClassicalGame,
     EwlGame,
+    ParamGrid,
     StrategySpace,
     SU2Params,
     parse_space,
@@ -25,7 +29,7 @@ from qgame import (
     two_param_payoff_closed_form,
 )
 from qgame.cli import FIXED_BYTES
-from qgame.ewl import game_bytes, unrestricted_payoffs
+from qgame.ewl import game_bytes, strategy_features, unrestricted_payoffs
 from qgame.linalg import TWO_PI, entangler
 
 T, R, P, S = 5.0, 3.0, 1.0, 0.0
@@ -121,6 +125,51 @@ class TestEwlGame:
             finally:
                 tracemalloc.stop()
             assert peak <= FIXED_BYTES + game_bytes(n)
+
+
+# theta on [0, pi] with both endpoints; phases at 0 and 2pi, negative and
+# above 2pi, as `strategy_features` takes them unreduced
+THETAS = st.sampled_from([0.0, math.pi]) | st.floats(0.0, math.pi)
+PHASES = st.sampled_from([0.0, TWO_PI, -TWO_PI, -0.5, 2.5 * TWO_PI]) | st.floats(-3 * TWO_PI, 3 * TWO_PI)
+
+
+class TestStrategyFeatures:
+    @given(
+        rows=st.lists(st.tuples(THETAS, PHASES, PHASES), max_size=8),
+        bulk=st.sampled_from([0, 1, 5000]),
+        seed=st.integers(0, 2**32 - 1),
+        space=st.sampled_from(list(StrategySpace)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_the_stacked_gather_bitwise(self, rows, bulk, seed, space):
+        # the drawn rows, then `bulk` uniform ones, with the space's frozen
+        # phases zero: m = 0, 1 and many rows
+        rng = np.random.default_rng(seed)
+        extra = rng.uniform(-3 * TWO_PI, 3 * TWO_PI, size=(bulk, 3))
+        extra[:, 0] = rng.uniform(0.0, math.pi, size=bulk)
+        angles = np.concatenate([np.array(rows).reshape(-1, 3), extra])
+        if space.alpha_frozen:
+            angles[:, 1] = 0.0
+        if space.beta_frozen:
+            angles[:, 2] = 0.0
+        got, want = strategy_features(angles), strategy_features_oracle(angles)
+        assert got.shape == want.shape == (len(angles), 10)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_holds_16_float64_a_row(self):
+        # the output, the four quaternion components, c and s at once; the
+        # stacked gather held 36 a row. The allowance covers NumPy's small
+        # objects (1.5 KB measured)
+        angles = ParamGrid(17, 33, 33).angles(StrategySpace.FULL_SU2)
+        strategy_features(angles[:1])
+        tracemalloc.start()
+        try:
+            strategy_features(angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(angles) == 17408
+        assert peak <= 16 * 8 * len(angles) + (4 << 10)
 
 
 class TestFinalState:

@@ -435,6 +435,24 @@ class TestVerifyLift:
             assert peaks[-1] <= needs[-1]
         assert peaks[1] - peaks[0] <= needs[1] - needs[0]
 
+    def test_blocks_leave_nothing_behind(self):
+        # 31 and then 153 blocks of pd -> pd_swapped: what stays allocated
+        # after the first run does not grow by a block. Forming each
+        # transform's columns through np.moveaxis and np.stack left about
+        # 380 bytes a block (13,752 and 59,200 bytes after the two runs)
+        qa, qb = EwlGame(PD), EwlGame(PD_SWAPPED)
+        lms = [lift(f, PD) for f in find_strong_isomorphisms(PD, PD_SWAPPED)]
+        tracemalloc.start()
+        try:
+            left = []
+            for samples, blocks in ((40000, 31), (200000, 153)):
+                assert math.ceil(samples / _sample_block(2)) == blocks
+                verify_lifts(lms, qa, qb, samples=samples, seed=1)
+                left.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert abs(left[1] - left[0]) < 1 << 10
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_blocks_report_as_one_block_of_every_sample(self, n):
         rng = np.random.default_rng(n)

@@ -25,7 +25,7 @@ from qgame import (
     two_param_payoff_closed_form,
 )
 from qgame import cli, search
-from qgame.ewl import FEATURE_BYTES, strategy_features, unrestricted_payoffs
+from qgame.ewl import strategy_features, unrestricted_payoffs
 from qgame.games import PAYOFF_TOL
 from qgame.linalg import TWO_PI
 from qgame.search import grid_equilibria, grid_payoff_tables, grid_pure_ne
@@ -375,21 +375,20 @@ class TestBlockedSearch:
         assert len(profiles) == rows > 0
         assert np.array_equal(best, best0.reshape(-1)[profiles % rest])
 
-    @pytest.mark.parametrize("chunk", [1, 7, 3640])
-    def test_features_formed_in_chunks_equal_one_pass(self, chunk):
-        # on the alpha plane 6 of the 10 feature columns are kept
-        angles = ParamGrid(5, 9, 3).angles(D)
-        with mock.patch.object(search, "BLOCK_BYTES", chunk * FEATURE_BYTES):
-            assert search._feature_chunk() == chunk
-            got, keep = search._kept_features(angles)
-        assert len(keep) == 6
+    @pytest.mark.parametrize(
+        "space,kept", [(StrategySpace.FULL_SU2, 10), (D, 6), (StrategySpace.TWO_PARAM_BETA, 6), (ONE, 3)]
+    )
+    def test_kept_features_are_the_nonzero_columns(self, space, kept):
+        angles = ParamGrid(5, 9, 3).angles(space)
+        got, keep = search._kept_features(angles)
+        assert len(keep) == kept
         assert got.tobytes() == strategy_features(angles)[:, keep].tobytes()
 
-    def test_features_formed_in_chunks_hold_one_block(self):
+    def test_features_formed_in_one_pass_hold_one_block(self):
         # 17,408 full-space strategies: besides their features, 80 bytes a
-        # strategy as formed and again as kept, forming them holds one
-        # chunk's temporaries, one block. Every strategy's features at
-        # once held 288 bytes a strategy
+        # strategy as formed and again as kept, forming them in one pass
+        # holds less than one block of temporaries. The stacked gather
+        # held 288 bytes a strategy at once
         angles = ParamGrid(17, 33, 33).angles(StrategySpace.FULL_SU2)
         tracemalloc.start()
         try:
