@@ -13,10 +13,10 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._value import Record
 from .ewl import BLOCK_BYTES, EwlGame, StrategySpace, checked_spaces, game_bytes, parse_space
 from .games import (
     GameMapping,
@@ -80,16 +80,32 @@ def _table(fmts, distinct) -> Iterator[str]:
         yield "".join(block.ravel().tolist())
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """Deterministic, printable record of one command invocation."""
 
+    __slots__ = ("command", "seed", "tolerances", "lines", "rows", "verdict")
     command: str
-    seed: int | None = None
-    tolerances: dict = field(default_factory=dict)
-    lines: list[str] = field(default_factory=list)
-    rows: Iterable[str] = ()
-    verdict: str = ""
+    seed: int | None
+    tolerances: dict
+    lines: list[str]
+    rows: Iterable[str]
+    verdict: str
+
+    def __init__(
+        self,
+        command: str,
+        seed: int | None = None,
+        tolerances: dict | None = None,
+        lines: list[str] | None = None,
+        rows: Iterable[str] = (),
+        verdict: str = "",
+    ):
+        self.command = command
+        self.seed = seed
+        self.tolerances = {} if tolerances is None else tolerances
+        self.lines = [] if lines is None else lines
+        self.rows = rows
+        self.verdict = verdict
 
     def write(self, out) -> None:
         """Write the `#` lines (command, seed, tolerances) and `lines` in

@@ -15,12 +15,12 @@ features q_k q_l (k <= l).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
+from ._value import Frozen, set_field
 from .games import ClassicalGame
 from .linalg import MAX_QUBITS, TWO_PI, SU2Params, entangler, su2
 
@@ -171,28 +171,40 @@ def checked_spaces(base: ClassicalGame, spaces=None) -> tuple[StrategySpace, ...
     return spaces
 
 
-@dataclass(frozen=True, eq=False)
-class EwlGame:
+class EwlGame(Frozen):
     """Binary classical game with per-player strategy-space restrictions.
 
     The real payoff core is derived once at construction; the object is
-    immutable afterwards and safe to share.
+    immutable afterwards and safe to share. Games are equal only when
+    they are the same object.
     """
 
+    __slots__ = ("base", "spaces", "payoff_core")
     base: ClassicalGame
-    spaces: tuple[StrategySpace, ...] = None
+    spaces: tuple[StrategySpace, ...]
+    payoff_core: np.ndarray
 
-    def __post_init__(self):
-        n = self.base.n_players
-        spaces = checked_spaces(self.base, self.spaces)
+    def __init__(self, base: ClassicalGame, spaces: Sequence[StrategySpace] | None = None):
+        n = base.n_players
+        spaces = checked_spaces(base, spaces)
         # the row-major payoff tensor is in ket order, so player i's column
         # is the diagonal of their payoff observable; a view unless the
         # tensor is stored out of row-major order
-        diags = self.base.payoffs.reshape(-1, n).T
+        diags = base.payoffs.reshape(-1, n).T
         core = _payoff_core(diags)
         core.setflags(write=False)
-        object.__setattr__(self, "spaces", spaces)
-        object.__setattr__(self, "payoff_core", core)
+        set_field(self, "base", base)
+        set_field(self, "spaces", spaces)
+        set_field(self, "payoff_core", core)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        return f"EwlGame(base={self.base!r}, spaces={self.spaces!r})"
+
+    def __reduce__(self):
+        return EwlGame, (self.base, self.spaces)
 
     @property
     def n_players(self) -> int:

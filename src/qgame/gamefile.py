@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class GameFileError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-@dataclass(frozen=True)
-class GameFile:
+class GameFile(NamedTuple):
     """A parsed game plus optional per-player strategy spaces."""
 
     game: ClassicalGame

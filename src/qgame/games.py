@@ -11,11 +11,12 @@ because fitting amplifies rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from ._value import Frozen, set_field
 
 PAYOFF_TOL = 1e-12
 AFFINE_TOL = 1e-9
@@ -23,10 +24,10 @@ AFFINE_TOL = 1e-9
 StrategyProfile = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalGame:
+class ClassicalGame(Frozen):
     """n-player strategic-form game with a total payoff tensor."""
 
+    __slots__ = ("labels", "payoffs")
     labels: tuple[tuple[str, ...], ...]
     payoffs: np.ndarray  # shape (*dims, n), read-only after construction
 
@@ -47,8 +48,8 @@ class ClassicalGame:
         if not np.isfinite(arr).all():
             raise ValueError("payoffs must be finite")
         arr.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "payoffs", arr)
+        set_field(self, "labels", labels)
+        set_field(self, "payoffs", arr)
 
     @property
     def n_players(self) -> int:
@@ -67,8 +68,7 @@ class ClassicalGame:
         return f"ClassicalGame(players={self.n_players}, shape={self.shape})"
 
 
-@dataclass(frozen=True)
-class GameMapping:
+class GameMapping(Frozen):
     """Player permutation eta plus per-player strategy bijections phi.
 
     eta[i] is the image player of player i (0-based). phi[i][k] is the
@@ -76,12 +76,13 @@ class GameMapping:
     player's strategy set.
     """
 
+    __slots__ = ("eta", "phi")
     eta: tuple[int, ...]
     phi: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        eta = tuple(int(k) for k in self.eta)
-        phi = tuple(tuple(int(k) for k in p) for p in self.phi)
+    def __init__(self, eta, phi):
+        eta = tuple(int(k) for k in eta)
+        phi = tuple(tuple(int(k) for k in p) for p in phi)
         n = len(eta)
         if sorted(eta) != list(range(n)):
             raise ValueError(f"eta is not a permutation: {eta}")
@@ -90,8 +91,8 @@ class GameMapping:
         for i, p in enumerate(phi):
             if sorted(p) != list(range(len(p))):
                 raise ValueError(f"phi[{i}] is not a bijection: {p}")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "phi", phi)
+        set_field(self, "eta", eta)
+        set_field(self, "phi", phi)
 
     @property
     def n_players(self) -> int:
@@ -253,8 +254,7 @@ def pure_nash_equilibria(g: ClassicalGame, tol: float = PAYOFF_TOL) -> list[Stra
     return [tuple(int(v) for v in idx) for idx in np.argwhere(mask)]
 
 
-@dataclass(frozen=True)
-class MixedProfile2x2:
+class MixedProfile2x2(NamedTuple):
     """Mixed profile of a 2x2 bimatrix game.
 
     p and q are the probabilities of each player's first strategy.

@@ -14,12 +14,12 @@ work on arrays of all draws at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._value import Frozen, set_field
 from .ewl import BLOCK_BYTES, EwlGame, _angle_payoffs
 from .games import ClassicalGame, GameMapping, apply_mapping
 from .linalg import (
@@ -37,8 +37,7 @@ LIFT_TOL = 1e-10
 IDENTITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AngleTransform:
+class AngleTransform(Frozen):
     """Per-player angle map of a lifted isomorphism.
 
     The identity form keeps (theta, alpha, beta) unchanged. The
@@ -48,9 +47,15 @@ class AngleTransform:
     phase-twisted variants such as (pi - theta, pi/4 - beta, pi/4 - alpha).
     """
 
-    reflect: bool = False
-    alpha_shift: float = 0.0
-    beta_shift: float = 0.0
+    __slots__ = ("reflect", "alpha_shift", "beta_shift")
+    reflect: bool
+    alpha_shift: float
+    beta_shift: float
+
+    def __init__(self, reflect: bool = False, alpha_shift: float = 0.0, beta_shift: float = 0.0):
+        set_field(self, "reflect", reflect)
+        set_field(self, "alpha_shift", alpha_shift)
+        set_field(self, "beta_shift", beta_shift)
 
     def angles(self, a: np.ndarray) -> np.ndarray:
         """The map on a (..., 3) array of (theta, alpha, beta) rows, with
@@ -72,21 +77,21 @@ KEEP = AngleTransform()
 FLIP = AngleTransform(reflect=True, alpha_shift=TWO_PI, beta_shift=math.pi)
 
 
-@dataclass(frozen=True)
-class LiftedMapping:
+class LiftedMapping(Frozen):
     """Player permutation plus per-player angle transforms."""
 
+    __slots__ = ("eta", "transforms")
     eta: tuple[int, ...]
     transforms: tuple[AngleTransform, ...]
 
-    def __post_init__(self):
-        eta = tuple(int(k) for k in self.eta)
+    def __init__(self, eta: Sequence[int], transforms: Sequence[AngleTransform]):
+        eta = tuple(int(k) for k in eta)
         if sorted(eta) != list(range(len(eta))):
             raise ValueError(f"eta is not a permutation: {eta}")
-        if len(self.transforms) != len(eta):
+        if len(transforms) != len(eta):
             raise ValueError("need one angle transform per player")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "transforms", tuple(self.transforms))
+        set_field(self, "eta", eta)
+        set_field(self, "transforms", tuple(transforms))
 
 
 def lift(f: GameMapping, g: ClassicalGame) -> LiftedMapping:
@@ -104,8 +109,7 @@ def lift(f: GameMapping, g: ClassicalGame) -> LiftedMapping:
     return LiftedMapping(f.eta, transforms)
 
 
-@dataclass(frozen=True)
-class LiftReport:
+class LiftReport(NamedTuple):
     """Outcome of a sampled payoff-equality check.
 
     `space_escapes` lists target positions whose transformed strategies
@@ -206,15 +210,13 @@ def _sample_block(players: int) -> int:
     return max(1, BLOCK_BYTES // (320 * players + 16 * 10 ** (players - players // 2)))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     max_error: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class IdentitySuiteReport:
+class IdentitySuiteReport(NamedTuple):
     checks: tuple[IdentityCheck, ...]
     draws: int
     seed: int

@@ -11,11 +11,12 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
+
+from ._value import Frozen, set_field
 
 TWO_PI = 2.0 * math.pi
 MAX_QUBITS = 4
@@ -24,8 +25,7 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 
-@dataclass(frozen=True)
-class SU2Params:
+class SU2Params(Frozen):
     """Angles (theta, alpha, beta) of one player's SU(2) strategy.
 
     theta must lie in [0, pi] and alpha and beta must be finite; other
@@ -33,21 +33,22 @@ class SU2Params:
     construction, so canonically equal strategies compare equal.
     """
 
+    __slots__ = ("theta", "alpha", "beta")
     theta: float
-    alpha: float = 0.0
-    beta: float = 0.0
+    alpha: float
+    beta: float
 
-    def __post_init__(self) -> None:
-        theta = float(self.theta)
+    def __init__(self, theta: float, alpha: float = 0.0, beta: float = 0.0) -> None:
+        theta = float(theta)
         if not 0.0 <= theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-        alpha, beta = float(self.alpha), float(self.beta)
+        alpha, beta = float(alpha), float(beta)
         # an infinite phase would reduce to nan
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise ValueError(f"alpha and beta must be finite, got {alpha!r}, {beta!r}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "alpha", alpha % TWO_PI)
-        object.__setattr__(self, "beta", beta % TWO_PI)
+        set_field(self, "theta", theta)
+        set_field(self, "alpha", alpha % TWO_PI)
+        set_field(self, "beta", beta % TWO_PI)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta, self.alpha, self.beta)

@@ -11,36 +11,53 @@ player 0's finished best replies, leaves the rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
+from ._value import Frozen, set_field
 from .ewl import BLOCK_BYTES, EwlGame, StrategySpace, strategy_features
 from .linalg import TWO_PI, SU2Params
 
 
-@dataclass(frozen=True)
-class ParamGrid:
+def _step_count(axis: str, value) -> int:
+    """`value` as an int: any integer, NumPy's included, but no bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{axis} axis needs an integer step count, got {value!r}")
+
+
+class ParamGrid(Frozen):
     """(theta, alpha, beta) step counts, the same for every player.
 
     Axes are inclusive linspaces over [0, pi] resp. [0, 2pi]; a phase
     axis drops its 2pi endpoint, which is 0 mod 2pi. Angles frozen by a
     player's space always get the single value 0 regardless of the
     requested count. theta needs at least 2 steps so both endpoints 0
-    and pi are on the grid.
+    and pi are on the grid. Counts must be integers; a float or a bool
+    is rejected, not truncated.
     """
 
-    theta: int = 17
-    alpha: int = 33
-    beta: int = 1
+    __slots__ = ("theta", "alpha", "beta")
+    theta: int
+    alpha: int
+    beta: int
 
-    def __post_init__(self):
-        for name in ("theta", "alpha", "beta"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.theta < 2:
+    def __init__(self, theta: int = 17, alpha: int = 33, beta: int = 1):
+        theta = _step_count("theta", theta)
+        alpha = _step_count("alpha", alpha)
+        beta = _step_count("beta", beta)
+        if theta < 2:
             raise ValueError("theta axis needs at least 2 steps")
-        if self.alpha < 1 or self.beta < 1:
+        if alpha < 1 or beta < 1:
             raise ValueError("phase axes need at least 1 step")
+        set_field(self, "theta", theta)
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
 
     def _counts(self, space: StrategySpace) -> tuple[int, int, int]:
         """(theta, alpha, beta) value counts in `space`: a frozen or 1-step
@@ -66,8 +83,7 @@ class ParamGrid:
         return tuple(SU2Params(*row) for row in self.angles(space).tolist())
 
 
-@dataclass(frozen=True)
-class EpsEquilibrium:
+class EpsEquilibrium(NamedTuple):
     """Grid profile where no grid deviation improves any player by more
     than eps. `eps` records the largest improvement actually available."""
 
@@ -76,8 +92,7 @@ class EpsEquilibrium:
     payoffs: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class GridEquilibria:
+class GridEquilibria(NamedTuple):
     """The k grid equilibria of an n-player search as arrays.
 
     Row r is the profile whose player-i strategy is

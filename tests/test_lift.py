@@ -2,7 +2,6 @@ import importlib
 import math
 import tracemalloc
 import types
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -324,7 +323,7 @@ class TestVerifyLift:
             assert report == want
         else:
             assert abs(report.max_deviation - want.max_deviation) <= 1e-12
-            assert replace(report, max_deviation=want.max_deviation) == want
+            assert report._replace(max_deviation=want.max_deviation) == want
 
     @given(
         st.data(),
@@ -466,7 +465,7 @@ class TestVerifyLift:
             whole = verify_lift(lm, qa, qb, samples=samples)
         report = verify_lift(lm, qa, qb, samples=samples)
         assert report.passed and abs(report.max_deviation - whole.max_deviation) <= 1e-12
-        assert replace(report, max_deviation=whole.max_deviation) == whole
+        assert report._replace(max_deviation=whole.max_deviation) == whole
 
 
 class TestOperatorIdentitySuite:

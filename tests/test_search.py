@@ -71,6 +71,30 @@ class TestParamGrid:
         with pytest.raises(ValueError):
             ParamGrid(alpha=0)
 
+    @pytest.mark.parametrize(
+        "steps, axis",
+        [
+            ((2.9, 33, 1), "theta"),
+            ((17, 33.7, 1), "alpha"),
+            ((17, 33, 1.0), "beta"),
+            (("17", 33, 1), "theta"),
+            ((17, 33, True), "beta"),
+            ((17, np.True_, 1), "alpha"),
+            ((17, None, 1), "alpha"),
+            ((np.float64(17.0), 33, 1), "theta"),
+        ],
+    )
+    def test_non_integral_steps_rejected(self, steps, axis):
+        # counts are never truncated or parsed: ParamGrid(2.9, 33.7, 1)
+        # would otherwise be the 2 x 33 grid
+        with pytest.raises(ValueError, match=f"^{axis} axis needs an integer step count"):
+            ParamGrid(*steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        grid = ParamGrid(np.int64(17), np.uint8(33), np.int32(1))
+        assert grid == ParamGrid(17, 33, 1)
+        assert all(type(k) is int for k in (grid.theta, grid.alpha, grid.beta))
+
 
 def product_grid(steps, space) -> list[list[float]]:
     """The grid as first defined: the theta linspace times each phase
