@@ -22,7 +22,7 @@ import numpy as np
 
 from ._value import Frozen, set_field
 from .games import ClassicalGame
-from .linalg import MAX_QUBITS, TWO_PI, SU2Params, entangler, su2
+from .linalg import MAX_QUBITS, TWO_PI, SU2Params, su2
 
 
 class StrategySpace(Enum):
@@ -81,35 +81,35 @@ _UNIT_ANGLES = np.array(
 _UNIT_ANGLES.setflags(write=False)
 
 
-def _unit_amplitudes(n: int) -> np.ndarray:
-    """(4^n, 2^n) amplitudes <j| J^dag (B_a1 x .. x B_an) J |0..0> for the
-    quaternion units B, with each player's four units applied to its own
-    qubit."""
-    J = entangler(n)
-    units = su2(_UNIT_ANGLES)
-    state = J[:, 0].reshape((2,) * n)
-    for _ in range(n):
-        state = np.tensordot(state, units, axes=([0], [2]))
-    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    return state.transpose(order).reshape(4**n, 2**n) @ J.conj()
-
-
 def _core_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(entry, weight) of every term of the n-player payoff core: terms
     come ket by ket, 4^n a ket, and term t adds d[t // 4^n] * weight[t]
     to the flat core entry `entry[t]` of a player with payoff diagonal
-    d. Accumulating them in order fixes the summation order."""
-    amps = _unit_amplitudes(n)
-    # B_a maps |0..0> and |1..1> to complementary kets up to phase, so
-    # every row has one nonzero amplitude (the rest are rounding residue
-    # below 1e-15) on ket[a], and Re(amps diag(d) amps^H) only pairs rows
-    # on the same ket; a stable sort groups each ket's 2^n rows, in
-    # ascending order, into one row of `rows`
-    ket = np.abs(amps).argmax(axis=1)
+    d. Accumulating them in order fixes the summation order. Every
+    weight is exactly -1, 0 or 1."""
+    # a quaternion unit's entries are 0, +-1 or +-i: it sends |b> to
+    # i^e |b ^ flip>, and rounding reads off the flip and both powers e
+    units = su2(_UNIT_ANGLES)
+    flip = (np.abs(units[:, 0, 0]) < 0.5).astype(int)
+    phases = units[np.arange(4)[:, None], [0, 1] ^ flip[:, None], [0, 1]]
+    power = np.rint(np.angle(phases) / (0.5 * math.pi)).astype(int)
+    # player k's unit in profile a is the base-4 digit n-1-k of a and acts
+    # on ket bit n-1-k: B_a sends |0..0> to i^p0 |f> and |1..1> to i^p1 |~f>
+    place = np.arange(n - 1, -1, -1)
+    digits = np.arange(4**n)[:, None] // 4**place % 4
+    f = flip[digits] @ (1 << place)
+    p0, p1 = power[digits].sum(axis=1).T
+    # J^dag leaves ((i^p0 + i^p1)|f> + i(i^p1 - i^p0)|~f>) / 2, and a unit's
+    # two powers differ by 0 or 2, so one ket is left: |f> with phase i^p0
+    # or |~f> with phase -i i^p0 = i^(p0+3)
+    odd = (p1 - p0) % 4 == 2
+    ket = f ^ (odd * (2**n - 1))
+    # only profiles on the same ket pair up; a stable sort groups each
+    # ket's 2^n profiles, in ascending order, into one row of `rows`, and
+    # a pair's weight is Re(i^z_a conj(i^z_b)) = Re(i^(z_a - z_b))
     rows = np.argsort(ket, kind="stable").reshape(2**n, 2**n)
-    z = amps[rows, ket[rows]]
-    del amps  # so that forming the terms holds less than summing them
-    weight = (z[:, :, None] * z[:, None, :].conj()).real.ravel()
+    z = (p0 + 3 * odd)[rows]
+    weight = np.array([1.0, 0.0, -1.0, 0.0])[(z[:, :, None] - z[:, None, :]) % 4].ravel()
     # pair (a, b) adds to the entry whose decimal digit k holds the base-4
     # digits k of a and b, one player's two units, folded onto their upper
     # triangle, C[k, l] + C[l, k]
@@ -261,7 +261,8 @@ def unrestricted_payoffs(game: EwlGame, params: Sequence[SU2Params]) -> np.ndarr
 
 def two_param_payoff_closed_form(p1, p2, rstp) -> tuple[float, float]:
     """Both players' payoffs in the column-swapped prisoner's dilemma
-    quantum game, for two-parameter strategies (theta, alpha).
+    quantum game, for two-parameter strategies (theta, alpha): an
+    `SU2Params` with beta = 0 or a (theta, alpha) pair each.
 
     `rstp` is the payoff quadruple (R, S, T, P); observables are
     diag(S, R, P, T) and diag(T, R, P, S). Agrees with the full matrix
@@ -283,8 +284,11 @@ def two_param_payoff_closed_form(p1, p2, rstp) -> tuple[float, float]:
 
 def _theta_alpha(p) -> tuple[float, float]:
     """(theta, alpha) of an `SU2Params` or a (theta, alpha) pair, with
-    alpha reduced mod 2pi as `SU2Params` does."""
+    alpha reduced mod 2pi as `SU2Params` does. Raises ValueError for an
+    `SU2Params` with beta != 0, which the closed form does not cover."""
     if isinstance(p, SU2Params):
+        if p.beta != 0.0:
+            raise ValueError(f"the closed form needs beta = 0, got beta = {p.beta!r}")
         return (p.theta, p.alpha)
     t, a = p
     return (float(t), float(a) % TWO_PI)

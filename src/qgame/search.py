@@ -214,8 +214,7 @@ def grid_equilibria(
 
     The search holds one block of payoff tables at a time, a run of
     player 0's strategies taken whole for the other players. A grid that
-    fits one block takes its tables from `grid_payoff_tables`, and the
-    rows it marks are the rows. Otherwise
+    fits one block takes its tables from `grid_payoff_tables`. Otherwise
     each block contracts player 0's table alone, raises player 0's
     running best replies and marks its candidates against them; only the
     block's player-0 strategies that hold a candidate get the other
@@ -301,12 +300,6 @@ def grid_equilibria(
                     f"{searched:,} of {total:,} profiles, about "
                     f"{count * total / searched:,.0f} rows in all at that rate"
                 )
-        if step == dims[0]:
-            # one block: best0 was final when it marked the rows, so they
-            # are the rows, and its grid index is the row's
-            best = np.broadcast_to(best0, mask.shape)[idx]
-            np.maximum(best - pays[:, 0], gaps, out=gaps)
-            return GridEquilibria(angles, np.stack(idx, axis=1), gaps, pays)
     profiles, payoffs, improvements, best = _allowed(held, best0, eps, rest)
     # player 0's improvement, then the other players'
     np.maximum(best - payoffs[:, 0], improvements, out=improvements)

@@ -25,7 +25,6 @@ from qgame.ewl import (
     StrategySpace,
     _angle_payoffs,
     _theta_alpha,
-    _unit_amplitudes,
     parse_space,
     unrestricted_payoffs,
 )
@@ -455,6 +454,21 @@ def oracle_payoffs(game, params) -> np.ndarray:
     )
 
 
+# the quaternion units 1, iZ, iX, iY: theta = 0 or pi, alpha = pi/2, beta = 3pi/2
+QUATERNION_UNITS = (
+    SU2Params(0.0, 0.0, 0.0),
+    SU2Params(0.0, math.pi / 2, 0.0),
+    SU2Params(math.pi, 0.0, 0.0),
+    SU2Params(math.pi, 0.0, 1.5 * math.pi),
+)
+
+
+def unit_amplitudes_oracle(n: int) -> np.ndarray:
+    """(4^n, 2^n) dense final states of the 4^n profiles of quaternion
+    units; player k's unit is the base-4 digit n-1-k of the row."""
+    return np.array([final_state(p) for p in product(QUATERNION_UNITS, repeat=n)])
+
+
 def permutation_operator_oracle(perm) -> np.ndarray:
     """Qubit-permutation matrix built one basis ket at a time: ket x goes
     to the ket whose qubit perm[i] holds x's qubit i."""
@@ -627,8 +641,10 @@ def strategy_features_oracle(angles) -> np.ndarray:
 
 
 def core_terms_oracle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`ewl._core_terms(n)` built ket by ket, one `np.flatnonzero` per ket."""
-    amps = _unit_amplitudes(n)
+    """`ewl._core_terms(n)` built ket by ket from the dense unit states,
+    one `np.flatnonzero` per ket. The weights come out within 1e-15 of
+    -1, 0 or 1, which is asserted, and are returned as those integers."""
+    amps = unit_amplitudes_oracle(n)
     ket = np.abs(amps).argmax(axis=1)
     z = amps[np.arange(4**n), ket]
     fold = np.zeros((4, 4), dtype=int)
@@ -642,7 +658,11 @@ def core_terms_oracle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         entries.append((fold[unit_of[r, None], unit_of[None, r]] @ places).ravel())
         kets.append(np.full(len(r) ** 2, j))
         weights.append((z[r, None] * z[None, r].conj()).real.ravel())
-    return tuple(np.concatenate(a) for a in (entries, kets, weights))
+    entry, ket, weight = (np.concatenate(a) for a in (entries, kets, weights))
+    # adding 0.0 turns a rounded -0.0 into 0.0
+    exact = np.rint(weight) + 0.0
+    assert np.abs(weight - exact).max() <= 1e-15 and np.isin(exact, (-1.0, 0.0, 1.0)).all()
+    return entry, ket, exact
 
 
 def payoff_core_oracle(diags) -> np.ndarray:
@@ -704,3 +724,37 @@ def surface_rows_oracle(thetas, alphas, u1, u2) -> list[str]:
         "%.15g,%.15g,%.15g,%.15g" % row
         for row in zip(thetas.tolist(), alphas.tolist(), u1.tolist(), u2.tolist())
     ]
+
+
+# The lift on payoff cores: FLIP as a map of the ten features, and a
+# core read through a lifted mapping, for exact checks of the criterion.
+
+
+def _flip_features() -> np.ndarray:
+    """The signed 10x10 permutation T of the features q_k q_l, k <= l,
+    that FLIP induces: its matrix is -iX U, whose quaternion is
+    (q2, q3, -q0, -q1), so strategy_features(FLIP.angles(a)) is
+    strategy_features(a) @ T.T."""
+    image, sign = (2, 3, 0, 1), (1, 1, -1, -1)
+    k, l = np.triu_indices(4)
+    column = {(a, b): j for j, (a, b) in enumerate(zip(k.tolist(), l.tolist()))}
+    T = np.zeros((10, 10))
+    for j, (a, b) in enumerate(zip(k.tolist(), l.tolist())):
+        T[j, column[tuple(sorted((image[a], image[b])))]] = sign[a] * sign[b]
+    return T
+
+
+FLIP_FEATURES = _flip_features()
+
+
+def lifted_core(lm, core) -> np.ndarray:
+    """The (n, 10, .., 10) payoff core of g2 read through the lift `lm` of
+    a strong isomorphism of g onto g2: player i's tensor is g2's player
+    eta(i)'s, its feature axis k is g2's axis eta(k), and on each FLIP
+    player k that axis goes through FLIP_FEATURES. The criterion says it
+    is g's core."""
+    out = core[list(lm.eta)].transpose(0, *(1 + e for e in lm.eta))
+    for k, t in enumerate(lm.transforms):
+        if t.reflect:
+            out = np.moveaxis(np.moveaxis(out, k + 1, -1) @ FLIP_FEATURES, -1, k + 1)
+    return out

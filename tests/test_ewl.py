@@ -311,3 +311,10 @@ class TestClosedForm:
         a = two_param_payoff_closed_form(SU2Params(1.0, 2.0), (1.0, 2.0), (R, S, T, P))
         b = two_param_payoff_closed_form((1.0, 2.0), SU2Params(1.0, 2.0), (R, S, T, P))
         assert a == b
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rejects_su2params_with_beta(self, first):
+        # the formula has no beta; it must not return the beta = 0 payoffs
+        p, q = SU2Params(1.0, 2.0, 0.5), (0.3, 0.2)
+        with pytest.raises(ValueError, match="beta"):
+            two_param_payoff_closed_form(*((p, q) if first else (q, p)), (3, 0, 5, 1))

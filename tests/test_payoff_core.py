@@ -15,22 +15,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import angle_rows, core_terms_oracle, oracle_payoffs, payoff_core_oracle, random_game
-from qgame import EwlGame, StrategySpace, SU2Params
-from qgame.ewl import BLOCK_BYTES, _angle_payoffs, _core_terms, _payoff_core
-from qgame.lift import _sample_block
+from helpers import (
+    FLIP_FEATURES,
+    QUATERNION_UNITS as UNITS,
+    angle_rows,
+    brute_force_strong_isomorphisms,
+    core_terms_oracle,
+    lifted_core,
+    oracle_payoffs,
+    payoff_core_oracle,
+    random_game,
+    random_mapping,
+    symmetric_game,
+)
+from qgame import EwlGame, StrategySpace, SU2Params, image_game
+from qgame.ewl import BLOCK_BYTES, _angle_payoffs, _core_terms, _payoff_core, strategy_features
+from qgame.lift import FLIP, _sample_block, lift
 from qgame.linalg import TWO_PI
 from qgame.search import grid_payoff_tables
 
 TOL = 1e-12
-
-# the quaternion units 1, iZ, iX, iY: theta = 0 or pi, alpha = pi/2, beta = 3pi/2
-UNITS = (
-    SU2Params(0.0, 0.0, 0.0),
-    SU2Params(0.0, math.pi / 2, 0.0),
-    SU2Params(math.pi, 0.0, 0.0),
-    SU2Params(math.pi, 0.0, 1.5 * math.pi),
-)
 
 
 def angle(special, high):
@@ -183,3 +187,54 @@ def test_core_terms_equal_the_ket_by_ket_loop(n):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_core_term_weights_are_exactly_minus_one_zero_or_one(n):
+    assert np.isin(_core_terms(n)[1], (-1.0, 0.0, 1.0)).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integer_payoffs_give_the_integer_core_bitwise(n):
+    # the core of integer payoffs is the terms accumulated in int64
+    entry, ket, weight = core_terms_oracle(n)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        diags = rng.integers(-1000, 1001, size=(n, 2**n))
+        want = np.zeros((n, 10**n), dtype=np.int64)
+        np.add.at(want, (slice(None), entry), diags[:, ket] * weight.astype(np.int64))
+        got = _payoff_core(diags.astype(float))
+        assert got.tobytes() == want.astype(float).reshape(got.shape).tobytes()
+
+
+def test_flip_features_are_the_feature_map_of_flip():
+    a = np.random.default_rng(0).random((1000, 3)) * (math.pi, TWO_PI, TWO_PI)
+    # FLIP rounds pi - theta and the phase maps, so the features it gives
+    # differ by a few ulps
+    dev = strategy_features(FLIP.angles(a)) - strategy_features(a) @ FLIP_FEATURES.T
+    assert np.abs(dev).max() <= 2e-15
+    assert np.array_equal(np.abs(FLIP_FEATURES).sum(axis=0), np.ones(10))
+    assert np.array_equal(np.abs(FLIP_FEATURES).sum(axis=1), np.ones(10))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_strong_isomorphisms_carry_integer_cores_exactly(n):
+    # the paper's criterion on the payoff cores: every strong isomorphism
+    # of g onto its image g2, lifted, reads g2's core as g's core, with no
+    # rounding. Symmetric games add isomorphisms that permute players
+    rng = np.random.default_rng(n)
+    lifts = 0
+    for k in range(6):
+        if k < 4:
+            g = random_game(rng, (2,) * n, low=-1000, high=1001)
+        else:
+            g = symmetric_game(rng, n, low=-9, high=10)
+        f = random_mapping(rng, (2,) * n)
+        while all(p == (0, 1) for p in f.phi):
+            f = random_mapping(rng, (2,) * n)
+        g2 = image_game(f, g)
+        core, core2 = EwlGame(g).payoff_core, EwlGame(g2).payoff_core
+        for iso in brute_force_strong_isomorphisms(g, g2):
+            assert np.array_equal(lifted_core(lift(iso, g), core2), core)
+            lifts += 1
+    assert lifts >= 6
