@@ -25,7 +25,7 @@ from .games import (
 )
 from .gamefile import GameFileError, load_game_file
 from .lift import LIFT_TOL, lift, operator_identity_suite, verify_lifts
-from .linalg import MAX_QUBITS, TWO_PI, SU2Params
+from .linalg import TWO_PI, SU2Params
 from .search import ParamGrid, grid_equilibria, grid_payoff_tables
 
 EXIT_OK = 0
@@ -190,11 +190,13 @@ def cmd_lift_verify(args) -> int:
     )
     fa, fb = _load(args.game_a), _load(args.game_b)
     ga, gb = fa.game, fb.game
-    # the games are built once a mapping is found; a game of more than
-    # MAX_QUBITS players is refused before its payoff core is built
+    # a game EWL cannot quantize is refused before anything is searched,
+    # whether or not the two games are isomorphic; the games are built
+    # once a mapping is found
+    spaces_a, spaces_b = checked_spaces(ga, fa.spaces), checked_spaces(gb, fb.spaces)
     n = ga.n_players
     _memory_left(
-        _need(SAMPLE_BYTES * n * args.samples, 2 * game_bytes(min(n, MAX_QUBITS))),
+        _need(SAMPLE_BYTES * n * args.samples, 2 * game_bytes(n)),
         f"the two games and {args.samples:,} samples of angles and payoffs",
     )
     isos = find_strong_isomorphisms(ga, gb)
@@ -202,8 +204,8 @@ def cmd_lift_verify(args) -> int:
         report.verdict = "no strong isomorphism to lift"
         report.write(sys.stdout)
         return EXIT_NEGATIVE
-    qa = EwlGame(ga, fa.spaces)
-    qb = EwlGame(gb, fb.spaces)
+    qa = EwlGame(ga, spaces_a)
+    qb = EwlGame(gb, spaces_b)
     all_ok = True
     reports = verify_lifts([lift(f, ga) for f in isos], qa, qb, samples=args.samples, seed=seed)
     for k, (f, res) in enumerate(zip(isos, reports), start=1):

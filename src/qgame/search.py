@@ -114,16 +114,20 @@ def grid_payoff_tables(game: EwlGame, strategy_lists) -> list[np.ndarray]:
     player's strategy features, one GEMM per player.
 
     Each player's strategies are an (m, 3) array of (theta, alpha, beta)
-    rows; players handed the same array share its features.
+    rows; players handed the same array share its features. The tables
+    are views of one buffer.
     """
-    dims = [len(s) for s in strategy_lists]
-    if len(dims) != game.n_players:
+    if len(strategy_lists) != game.n_players:
         raise ValueError("need one strategy list per player")
+    for s in strategy_lists:
+        if np.shape(s)[1:] != (3,):
+            raise ValueError(f"need (m, 3) arrays of strategies, got shape {np.shape(s)}")
+    dims = [len(s) for s in strategy_lists]
     if any(d == 0 for d in dims):
         raise ValueError("empty strategy grid")
     core, feats = _operands(game, strategy_lists)
     buffer = np.empty(len(dims) * math.prod(dims))
-    return _tables(core, feats, _contraction_order(dims), buffer)
+    return _tables(core, feats, buffer)
 
 
 def _kept_features(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,33 +154,27 @@ def _operands(game: EwlGame, angles) -> tuple[np.ndarray, list[np.ndarray]]:
     return core, [f for f, _ in kept]
 
 
-def _contraction_order(dims) -> list[int]:
-    # players go shortest list first, which keeps every intermediate no
-    # larger than the core or the tables
-    return sorted(range(len(dims)), key=dims.__getitem__)
-
-
-def _tables(core: np.ndarray, feats, order, buffer: np.ndarray) -> list[np.ndarray]:
+def _tables(core: np.ndarray, feats, buffer: np.ndarray) -> list[np.ndarray]:
     """The (m_1, .., m_n) tables of each of the p players of a
     (p, F_1, .., F_n) core, contracted with the (m_i, F_i) features of
-    each player in `order`. The last contraction writes into the front
-    of the flat float64 `buffer`; when `order` is player order, the
-    tables are views of it."""
-    n = len(order)
-    out = core.transpose([0] + [1 + k for k in order])
+    each player in player order. The last contraction writes into the
+    front of the flat float64 `buffer`, and every table is a view of it.
+
+    After players 1..k the intermediate holds p * m_1..m_k * F_k+1..F_n
+    floats, so it is larger than the tables only when a later player has
+    fewer strategies than kept feature columns."""
+    n = len(feats)
+    out = core
     # each step moves the first remaining feature axis to the end and
     # replaces it by a strategy axis, as np.tensordot(out, f, (1, 1))
     # does, without its per-call overhead
     last = [0, *range(2, n + 1), 1]
-    for k in order:
+    for k, f in enumerate(feats, 1):
         out = out.transpose(last)
         rows = out.reshape(-1, out.shape[-1])
-        into = None
-        if k == order[-1]:
-            into = buffer[: len(rows) * len(feats[k])].reshape(len(rows), len(feats[k]))
-        out = np.dot(rows, feats[k].T, out=into).reshape(*out.shape[:-1], len(feats[k]))
-    out = out.transpose([0] + [1 + order.index(k) for k in range(n)])
-    return list(np.ascontiguousarray(out))
+        into = buffer[: len(rows) * len(f)].reshape(len(rows), len(f)) if k == n else None
+        out = np.dot(rows, f.T, out=into).reshape(*out.shape[:-1], len(f))
+    return list(out)
 
 
 def _block_strategies(dims) -> int:
@@ -239,7 +237,6 @@ def grid_equilibria(
         masks = np.empty((2, tables[0].size), dtype=bool)
     else:
         core, feats = _operands(game, angles)
-        order = _contraction_order(dims)
         # every block is contracted into this one buffer: player 0's table
         # at the front, the other players' tables on its candidate rows
         # behind it; a block's tables are used up before the next is
@@ -249,7 +246,7 @@ def grid_equilibria(
 
         def player0(start):
             block_feats = [feats[0][start : start + step], *feats[1:]]
-            return _tables(core[:1], block_feats, order, buffer)[0]
+            return _tables(core[:1], block_feats, buffer)[0]
 
         blocks = ((start, player0(start), None) for start in range(0, dims[0], step))
     best0 = np.full([1, *dims[1:]], -np.inf)
@@ -269,7 +266,7 @@ def grid_equilibria(
             if not len(live):
                 continue
             live_feats = [feats[0][start + live], *feats[1:]]
-            others = _tables(core[1:], live_feats, order, buffer[t0.size :])
+            others = _tables(core[1:], live_feats, buffer[t0.size :])
             if len(live) < len(t0):
                 into = masks[1][: len(live) * rest].reshape(len(live), *t0.shape[1:])
                 mask = np.take(mask, live, axis=0, out=into)

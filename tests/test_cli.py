@@ -221,6 +221,29 @@ class TestLiftVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: need at least one sample, got {samples}\n"
 
+    @pytest.mark.parametrize(
+        "shape,message",
+        [((3, 3), "EWL quantization needs a binary game"), ((2,) * 5, "at most 4 players supported")],
+        ids=["3-strategy", "5-player"],
+    )
+    @pytest.mark.parametrize("isomorphic", [True, False], ids=["isomorphic", "not-isomorphic"])
+    def test_game_ewl_cannot_quantize_exit_2_before_the_search(
+        self, shape, message, isomorphic, tmp_path, capsys, monkeypatch
+    ):
+        # the same refusal whether or not the two games are isomorphic
+        rng = np.random.default_rng(len(shape))
+        labels = tuple(tuple("abc"[:m]) for m in shape)
+        a, b = (ClassicalGame(labels, rng.uniform(0, 10, (*shape, len(shape)))) for _ in range(2))
+        for name, game in (("a.game", a), ("b.game", a if isomorphic else b)):
+            save_game_file(GameFile(game), tmp_path / name)
+        search = mock.Mock(wraps=cli.find_strong_isomorphisms)
+        monkeypatch.setattr(cli, "find_strong_isomorphisms", search)
+        assert main(["lift-verify", str(tmp_path / "a.game"), str(tmp_path / "b.game")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        search.assert_not_called()
+
     def test_space_escape_reported(self, tmp_path, capsys):
         # both files restricted to the alpha plane: the lifted column
         # swap leaves the declared space, so verification cannot pass
@@ -998,9 +1021,13 @@ class TestPreflightMemoryCheck:
         peak, need = map(float, proc.stdout.split())
         assert peak <= need
 
-    @pytest.mark.parametrize("spaces,grid", [("full,full", "5,9,9"), ("full,full,full", "3,5,5")])
+    @pytest.mark.parametrize(
+        "spaces,grid",
+        [("full,full", "5,9,9"), ("full,full,full", "3,5,5"), ("full,alpha", "9,17,17")],
+    )
     def test_ne_peak_of_a_blocked_search_stays_within_the_estimate(self, spaces, grid):
-        # player 0's strategies take more than one block of tables
+        # player 0's strategies take more than one block of tables; on
+        # full,alpha player 0 has the most strategies
         n = spaces.count(",") + 1
         dims = [ParamGrid(*map(int, grid.split(","))).size(parse_space(s)) for s in spaces.split(",")]
         assert _block_strategies(dims) < dims[0]

@@ -272,16 +272,17 @@ class TestBlockedSearch:
             with pytest.raises(ValueError, match=f"more than {k - 1:,} equilibrium rows"):
                 grid_equilibria(game, grid, 2.0, max_rows=k - 1)
 
-    # the full space has more grid strategies than the alpha plane, so
-    # the first players are contracted out of order, the second in order
+    # the full space has more grid strategies than the alpha plane: player
+    # 0 has the most strategies in the first order, the fewest in the second
     @pytest.mark.parametrize("spaces", [(StrategySpace.FULL_SU2, D), (D, StrategySpace.FULL_SU2)])
     def test_blocks_share_one_tables_buffer(self, spaces):
         game, grid, dims = random_search(3, spaces, (5, 5, 3))
         calls = []
 
-        def tables(core, feats, order, buffer):
-            calls.append((len(core), len(feats[0]), buffer))
-            return _tables(core, feats, order, buffer)
+        def tables(core, feats, buffer):
+            out = _tables(core, feats, buffer)
+            calls.append((len(core), len(feats[0]), buffer, out))
+            return out
 
         _tables = search._tables
         with (
@@ -298,16 +299,19 @@ class TestBlockedSearch:
             block = t0[start : start + step]
             live = int((block >= t0[: start + step].max(axis=0) - 0.5).any(axis=1).sum())
             want += [(1, len(block))] + [(1, live)] * (live > 0)
-        assert [(p, k) for p, k, _ in calls] == want
+        assert [(p, k) for p, k, _, _ in calls] == want
         # two blocks, and the second has strategies without a candidate
         assert len(want) == 4 and 0 < want[-1][1] < step
         # one buffer of a block's tables: player 0's table at its front,
         # the other player's tables behind it
         buffer, rest = calls[0][2], math.prod(dims[1:])
-        assert all(b is buffer for _, _, b in calls[::2])
+        assert all(b is buffer for _, _, b, _ in calls[::2])
         behind = len(buffer) - step * rest
-        assert all(b.base is buffer and len(b) == behind for _, _, b in calls[1::2])
+        assert all(b.base is buffer and len(b) == behind for _, _, b, _ in calls[1::2])
         assert buffer.nbytes == 8 * len(dims) * step * rest
+        # every table, player 0's and the other player's, is a view of it
+        assert all(t.base is buffer for *_, out in calls for t in out)
+        assert all(np.shares_memory(out[0], buffer[: out[0].size]) for *_, out in calls[::2])
         want = grid_equilibria_oracle(game, grid, 0.5)
         assert found.index.tobytes() == want.index.tobytes()
 
@@ -468,8 +472,7 @@ class TestPayoffTables:
         dims = [len(a) for a in angles]
         got = grid_payoff_tables(game, angles)
         feats = [strategy_features(a) for a in angles]
-        order = search._contraction_order(dims)
-        want = search._tables(game.payoff_core, feats, order, np.empty(n * math.prod(dims)))
+        want = search._tables(game.payoff_core, feats, np.empty(n * math.prod(dims)))
         for a, b in zip(got, want):
             assert a.shape == b.shape == tuple(dims)
             assert np.abs(a - b).max() <= PAYOFF_TOL
@@ -483,18 +486,34 @@ class TestPayoffTables:
         assert keep.tolist() == list(range(10))
         got = grid_payoff_tables(game, [theirs, mine])
         feats = [strategy_features(theirs), strategy_features(mine)]
-        want = search._tables(game.payoff_core, feats, [0, 1], np.empty(2 * len(mine)))
+        want = search._tables(game.payoff_core, feats, np.empty(2 * len(mine)))
         for a, b in zip(got, want):
             assert np.abs(a - b).max() <= PAYOFF_TOL
 
-    @pytest.mark.parametrize("spaces", [(ONE, D), (ONE, D, StrategySpace.FULL_SU2)])
-    def test_tables_in_contraction_order_share_one_buffer(self, spaces):
+    # player 0 with the fewest strategies, and with the most
+    @pytest.mark.parametrize(
+        "spaces",
+        [
+            (ONE, D),
+            (ONE, D, StrategySpace.FULL_SU2),
+            (StrategySpace.FULL_SU2, D, ONE),
+            (D, ONE),
+        ],
+    )
+    def test_tables_are_views_of_one_buffer(self, spaces):
         game, grid, dims = random_search(5, spaces, (3, 3, 3))
-        assert search._contraction_order(dims) == list(range(len(dims)))
-        tables = grid_payoff_tables(game, [grid.angles(s) for s in spaces])
-        base = tables[0].base
-        assert base is not None and base.size == len(dims) * math.prod(dims)
-        assert all(t.base is base for t in tables)
+        buffers = []
+
+        def tables(core, feats, buffer):
+            buffers.append(buffer)
+            return _tables(core, feats, buffer)
+
+        _tables = search._tables
+        with mock.patch.object(search, "_tables", tables):
+            got = grid_payoff_tables(game, [grid.angles(s) for s in spaces])
+        [buffer] = buffers
+        assert buffer.size == len(dims) * math.prod(dims)
+        assert all(t.base is buffer for t in got)
 
     @pytest.mark.parametrize(
         "players,message", [(2, "empty strategy grid"), (1, "need one strategy list per player")]
@@ -503,6 +522,16 @@ class TestPayoffTables:
         angles = [np.empty((0, 3)), ParamGrid(3, 1, 1).angles(ONE)][:players]
         with pytest.raises(ValueError, match=message):
             grid_payoff_tables(EwlGame(PD), angles)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 2), (3,), (2, 3, 1), (1, 6)], ids=["3x2", "flat", "3-d", "1x6"]
+    )
+    def test_strategy_lists_not_m_by_3_rejected(self, shape):
+        # three (theta, alpha) rows would be read as two strategies
+        bad = np.full(shape, 0.5)
+        for angles in ([bad, bad], [ParamGrid(3, 1, 1).angles(ONE), bad]):
+            with pytest.raises(ValueError, match=r"need \(m, 3\) arrays of strategies"):
+                grid_payoff_tables(EwlGame(PD), angles)
 
 
 class TestGridPureNE:
