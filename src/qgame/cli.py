@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
-from ._value import Record
 from .ewl import BLOCK_BYTES, EwlGame, StrategySpace, checked_spaces, game_bytes, parse_space
 from .games import (
     GameMapping,
@@ -80,49 +80,27 @@ def _table(fmts, distinct) -> Iterator[str]:
         yield "".join(block.ravel().tolist())
 
 
-class RunReport(Record):
-    """Deterministic, printable record of one command invocation."""
+def _write(out, head, blocks) -> None:
+    """Write `head`, then each text block of `blocks` (from `_table`: a long
+    table is never held whole as text, and an unbuffered stream is not
+    written line by line), to `out`."""
+    out.write(head)
+    for text in blocks:
+        out.write(text)
 
-    __slots__ = ("command", "seed", "tolerances", "lines", "rows", "verdict")
-    command: str
-    seed: int | None
-    tolerances: dict
-    lines: list[str]
-    rows: Iterable[str]
-    verdict: str
 
-    def __init__(
-        self,
-        command: str,
-        seed: int | None = None,
-        tolerances: dict | None = None,
-        lines: list[str] | None = None,
-        rows: Iterable[str] = (),
-        verdict: str = "",
-    ):
-        self.command = command
-        self.seed = seed
-        self.tolerances = {} if tolerances is None else tolerances
-        self.lines = [] if lines is None else lines
-        self.rows = rows
-        self.verdict = verdict
-
-    def write(self, out) -> None:
-        """Write the `#` lines (command, seed, tolerances) and `lines` in
-        one write, then the text blocks of `rows` (from `_table`: a long
-        table is never held whole as text, and an unbuffered stream is not
-        written line by line), then the verdict to `out`, one per line."""
-        head = [f"# command: {self.command}"]
-        if self.seed is not None:
-            head.append(f"# seed: {self.seed}")
-        if self.tolerances:
-            tols = " ".join(f"{k}={v:g}" for k, v in self.tolerances.items())
-            head.append(f"# tolerances: {tols}")
-        out.write("\n".join(head + self.lines) + "\n")
-        for text in self.rows:
-            out.write(text)
-        if self.verdict:
-            out.write(f"verdict: {self.verdict}\n")
+def _report(command, lines, verdict, seed=None, tolerances=None, rows=()) -> None:
+    """Write a command's report to stdout: the `#` lines (command, seed,
+    tolerances) and `lines` in one write, then the text blocks of `rows`,
+    then the verdict, one per line."""
+    head = [f"# command: {command}"]
+    if seed is not None:
+        head.append(f"# seed: {seed}")
+    if tolerances:
+        tols = " ".join(f"{k}={v:g}" for k, v in tolerances.items())
+        head.append(f"# tolerances: {tols}")
+    blocks = itertools.chain(rows, [f"verdict: {verdict}\n"])
+    _write(sys.stdout, "\n".join(head + lines) + "\n", blocks)
 
 
 def _default_seed(seed) -> int:
@@ -158,24 +136,27 @@ def _describe_mapping(f: GameMapping, ga, gb) -> str:
 
 
 def cmd_iso(args) -> int:
-    report = RunReport(command=f"iso {args.game_a} {args.game_b}")
     ga, gb = _load(args.game_a).game, _load(args.game_b).game
-    isos = find_strong_isomorphisms(ga, gb)
-    for k, f in enumerate(isos, start=1):
-        report.lines.append(f"iso {k}: {_describe_mapping(f, ga, gb)}")
+    # the two games and their strategy signatures, and work blocks of at
+    # least one pulled-back payoff tensor; what is left sets the candidate
+    # mappings the search may check
+    size = ga.payoffs.nbytes
+    left = _memory_left(_need(0, 4 * size, size), "the two games and their strategy signatures")
+    isos = find_strong_isomorphisms(ga, gb, max_mappings=left // MAPPING_BYTES)
+    lines = [f"iso {k}: {_describe_mapping(f, ga, gb)}" for k, f in enumerate(isos, start=1)]
     if not isos:
-        report.lines.append("no strong isomorphism")
+        lines.append("no strong isomorphism")
     if ga.labels == gb.labels:
         fit = strategic_equivalence(ga, gb)
         if fit is None:
-            report.lines.append("strategic equivalence: none")
+            lines.append("strategic equivalence: none")
         else:
             pairs = "; ".join(
                 f"player {i + 1}: alpha={a:g} beta={b:g}" for i, (a, b) in enumerate(fit)
             )
-            report.lines.append(f"strategic equivalence: {pairs}")
-    report.verdict = "isomorphic" if isos else "not isomorphic"
-    report.write(sys.stdout)
+            lines.append(f"strategic equivalence: {pairs}")
+    verdict = "isomorphic" if isos else "not isomorphic"
+    _report(f"iso {args.game_a} {args.game_b}", lines, verdict)
     return EXIT_OK if isos else EXIT_NEGATIVE
 
 
@@ -183,11 +164,7 @@ def cmd_lift_verify(args) -> int:
     if args.samples < 1:
         raise ValueError(f"need at least one sample, got {args.samples}")
     seed = _default_seed(args.seed)
-    report = RunReport(
-        command=f"lift-verify {args.game_a} {args.game_b}",
-        seed=seed,
-        tolerances={"payoff": LIFT_TOL},
-    )
+    command, tolerances = f"lift-verify {args.game_a} {args.game_b}", {"payoff": LIFT_TOL}
     fa, fb = _load(args.game_a), _load(args.game_b)
     ga, gb = fa.game, fb.game
     # a game EWL cannot quantize is refused before anything is searched,
@@ -199,27 +176,28 @@ def cmd_lift_verify(args) -> int:
         _need(SAMPLE_BYTES * n * args.samples, 2 * game_bytes(n)),
         f"the two games and {args.samples:,} samples of angles and payoffs",
     )
+    # binary games of at most 4 players have at most 4! * 2^4 = 384
+    # candidate mappings, so this search needs no budget of its own
     isos = find_strong_isomorphisms(ga, gb)
     if not isos:
-        report.verdict = "no strong isomorphism to lift"
-        report.write(sys.stdout)
+        _report(command, [], "no strong isomorphism to lift", seed, tolerances)
         return EXIT_NEGATIVE
     qa = EwlGame(ga, spaces_a)
     qb = EwlGame(gb, spaces_b)
-    all_ok = True
+    lines, all_ok = [], True
     reports = verify_lifts([lift(f, ga) for f in isos], qa, qb, samples=args.samples, seed=seed)
     for k, (f, res) in enumerate(zip(isos, reports), start=1):
         status = "pass" if res.passed else "FAIL"
         if res.space_escapes:
             pos = ", ".join(str(k + 1) for k in res.space_escapes)
             status = f"space-escape (space-escape at position {pos})"
-        report.lines.append(
+        lines.append(
             f"iso {k}: {_describe_mapping(f, ga, gb)} | "
             f"max deviation {res.max_deviation:.3e} over {res.samples} samples -> {status}"
         )
         all_ok &= res.passed
-    report.verdict = "all lifted mappings verified" if all_ok else "verification failed"
-    report.write(sys.stdout)
+    verdict = "all lifted mappings verified" if all_ok else "verification failed"
+    _report(command, lines, verdict, seed, tolerances)
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
 
@@ -317,6 +295,10 @@ ROW_BYTES = 192  # an `ne` row's payoff or improvement: its arrays and label
 SAMPLE_BYTES = 32  # a player of a drawn `lift-verify` sample: its angles
 DRAW_BYTES = 2 << 10  # an `identities` draw: its inputs and unitaries
 AXIS_BYTES = 16  # a point of a `surface` axis
+# a candidate mapping of `iso`: the mapping found (329 bytes for 2 players
+# of 5 strategies, 497 for 5 players of 2), its report line and that line
+# in the report's text
+MAPPING_BYTES = 1 << 10
 
 
 def _need(units: int, games: int = 0, work: int = BLOCK_BYTES) -> int:
@@ -358,7 +340,6 @@ def cmd_ne(args) -> int:
     # nan and negative eps would find nothing, inf every grid profile
     if not (math.isfinite(args.eps) and args.eps >= 0):
         raise ValueError(f"eps must be a finite number >= 0, got {args.eps!r}")
-    report = RunReport(command=f"ne {args.game}", tolerances={"eps": args.eps})
     gf = _load(args.game)
     g = gf.game
     n = g.n_players
@@ -387,16 +368,16 @@ def cmd_ne(args) -> int:
     values, where = _distinct(found.payoffs.T)
     improvement = _distinct(found.eps)
     space_names = ",".join(s.value for s in game.spaces)
-    report.lines = [f"spaces: {space_names}; grid: {args.grid}; profiles found: {count}"]
+    lines = [f"spaces: {space_names}; grid: {args.grid}; profiles found: {count}"]
     fmts = ["(%.6g,%.6g,%.6g) "] * (n - 1) + ["(%.6g,%.6g,%.6g) payoffs ["]
     fmts += ["%.10g "] * (n - 1) + ["%.10g] improvement ", "%.3e\n"]
     fmts[0] = "  " + fmts[0]
     # the last payoff's format differs from the others', so each column's
     # labels cover only its own values; formatted while written, these
     # columns and labels are gone before the CSV's
-    report.rows = _table(fmts, [*strategies, *(_compact(values, w) for w in where), improvement])
-    report.verdict = f"{count} equilibria" if count else "no equilibria"
-    report.write(sys.stdout)
+    rows = _table(fmts, [*strategies, *(_compact(values, w) for w in where), improvement])
+    verdict = f"{count} equilibria" if count else "no equilibria"
+    _report(f"ne {args.game}", lines, verdict, tolerances={"eps": args.eps}, rows=rows)
     if args.csv:
         cols = [f"theta{i},alpha{i},beta{i}" for i in range(1, n + 1)]
         cols += [f"payoff{i}" for i in range(1, n + 1)] + ["improvement"]
@@ -413,9 +394,7 @@ def _write_csv(path, head, blocks) -> int:
     or EXIT_IO with a message on stderr when it cannot be written."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(head)
-            for text in blocks:
-                fh.write(text)
+            _write(fh, head, blocks)
     except OSError as exc:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -463,9 +442,7 @@ def cmd_surface(args) -> int:
     head = "theta,alpha,payoff1,payoff2\n"
     if args.csv:
         return _write_csv(args.csv, head, blocks())
-    sys.stdout.write(head)
-    for text in blocks():
-        sys.stdout.write(text)
+    _write(sys.stdout, head, blocks())
     return EXIT_OK
 
 
@@ -473,17 +450,12 @@ def cmd_identities(args) -> int:
     seed = _default_seed(args.seed)
     _memory_left(_need(DRAW_BYTES * args.samples), f"{args.samples:,} draws of the identity checks")
     res = operator_identity_suite(draws=args.samples, seed=seed)
-    report = RunReport(
-        command="identities",
-        seed=seed,
-        tolerances={"entrywise": res.tolerance},
-    )
-    for c in res.checks:
-        report.lines.append(
-            f"{c.name}: max error {c.max_error:.3e} -> {'pass' if c.passed else 'FAIL'}"
-        )
-    report.verdict = "all identities hold" if res.passed else "identity check failed"
-    report.write(sys.stdout)
+    lines = [
+        f"{c.name}: max error {c.max_error:.3e} -> {'pass' if c.passed else 'FAIL'}"
+        for c in res.checks
+    ]
+    verdict = "all identities hold" if res.passed else "identity check failed"
+    _report("identities", lines, verdict, seed, {"entrywise": res.tolerance})
     return EXIT_OK if res.passed else EXIT_NEGATIVE
 
 

@@ -154,4 +154,4 @@ def parse_game_file(text: str) -> GameFile:
 
 
 def load_game_file(path) -> GameFile:
-    return parse_game_file(Path(path).read_text(encoding="utf-8"))
+    return parse_game_file(Path(path).read_text(encoding="utf-8-sig"))

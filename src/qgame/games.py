@@ -11,6 +11,7 @@ because fitting amplifies rounding.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations, product
 from typing import NamedTuple, Sequence
 
@@ -151,7 +152,9 @@ def _strategy_signatures(g: ClassicalGame, player: int) -> np.ndarray:
     return np.sort(u.reshape(g.shape[player], -1), axis=1)
 
 
-def find_strong_isomorphisms(g: ClassicalGame, g2: ClassicalGame) -> list[GameMapping]:
+def find_strong_isomorphisms(
+    g: ClassicalGame, g2: ClassicalGame, max_mappings: int | None = None
+) -> list[GameMapping]:
     """All strong isomorphisms g -> g2, by a signature-pruned search.
 
     Strategy k of player i may map to strategy k' of player j only when
@@ -164,6 +167,10 @@ def find_strong_isomorphisms(g: ClassicalGame, g2: ClassicalGame) -> list[GameMa
     Candidates come in lexicographic order (eta outer, then the
     per-player bijections), so the result order is deterministic. An
     empty list means the games are not isomorphic.
+
+    A search that would hold more than `max_mappings` partial strategy
+    bijections for one pair of players, or check more than `max_mappings`
+    candidate mappings in all, raises ValueError before it does.
     """
     if sorted(g.shape) != sorted(g2.shape):
         return []
@@ -171,27 +178,42 @@ def find_strong_isomorphisms(g: ClassicalGame, g2: ClassicalGame) -> list[GameMa
     sigs = [_strategy_signatures(g, i) for i in range(n)]
     sigs2 = [_strategy_signatures(g2, j) for j in range(n)]
     # bijections[i][j]: every phi_i allowed when eta(i) = j
-    bijections = [[_compatible_bijections(s, s2) for s2 in sigs2] for s in sigs]
+    bijections = [[_compatible_bijections(s, s2, max_mappings) for s2 in sigs2] for s in sigs]
+    # choices[eta]: the bijections allowed for each player under eta
+    choices = {eta: [bijections[i][j] for i, j in enumerate(eta)] for eta in permutations(range(n))}
+    if max_mappings is not None:
+        count = sum(math.prod(map(len, lists)) for lists in choices.values())
+        if count > max_mappings:
+            raise ValueError(f"more than {max_mappings:,} candidate mappings: {count:,} to check")
     found = []
-    for eta in permutations(range(n)):
-        choices = [bijections[i][eta[i]] for i in range(n)]
-        if not all(choices):
-            continue
-        for phis in product(*choices):
+    for eta, lists in choices.items():
+        for phis in product(*lists):
             if np.abs(g.payoffs - _pull_back(g2.payoffs, eta, phis)).max() <= PAYOFF_TOL:
                 found.append(GameMapping(eta, phis))
     return found
 
 
-def _compatible_bijections(sig: np.ndarray, sig2: np.ndarray) -> list[tuple[int, ...]]:
+def _compatible_bijections(
+    sig: np.ndarray, sig2: np.ndarray, max_mappings: int | None = None
+) -> list[tuple[int, ...]]:
     """Bijections k -> k' with rows sig[k] and sig2[k'] within PAYOFF_TOL,
-    in lexicographic order; empty when the strategy counts differ."""
+    in lexicographic order; empty when the strategy counts differ. Raises
+    ValueError before it holds more than `max_mappings` partial ones."""
     if sig.shape != sig2.shape:
         return []
     allowed = np.abs(sig[:, None, :] - sig2[None, :, :]).max(axis=2) <= PAYOFF_TOL
     out = [()]
-    for row in allowed:
-        out = [p + (k,) for p in out for k in np.flatnonzero(row).tolist() if k not in p]
+    for row in allowed.tolist():
+        ks = [k for k, ok in enumerate(row) if ok]
+        if max_mappings is not None:
+            # each partial bijection extends by the allowed strategies it has not used
+            count = len(ks) * len(out) - sum(row[k] for p in out for k in p)
+            if count > max_mappings:
+                raise ValueError(
+                    f"more than {max_mappings:,} candidate mappings: {count:,} partial "
+                    "strategy bijections between two players"
+                )
+        out = [p + (k,) for p in out for k in ks if k not in p]
     return out
 
 

@@ -30,6 +30,7 @@ from qgame import (
     EwlGame,
     GameFile,
     GameFileError,
+    GameMapping,
     ParamGrid,
     StrategySpace,
     SU2Params,
@@ -38,7 +39,7 @@ from qgame import (
     parse_space,
     two_param_payoff_closed_form,
 )
-from qgame import cli
+from qgame import cli, games
 from qgame.cli import main
 from qgame.ewl import BLOCK_BYTES, game_bytes
 from qgame.search import (
@@ -51,6 +52,21 @@ from qgame.search import (
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
 BUNDLED = sorted(GAMES.glob("*.game"))
+
+
+class Writes(list):
+    """A text stream, or an open file, that keeps each write."""
+
+    write = list.append
+
+    def flush(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
 
 
 class TestGameFileFormat:
@@ -163,6 +179,21 @@ class TestIsoCommand:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["iso", "/nonexistent.game", "/nonexistent.game"]) == 2
+
+    def test_constant_five_by_five_game_lists_every_mapping(self, tmp_path, capsys):
+        # all 2 * 120^2 mappings are isomorphisms, found in lexicographic
+        # order: eta, then player 1's bijection, then player 2's
+        g = ClassicalGame([[f"s{k}" for k in range(5)]] * 2, np.zeros((5, 5, 2)))
+        save_game_file(GameFile(g), tmp_path / "c.game")
+        assert main(["iso", str(tmp_path / "c.game"), str(tmp_path / "c.game")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        perms = list(itertools.permutations(range(5)))
+        mappings = [
+            GameMapping(eta, phi) for eta in [(0, 1), (1, 0)] for phi in itertools.product(perms, perms)
+        ]
+        described = [cli._describe_mapping(f, g, g) for f in mappings]
+        assert lines[1:-2] == [f"iso {k}: {text}" for k, text in enumerate(described, start=1)]
+        assert len(mappings) == 28_800
 
 
 class TestLiftVerifyCommand:
@@ -572,12 +603,6 @@ class TestRowTemplates:
         argv = ["ne", str(GAMES / "pd.game"), "--spaces", "alpha", "--grid", "17,33,1"]
         argv += ["--eps", "1.0"]
 
-        class Writes(list):
-            write = list.append
-
-            def flush(self):
-                pass
-
         def run():
             monkeypatch.setattr(sys, "stdout", Writes())
             assert main(argv) == 0
@@ -591,6 +616,52 @@ class TestRowTemplates:
         body = "".join(whole[1:-1]).count("\n")
         assert len(whole) == 3 and body > 1024
         assert len(writes) == 2 + -(-body // block)
+        assert "".join(writes) == "".join(whole)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["iso", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")],
+            ["lift-verify", str(GAMES / "pd.game"), str(GAMES / "pd_swapped.game")],
+            ["identities", "--samples", "3"],
+        ],
+        ids=["iso", "lift-verify", "identities"],
+    )
+    def test_report_goes_out_in_two_writes(self, argv, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", Writes())
+        assert main(argv) == 0
+        head, verdict = sys.stdout
+        assert head.startswith("# command: ") and "\nverdict: " not in head
+        assert verdict.startswith("verdict: ") and verdict.count("\n") == 1
+
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    @pytest.mark.parametrize("command", ["surface", "surface --csv", "ne --csv"])
+    def test_tables_go_out_in_blocks(self, command, block, monkeypatch):
+        # `surface` on 33x65 points, or `ne`'s 7,441 rows: the header
+        # line in one write, then one write per block of rows
+        if command.startswith("surface"):
+            argv = ["surface", str(GAMES / "pd_swapped.game"), "--grid", "33,65"]
+        else:
+            argv = ["ne", str(GAMES / "pd.game"), "--spaces", "alpha", "--grid", "17,33,1"]
+            argv += ["--eps", "1.0"]
+        if command.endswith("--csv"):
+            argv += ["--csv", "out.csv"]
+
+        def run():
+            out, csv = Writes(), Writes()
+            monkeypatch.setattr(sys, "stdout", out)
+            monkeypatch.setattr(cli, "open", lambda *args, **kwargs: csv, raising=False)
+            assert main(argv) == 0
+            return csv if "--csv" in argv else out
+
+        monkeypatch.setattr(cli, "LINES_PER_WRITE", 1 << 30)
+        whole = run()
+        monkeypatch.setattr(cli, "LINES_PER_WRITE", block)
+        writes = run()
+        rows = "".join(whole[1:]).count("\n")
+        assert len(whole) == 2 and rows > 1024
+        assert whole[0].count("\n") == 1
+        assert len(writes) == 1 + -(-rows // block)
         assert "".join(writes) == "".join(whole)
 
     def test_ne_signed_zeros_and_repeats(self, tmp_path, capsys, monkeypatch):
@@ -941,6 +1012,82 @@ class TestPreflightMemoryCheck:
             monkeypatch.setattr(cli, "_cgroup_memory_limit", lambda: limit)
             assert main(argv + ["--samples", str(samples)]) == code
         capsys.readouterr()
+
+    @staticmethod
+    def constant_game(path, n, m):
+        """A game file of n players of m strategies whose payoffs are all
+        0, so every mapping is a strong isomorphism."""
+        labels = [[f"s{k}" for k in range(m)]] * n
+        save_game_file(GameFile(ClassicalGame(labels, np.zeros((m,) * n + (n,)))), path)
+        return str(path)
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (4, 2)])
+    def test_candidate_mappings_count_against_what_the_budget_leaves(
+        self, n, m, tmp_path, capsys, monkeypatch
+    ):
+        # a game whose every mapping is an isomorphism: as many candidate
+        # mappings as the budget leaves pass, and one more is refused
+        # before any is checked. The preflight counts the two games and
+        # their signatures: four payoff tensors, each less than a work block
+        path = self.constant_game(tmp_path / "c.game", n, m)
+        argv = ["iso", path, path]
+        candidates = math.factorial(n) * math.factorial(m) ** n
+        need = self.fixed(4 * m**n * n * 8)
+        for mappings, code in [(candidates, 0), (candidates - 1, 2)]:
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * (need + mappings * cli.MAPPING_BYTES)}
+            monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+            assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert out.count("\niso ") == candidates
+        assert err == (
+            f"error: more than {candidates - 1:,} candidate mappings: {candidates:,} to check\n"
+        )
+
+    @pytest.mark.parametrize("command", ["iso", "lift-verify"])
+    def test_constant_seven_by_seven_game_exits_2_before_the_search(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        # 2 * 5,040^2 candidate mappings, about 19 GB of mappings found;
+        # `lift-verify` refuses the game as not binary before its search
+        def refuse(*args, **kwargs):
+            raise AssertionError("a candidate mapping was checked")
+
+        monkeypatch.setattr(games, "_pull_back", refuse)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1 << 30}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        path = self.constant_game(tmp_path / "c.game", 2, 7)
+        assert main([command, path, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        if command == "iso":
+            assert "candidate mappings: 50,803,200 to check" in err
+        else:
+            assert err == "error: EWL quantization needs a binary game\n"
+
+    @pytest.mark.parametrize("n,m", [(2, 5), (3, 3), (4, 2)])
+    def test_iso_peak_stays_within_the_estimate(self, n, m, tmp_path, monkeypatch):
+        # every mapping of a constant game is found and held, with its
+        # report line: what the preflight counts, and the bytes budgeted
+        # per candidate mapping
+        path = self.constant_game(tmp_path / "c.game", n, m)
+        calls = {}
+        left = cli._memory_left
+
+        def memory_left(need, what):
+            calls["need"] = need
+            return left(need, what)
+
+        monkeypatch.setattr(cli, "_memory_left", memory_left)
+        cli.build_parser()
+        with contextlib.redirect_stdout(Writes()):
+            tracemalloc.start()
+            try:
+                assert main(["iso", path, path]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        mappings = math.factorial(n) * math.factorial(m) ** n
+        assert peak <= calls["need"] + mappings * cli.MAPPING_BYTES
 
     @pytest.mark.parametrize("grid", [(101, 201), (1, 20001)])
     def test_surface_peak_stays_within_one_block(self, grid, tmp_path, capsys):

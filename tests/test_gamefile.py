@@ -5,12 +5,14 @@ same payoff bits; every single-line mutation of one must raise the same
 `GameFileError`: the same message and the same line number.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import parse_game_file_oracle
-from qgame import GameFileError, parse_game_file
+from qgame import GameFileError, load_game_file, parse_game_file
 
 SPACE_NAMES = ("full", "su2", "alpha", "two-param-alpha", "beta", "one", "One-Param")
 LABEL = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
@@ -238,3 +240,13 @@ class TestParserAgainstOracle:
         payoffs = parse_game_file(text).game.payoffs
         assert payoffs[..., 0].tolist() == [[1, 2, 3], [4, 5, 6]]
         assert (payoffs[..., 1] == -payoffs[..., 0]).all()
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_file_with_a_byte_order_mark_and_crlf_loads(bom, newline, tmp_path):
+    # editors on Windows save UTF-8 with a byte-order mark and CRLF line ends
+    source = Path(__file__).resolve().parent.parent / "games" / "pd.game"
+    path = tmp_path / "pd.game"
+    path.write_bytes(bom + source.read_bytes().replace(b"\n", newline))
+    assert load_game_file(path) == load_game_file(source)

@@ -205,6 +205,27 @@ class TestFindStrongIsomorphisms:
             combined = compose(f1, f2)
             assert combined in find_strong_isomorphisms(g, g3)
 
+    @pytest.mark.parametrize(
+        "m,max_mappings,message",
+        [
+            (5, 28_800, None),
+            (5, 28_799, "more than 28,799 candidate mappings: 28,800 to check"),
+            (7, 5_040, "more than 5,040 candidate mappings: 50,803,200 to check"),
+            (7, 5_039, "more than 5,039 candidate mappings: 5,040 partial strategy bijections"),
+        ],
+    )
+    def test_max_mappings_boundary(self, m, max_mappings, message):
+        # every mapping of a constant game is an isomorphism: 2 * (m!)^2
+        # candidates, from m! bijections for each pair of players
+        g = ClassicalGame([[f"s{k}" for k in range(m)]] * 2, np.zeros((m, m, 2)))
+        if message is None:
+            found = find_strong_isomorphisms(g, g, max_mappings=max_mappings)
+            assert len(found) == max_mappings
+            assert found == find_strong_isomorphisms(g, g)
+        else:
+            with pytest.raises(ValueError, match=message):
+                find_strong_isomorphisms(g, g, max_mappings=max_mappings)
+
 
 class TestIsomorphismSearchAgainstOracle:
     """`find_strong_isomorphisms` must return exactly the brute-force

@@ -30,8 +30,7 @@ from qgame import (
     StrategySpace,
     SU2Params,
 )
-from qgame._value import Record
-from qgame.cli import RunReport
+from qgame._value import Frozen
 from qgame.lift import IdentityCheck, IdentitySuiteReport
 from qgame.linalg import TWO_PI
 from qgame.search import EpsEquilibrium
@@ -65,8 +64,6 @@ CASES = [
      "spaces=(<StrategySpace.FULL_SU2: 'full'>, <StrategySpace.FULL_SU2: 'full'>))"),
     (AngleTransform, dict(reflect=True, alpha_shift=TWO_PI, beta_shift=math.pi), "value", True, True, None),
     (LiftedMapping, dict(eta=(1, 0), transforms=(FLIP, FLIP)), "value", True, True, None),
-    (RunReport, dict(command="iso a b", seed=3, tolerances={"eps": 0.5}, lines=["x"], rows=(), verdict="v"),
-     "value", False, False, None),
     (GameFile, dict(game=GAME, spaces=(FULL, FULL)), "value", False, True, None),
     (MixedProfile2x2, dict(p=0.25, q=1.0, continuum=True), "value", True, True, None),
     (EpsEquilibrium, dict(profile=(SU2Params(1.0), SU2Params(2.0)), eps=0.0, payoffs=(1.0, 2.0)),
@@ -93,15 +90,15 @@ def _classes() -> list[type]:
 
 
 def test_cases_cover_every_value_type():
-    # the `Record` types with fields, and the named tuples
-    found = {c for c in _classes() if (issubclass(c, Record) and c.__slots__) or hasattr(c, "_fields")}
+    # the `Frozen` types with fields, and the named tuples
+    found = {c for c in _classes() if (issubclass(c, Frozen) and c.__slots__) or hasattr(c, "_fields")}
     assert {case[0] for case in CASES} == found
-    assert len(CASES) == 15
+    assert len(CASES) == 14
 
 
 def test_no_class_is_a_dataclass():
     classes = _classes()
-    assert SU2Params in classes and RunReport in classes
+    assert SU2Params in classes and GameFile in classes
     assert [c for c in classes if dataclasses.is_dataclass(c)] == []
 
 
