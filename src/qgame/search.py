@@ -6,6 +6,12 @@ It goes candidate-first in one pass over blocks of player 0's
 strategies: player 0's payoff table rules out most rows before the
 other players' tables are contracted, and one filter at the end, against
 player 0's finished best replies, leaves the rows.
+
+Every EWL game pays the same at a profile and at its joint half-turn,
+where each player's phase alpha (or beta) turns by pi. On grids where
+every player's strategies come in such pairs, the blocked search scans
+half of player 0's strategies and takes the other half's rows as the
+partners of the rows it finds.
 """
 
 from __future__ import annotations
@@ -70,6 +76,20 @@ class ParamGrid(Frozen):
         """Number of grid strategies in `space`, from the step counts
         alone."""
         return math.prod(self._counts(space))
+
+    def half_turn(self, space: StrategySpace) -> np.ndarray | None:
+        """Each grid index's partner in `space` under the half-turn
+        q -> (-q0, -q1, q2, q3): alpha + pi when the alpha axis holds an
+        even count of values, else beta + pi when the beta axis does (beta
+        + pi gives -1 times that quaternion, with the same features). None
+        when neither does: no grid point then has its partner on the grid.
+        """
+        counts = self._counts(space)
+        axis = next((k for k in (1, 2) if counts[k] % 2 == 0), None)
+        if axis is None:
+            return None
+        index = np.arange(math.prod(counts)).reshape(counts)
+        return np.roll(index, counts[axis] // 2, axis=axis).reshape(-1)
 
     def angles(self, space: StrategySpace) -> np.ndarray:
         """(m, 3) array of the grid (theta, alpha, beta) rows in `space`,
@@ -218,9 +238,20 @@ def grid_equilibria(
     block's player-0 strategies that hold a candidate get the other
     players' tables. The running best replies only rise, so the rows held
     this way include every row, and one filter against the finished best
-    replies leaves exactly the rows. A search that would hold more than
-    `max_rows` rows, once the rows that the running best replies rule out
-    are dropped, raises ValueError before it gathers them.
+    replies leaves exactly the rows.
+
+    When every player's grid holds its half-turn partners
+    (`ParamGrid.half_turn`), a blocked search scans only the player-0
+    strategies s with s below their partner: every game pays the same at
+    a profile and at its joint half-turn, so player 0's best reply to the
+    others' r is the larger of the scanned half's best replies to r and to
+    r's partner, and each row found is held with its partner row, which
+    has the same payoffs and improvement. The rows are put in row-major
+    order at the end.
+
+    A search that would hold more than `max_rows` rows, partner rows
+    counted, once the rows that the running best replies rule out are
+    dropped, raises ValueError before it gathers them.
     """
     n = game.n_players
     # players on the same space share one read-only angle array, and so
@@ -231,12 +262,22 @@ def grid_equilibria(
     angles = tuple(shared[s] for s in game.spaces)
     dims = [len(a) for a in angles]
     step, rest = _block_strategies(dims), math.prod(dims[1:])
+    # the player-0 strategies scanned, and the others' profiles' joint
+    # half-turn partners when only half of them are
+    scanned, mirror = np.arange(dims[0]), None
     if step == dims[0]:
         tables = grid_payoff_tables(game, angles)
         blocks = [(0, tables[0], tables[1:])]
         masks = np.empty((2, tables[0].size), dtype=bool)
     else:
         core, feats = _operands(game, angles)
+        turns = [grid.half_turn(s) for s in game.spaces]
+        if all(t is not None for t in turns):
+            scanned = np.flatnonzero(scanned < turns[0])
+            mirror = np.zeros(1, np.intp)
+            for t in turns[1:]:
+                mirror = (mirror[:, None] * len(t) + t).reshape(-1)
+        feats0 = feats[0] if mirror is None else feats[0][scanned]
         # every block is contracted into this one buffer: player 0's table
         # at the front, the other players' tables on its candidate rows
         # behind it; a block's tables are used up before the next is
@@ -245,10 +286,9 @@ def grid_equilibria(
         masks = np.empty((3, step * rest), dtype=bool)
 
         def player0(start):
-            block_feats = [feats[0][start : start + step], *feats[1:]]
-            return _tables(core[:1], block_feats, buffer)[0]
+            return _tables(core[:1], [feats0[start : start + step], *feats[1:]], buffer)[0]
 
-        blocks = ((start, player0(start), None) for start in range(0, dims[0], step))
+        blocks = ((start, player0(start), None) for start in range(0, len(scanned), step))
     best0 = np.full([1, *dims[1:]], -np.inf)
     # the rows held so far, as blocks of flat profile indices, payoffs and
     # the other players' improvement; an empty block gives a search without
@@ -257,6 +297,9 @@ def grid_equilibria(
     count = 0
     for start, t0, others in blocks:
         np.maximum(best0, t0.max(axis=0, keepdims=True), out=best0)
+        if mirror is not None:
+            # player 0's best reply to r covers r's partner's too
+            np.maximum(best0, best0.reshape(-1)[mirror].reshape(best0.shape), out=best0)
         mask = masks[0][: t0.size].reshape(t0.shape)
         np.greater_equal(t0, best0 - eps, out=mask)
         live = np.arange(len(t0))
@@ -265,7 +308,7 @@ def grid_equilibria(
             live = np.flatnonzero(mask.reshape(len(t0), -1).any(axis=1))
             if not len(live):
                 continue
-            live_feats = [feats[0][start + live], *feats[1:]]
+            live_feats = [feats0[start + live], *feats[1:]]
             others = _tables(core[1:], live_feats, buffer[t0.size :])
             if len(live) < len(t0):
                 into = masks[1][: len(live) * rest].reshape(len(live), *t0.shape[1:])
@@ -279,19 +322,29 @@ def grid_equilibria(
         if not len(flat):
             continue
         idx = np.unravel_index(flat, mask.shape)
-        # the rows' flat indices into the block's player-0 table
-        profiles = flat + (live[idx[0]] - idx[0]) * rest
-        pays = np.stack([t0.reshape(-1)[profiles], *(t.reshape(-1)[flat] for t in others)], axis=1)
+        # the rows' flat indices into the block's player-0 table, then
+        # into the grid
+        rows0 = live[idx[0]]
+        at0 = flat + (rows0 - idx[0]) * rest
+        pays = np.stack([t0.reshape(-1)[at0], *(t.reshape(-1)[flat] for t in others)], axis=1)
         gaps = np.full(len(flat), -np.inf)
         for i, b in enumerate(bests, 1):
             np.maximum(gaps, np.broadcast_to(b, mask.shape)[idx] - pays[:, i], out=gaps)
-        profiles += start * rest
+        profiles = flat + (scanned[start + rows0] - idx[0]) * rest
+        if mirror is not None:
+            # each row's partner, with a copy of its payoffs and improvement:
+            # player 0's running best replies are the same at both
+            partners = turns[0][profiles // rest] * rest + mirror[profiles % rest]
+            profiles = np.concatenate([profiles, partners])
+            pays, gaps = np.concatenate([pays, pays]), np.concatenate([gaps, gaps])
         held.append((profiles, pays, gaps))
-        count += len(flat)
+        count += len(profiles)
         if max_rows is not None and count > max_rows:
             count = len(_allowed(held, best0, eps, rest)[0])
             if count > max_rows:
-                searched, total = (start + len(t0)) * rest, math.prod(dims)
+                # the player-0 strategies scanned, and their partners
+                covered = (start + len(t0)) * (1 if mirror is None else 2)
+                searched, total = covered * rest, math.prod(dims)
                 raise ValueError(
                     f"more than {max_rows:,} equilibrium rows: {count:,} in the first "
                     f"{searched:,} of {total:,} profiles, about "
@@ -300,6 +353,10 @@ def grid_equilibria(
     profiles, payoffs, improvements, best = _allowed(held, best0, eps, rest)
     # player 0's improvement, then the other players'
     np.maximum(best - payoffs[:, 0], improvements, out=improvements)
+    if mirror is not None:
+        # row-major order: the partner rows come after each block's rows
+        order = np.argsort(profiles)
+        profiles, payoffs, improvements = profiles[order], payoffs[order], improvements[order]
     index = np.stack(np.unravel_index(profiles, dims), axis=1)
     return GridEquilibria(angles, index, improvements, payoffs)
 

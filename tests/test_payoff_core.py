@@ -238,3 +238,47 @@ def test_strong_isomorphisms_carry_integer_cores_exactly(n):
             assert np.array_equal(lifted_core(lift(iso, g), core2), core)
             lifts += 1
     assert lifts >= 6
+
+
+# the features q_k q_l that pair one of (q0, q1) with one of (q2, q3): the
+# half-turn q -> (-q0, -q1, q2, q3) turns their sign and keeps the others
+CROSS = np.array([(k < 2) != (l < 2) for k, l in zip(*np.triu_indices(4))])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("integer", [False, True])
+def test_core_entries_with_odd_cross_features_are_zero(n, integer):
+    # so every game pays exactly the same at a profile and at its joint
+    # half-turn, which the `ne` search's half scan relies on
+    rng = np.random.default_rng(n)
+    odd = sum(np.ix_(*[CROSS.astype(int)] * n)) % 2 == 1
+    for _ in range(10):
+        if integer:
+            diags = rng.integers(-1000, 1001, size=(n, 2**n)).astype(float)
+        else:
+            diags = rng.normal(size=(n, 2**n)) * 10.0 ** rng.integers(-8, 9)
+        core = _payoff_core(diags)
+        assert np.all(core[:, odd] == 0.0)
+        # and the other entries are not all zero
+        assert np.any(core[:, ~odd] != 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_payoffs_keep_under_the_joint_half_turn(n):
+    # alpha + pi on every player, beta + pi on every player, or either on
+    # each: each player's quaternion turns to +-(-q0, -q1, q2, q3)
+    rng = np.random.default_rng(20 + n)
+    spaces = list(StrategySpace)
+    for k in range(8):
+        game = EwlGame(random_game(rng, (2,) * n, low=-10, high=10))
+        angles = rng.random((200, n, 3)) * (math.pi, TWO_PI, TWO_PI)
+        # every space for every player, as k runs
+        for i in range(n):
+            space = spaces[(k + i) % len(spaces)]
+            angles[:, i, 1] *= not space.alpha_frozen
+            angles[:, i, 2] *= not space.beta_frozen
+        payoffs = _angle_payoffs(game, angles)
+        for axes in ([1] * n, [2] * n, rng.integers(1, 3, size=n)):
+            turned = angles.copy()
+            turned[:, np.arange(n), axes] += math.pi
+            assert np.abs(_angle_payoffs(game, turned) - payoffs).max() <= TOL

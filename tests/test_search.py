@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -136,6 +136,34 @@ class TestGridConsistency:
         assert angles.shape == (grid.size(space), 3)
         assert angles.tolist() == product_grid((t, a, b), space)
 
+    @given(
+        t=st.integers(2, 9),
+        a=st.integers(1, 9),
+        b=st.integers(1, 9),
+        space=st.sampled_from(SPACES),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_half_turn_pairs_each_point_with_its_phase_turned_by_pi(self, t, a, b, space):
+        grid = ParamGrid(t, a, b)
+        angles = grid.angles(space)
+        turn = grid.half_turn(space)
+        # the phase axes holding an even count of values, read off the angles
+        even = [k for k in (1, 2) if len(set(angles[:, k].tolist())) % 2 == 0]
+        if not even:
+            assert turn is None
+            return
+        index = np.arange(len(angles))
+        # an involution without fixed points
+        assert turn.dtype == np.intp and turn.shape == index.shape
+        assert np.array_equal(turn[turn], index) and not np.any(turn == index)
+        # alpha + pi, or beta + pi when alpha holds an odd count
+        moved = even[0]
+        partners = angles[turn]
+        kept = [k for k in range(3) if k != moved]
+        assert np.array_equal(partners[:, kept], angles[:, kept])
+        gap = np.abs(partners[:, moved] - (angles[:, moved] + math.pi) % TWO_PI)
+        assert np.minimum(gap, TWO_PI - gap).max() <= 1e-12
+
     @pytest.mark.parametrize("eps", [1e-9, 2.0])
     def test_rows_rebuilt_from_the_arrays(self, eps):
         rng = np.random.default_rng(13)
@@ -196,32 +224,63 @@ def random_search(seed, spaces, steps):
 
 
 def blocks_of(dims, count) -> int:
-    """`BLOCK_BYTES` that splits a search over `dims` into `count` blocks:
-    1, 2 or, for any other count, one block per player-0 strategy."""
+    """`BLOCK_BYTES` that splits a scan of all of player 0's `dims[0]`
+    strategies into `count` blocks, or for "many" one block per player-0
+    strategy. A search that scans half of them takes half as many."""
     rest = 8 * len(dims) * math.prod(dims[1:])
-    if count == 1:
-        return rest * dims[0]
-    if count == 2:
-        return rest * -(-dims[0] // 2)
-    return 1
+    if count == "many":
+        return 1
+    return rest * -(-dims[0] // count)
+
+
+def half_turns(grid, spaces):
+    """Every player's `ParamGrid.half_turn` map, or None when a player's
+    grid has none."""
+    turns = [grid.half_turn(s) for s in spaces]
+    return None if any(t is None for t in turns) else turns
 
 
 def held_rows(game, grid, eps, step):
-    """(end, held, unpruned) for each block of `step` player-0 strategies,
-    from the whole payoff tables: the block's end, the rows a search holds
-    after it once player 0's running best replies have dropped what they
-    rule out, and the rows it holds if it drops none."""
+    """(end, held, unpruned) for each block of `step` player-0 strategies
+    that a search scans, from the whole payoff tables: the number of
+    player-0 strategies covered once the block is scanned, the rows a
+    search holds after it once player 0's running best replies have
+    dropped what they rule out, and the rows it holds if it drops none.
+
+    A blocked search on a grid where every player has half-turn partners
+    scans the strategies below their partners; each row it finds stands
+    for its partner row too, and its best replies to the others' profile
+    r cover r's partner as well."""
     tables = grid_payoff_tables(game, [grid.angles(s) for s in game.spaces])
     others = np.ones(tables[0].shape, dtype=bool)
     for i, t in enumerate(tables[1:], 1):
         others &= t >= t.max(axis=i, keepdims=True) - eps
-    m, unpruned, out = len(tables[0]), 0, []
-    for start in range(0, m, step):
-        end = min(start + step, m)
-        passes = others[:end] & (tables[0][:end] >= tables[0][:end].max(axis=0) - eps)
-        unpruned += int(passes[start:end].sum())
-        out.append((end, int(passes.sum()), unpruned))
+    m = len(tables[0])
+    turns = half_turns(grid, game.spaces) if step < m else None
+    scanned = np.arange(m) if turns is None else np.flatnonzero(np.arange(m) < turns[0])
+    copies = 1 if turns is None else 2
+    t0, others = tables[0][scanned], others[scanned]
+    unpruned, out = 0, []
+    for start in range(0, len(scanned), step):
+        end = min(start + step, len(scanned))
+        best = t0[:end].max(axis=0)
+        if turns is not None:
+            best = np.maximum(best, best[np.ix_(*turns[1:])])
+        passes = others[:end] & (t0[:end] >= best - eps)
+        unpruned += copies * int(passes[start:end].sum())
+        out.append((copies * end, copies * int(passes.sum()), unpruned))
     return out
+
+
+def assert_closed_under_the_half_turn(found, turns):
+    """The rows' half-turn partners are the rows, each with its partner's
+    payoffs and improvement, bit for bit."""
+    partners = np.stack([t[k] for t, k in zip(turns, found.index.T)], axis=1)
+    # row r's partner is row order[r]
+    order = np.lexsort(partners.T[::-1])
+    assert np.array_equal(partners[order], found.index)
+    assert found.payoffs[order].tobytes() == found.payoffs.tobytes()
+    assert found.eps[order].tobytes() == found.eps.tobytes()
 
 
 class TestBlockedSearch:
@@ -230,9 +289,13 @@ class TestBlockedSearch:
         spaces=st.lists(st.sampled_from(SPACES), min_size=1, max_size=4),
         steps=st.tuples(st.integers(2, 4), st.integers(1, 5), st.integers(1, 4)),
         eps_share=st.floats(0.0, 1.2),
-        blocks=st.sampled_from([1, 2, "many"]),
+        blocks=st.sampled_from([1, 2, 4, "many"]),
     )
     @settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    # one player, scanned by halves one strategy at a time
+    @example(seed=1, spaces=[StrategySpace.FULL_SU2], steps=(4, 5, 4), eps_share=0.3, blocks="many")
+    # half-turns on the alpha axis for player 0, on the beta axis for player 1
+    @example(seed=2, spaces=[D, StrategySpace.TWO_PARAM_BETA], steps=(3, 5, 5), eps_share=0.4, blocks=2)
     def test_rows_equal_the_dense_oracle(self, seed, spaces, steps, eps_share, blocks):
         game, grid, dims = random_search(seed, tuple(spaces), steps)
         assume(math.prod(dims) <= 5000)
@@ -259,6 +322,8 @@ class TestBlockedSearch:
             want = grid_equilibria_oracle(game, grid, eps)
             for name in ("index", "eps", "payoffs"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        elif (turns := half_turns(grid, spaces)) is not None:
+            assert_closed_under_the_half_turn(got, turns)
 
     @pytest.mark.parametrize("blocks", [1, 2, "many"])
     def test_row_limit_stops_before_the_rows_pass_it(self, blocks):
@@ -285,19 +350,26 @@ class TestBlockedSearch:
             return out
 
         _tables = search._tables
+        # four blocks of all player-0 strategies are two of the half scanned
         with (
-            mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, 2)),
+            mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, 4)),
             mock.patch.object(search, "_tables", tables),
         ):
             found = grid_equilibria(game, grid, 0.5)
             step = search._block_strategies(dims)
-        # per block, player 0's table, then the other player's table on
-        # the block's rows that hold a candidate for player 0
+        # per block of the player-0 strategies below their half-turn
+        # partners, player 0's table, then the other player's table on the
+        # block's rows that hold a candidate for player 0; player 0's best
+        # replies to a profile cover its partner's
+        turns = half_turns(grid, spaces)
         t0 = grid_payoff_tables(game, [grid.angles(s) for s in spaces])[0]
+        t0 = t0[np.arange(dims[0]) < turns[0]]
         want = []
-        for start in range(0, dims[0], step):
+        for start in range(0, len(t0), step):
             block = t0[start : start + step]
-            live = int((block >= t0[: start + step].max(axis=0) - 0.5).any(axis=1).sum())
+            best = t0[: start + step].max(axis=0)
+            best = np.maximum(best, best[turns[1]])
+            live = int((block >= best - 0.5).any(axis=1).sum())
             want += [(1, len(block))] + [(1, live)] * (live > 0)
         assert [(p, k) for p, k, _, _ in calls] == want
         # two blocks, and the second has strategies without a candidate
@@ -315,7 +387,7 @@ class TestBlockedSearch:
         want = grid_equilibria_oracle(game, grid, 0.5)
         assert found.index.tobytes() == want.index.tobytes()
 
-    @pytest.mark.parametrize("blocks", [1, 2, "many"])
+    @pytest.mark.parametrize("blocks", [1, 2, 4, "many"])
     def test_row_limit_error_projects_the_row_count(self, blocks):
         game, grid, dims = random_search(3, (D, StrategySpace.FULL_SU2), (5, 5, 3))
         rest, total = math.prod(dims[1:]), math.prod(dims)
@@ -323,7 +395,9 @@ class TestBlockedSearch:
             limit = len(grid_equilibria(game, grid, 2.0).eps) // 2
             # the search stops at the end of the first block after which it
             # holds more rows than the limit, once player 0's running best
-            # replies have dropped the rows they rule out
+            # replies have dropped the rows they rule out; a blocked search
+            # holds each row with its half-turn partner, and has covered
+            # the scanned strategies' partners too
             step = search._block_strategies(dims)
             end, rows = next((e, h) for e, h, _ in held_rows(game, grid, 2.0, step) if h > limit)
             with pytest.raises(ValueError) as err:
@@ -333,14 +407,65 @@ class TestBlockedSearch:
             f"{total:,} profiles, about {rows * total / (end * rest):,.0f} rows in all at that rate"
         )
 
+    @pytest.mark.parametrize(
+        "spaces,steps,scanned",
+        [
+            # half-turns on the alpha axis, 20 and 40 strategies
+            ((D, StrategySpace.FULL_SU2), (5, 5, 3), 10),
+            # 3 alpha values and 2 beta values: half-turns on the beta axis
+            ((StrategySpace.FULL_SU2,) * 2, (3, 4, 3), 9),
+            ((StrategySpace.TWO_PARAM_BETA, D, StrategySpace.FULL_SU2), (3, 3, 3), 3),
+            # 3 alpha values and no beta axis: no partners
+            ((D, D), (5, 4, 1), 15),
+            # player 0, or player 1, without partners
+            ((ONE, D), (5, 5, 1), 5),
+            ((D, ONE), (9, 5, 1), 36),
+        ],
+    )
+    def test_blocked_search_scans_half_of_player_0_on_half_turn_grids(self, spaces, steps, scanned):
+        game, grid, dims = random_search(4, spaces, steps)
+        buffers = []
+
+        def tables(core, feats, buffer):
+            buffers.append((buffer, len(feats[0])))
+            return _tables(core, feats, buffer)
+
+        _tables = search._tables
+        with (
+            mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, "many")),
+            mock.patch.object(search, "_tables", tables),
+        ):
+            found = grid_equilibria(game, grid, 1.0)
+        # player 0's tables go to the front of the block buffer
+        assert sum(k for b, k in buffers if b is buffers[0][0]) == scanned
+        assert (scanned < dims[0]) == (half_turns(grid, spaces) is not None)
+        want = grid_equilibria_oracle(game, grid, 1.0)
+        assert found.index.tobytes() == want.index.tobytes()
+
+    @pytest.mark.parametrize(
+        "space,steps,eps", [(D, (17, 33, 1), 1.0), (StrategySpace.FULL_SU2, (9, 17, 17), 2.0)]
+    )
+    def test_pd_rows_are_closed_under_the_half_turn(self, space, steps, eps):
+        # integer payoffs at an integer eps: many rows have an improvement
+        # of eps up to rounding, and a scan of every player-0 strategy kept
+        # some of these rows but not their partners
+        game, grid = EwlGame(PD, (space,) * 2), ParamGrid(*steps)
+        found = grid_equilibria(game, grid, eps)
+        assert len(found.eps) > 1000
+        assert_closed_under_the_half_turn(found, half_turns(grid, game.spaces))
+
     @pytest.mark.parametrize("blocks", [2, "many"])
     @pytest.mark.parametrize(
         "spaces,steps", [((D, StrategySpace.FULL_SU2), (5, 5, 3)), ((ONE,) * 3, (9, 1, 1))]
     )
     def test_later_blocks_drop_held_rows(self, spaces, steps, blocks):
         # player 0's best replies rise in a later block, so some rows held
-        # after an earlier one are not rows
+        # after an earlier one are not rows. `blocks` blocks of what the
+        # search scans: half of player 0's strategies when the grid has
+        # half-turn partners
         game, grid, dims = random_search(2, spaces, steps)
+        if blocks != "many" and half_turns(grid, spaces) is not None:
+            blocks *= 2
         with mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)):
             step = search._block_strategies(dims)
             found = grid_equilibria(game, grid, 0.5)
