@@ -72,6 +72,12 @@ def parse_game_file(text: str) -> GameFile:
             continue
         m = _LINE_RE.fullmatch(line)
         kind = m and m.lastgroup
+        if kind in ("labels", "space"):
+            if n is None:
+                raise GameFileError(f"{line.split()[0]} line before the players line", lineno)
+            idx = int(m["player"] or m["space_player"])
+            if not 1 <= idx <= n:
+                raise GameFileError(f"bad player index {idx}", lineno)
         if kind == "values":
             if offsets is None:
                 if n is None or len(labels) != n:
@@ -108,9 +114,6 @@ def parse_game_file(text: str) -> GameFile:
             if n < 1:
                 raise GameFileError("need at least one player", lineno)
         elif kind == "labels":
-            idx = int(m["player"])
-            if n is None or not 1 <= idx <= n:
-                raise GameFileError(f"bad player index {idx}", lineno)
             if idx in labels:
                 raise GameFileError(f"duplicate strategies line for player {idx}", lineno)
             # a payoff line could not name a label holding either
@@ -121,9 +124,6 @@ def parse_game_file(text: str) -> GameFile:
                 raise GameFileError("need at least two distinct strategy labels", lineno)
             labels[idx] = toks
         elif kind == "space":
-            idx = int(m["space_player"])
-            if n is None or not 1 <= idx <= n:
-                raise GameFileError(f"bad player index {idx}", lineno)
             if idx in spaces:
                 raise GameFileError(f"duplicate space line for player {idx}", lineno)
             try:

@@ -4,14 +4,14 @@ The search is evidence at grid resolution: a profile qualifies when no
 single player can improve by more than eps using another grid point.
 It goes candidate-first in one pass over blocks of player 0's
 strategies: player 0's payoff table rules out most rows before the
-other players' tables are contracted, and one filter at the end, against
+other players' tables are read, and one filter at the end, against
 player 0's finished best replies, leaves the rows.
 
 Every EWL game pays the same at a profile and at its joint half-turn,
 where each player's phase alpha (or beta) turns by pi. On grids where
-every player's strategies come in such pairs, the blocked search scans
-half of player 0's strategies and takes the other half's rows as the
-partners of the rows it finds.
+every player's strategies come in such pairs, the search scans half of
+player 0's strategies and takes the other half's rows as the partners
+of the rows it finds.
 """
 
 from __future__ import annotations
@@ -230,24 +230,22 @@ def grid_equilibria(
     Deviations outside the grid are not considered; the grid is
     evidence, not proof.
 
-    The search holds one block of payoff tables at a time, a run of
-    player 0's strategies taken whole for the other players. A grid that
-    fits one block takes its tables from `grid_payoff_tables`. Otherwise
-    each block contracts player 0's table alone, raises player 0's
-    running best replies and marks its candidates against them; only the
-    block's player-0 strategies that hold a candidate get the other
-    players' tables. The running best replies only rise, so the rows held
-    this way include every row, and one filter against the finished best
-    replies leaves exactly the rows.
+    One pass over blocks of the player-0 strategies scanned, each taken
+    whole for the other players: a block raises player 0's running best
+    replies and marks its candidates against them, and only its player-0
+    strategies that hold a candidate get the other players' tables. The
+    running best replies only rise, so the rows held include every row,
+    and one filter against the finished best replies leaves exactly the
+    rows. A grid of one block reads its tables from one
+    `grid_payoff_tables` call; a larger one contracts each block's tables
+    into one buffer.
 
-    When every player's grid holds its half-turn partners
-    (`ParamGrid.half_turn`), a blocked search scans only the player-0
-    strategies s with s below their partner: every game pays the same at
-    a profile and at its joint half-turn, so player 0's best reply to the
-    others' r is the larger of the scanned half's best replies to r and to
-    r's partner, and each row found is held with its partner row, which
-    has the same payoffs and improvement. The rows are put in row-major
-    order at the end.
+    Every game pays the same at a profile and at its joint half-turn
+    (`ParamGrid.half_turn`). When every player's grid holds the
+    partners, only the player-0 strategies below their partners are
+    scanned: player 0's best reply to the others' r covers r's partner,
+    and each row found is held with its partner row, a copy of its
+    payoffs and improvement. The rows are sorted row-major at the end.
 
     A search that would hold more than `max_rows` rows, partner rows
     counted, once the rows that the running best replies rule out are
@@ -262,58 +260,61 @@ def grid_equilibria(
     angles = tuple(shared[s] for s in game.spaces)
     dims = [len(a) for a in angles]
     step, rest = _block_strategies(dims), math.prod(dims[1:])
-    # the player-0 strategies scanned, and the others' profiles' joint
-    # half-turn partners when only half of them are
-    scanned, mirror = np.arange(dims[0]), None
+    # (player 0's partner map, the others' profiles' partner map) of each
+    # joint map that every game pays the same under: the half-turn
+    turns = [grid.half_turn(s) for s in game.spaces]
+    pairs = []
+    if all(t is not None for t in turns):
+        mirror = np.zeros(1, np.intp)
+        for t in turns[1:]:
+            mirror = (mirror[:, None] * len(t) + t).reshape(-1)
+        pairs.append((turns[0], mirror))
+    # the player-0 strategies scanned: those below their partners
+    scanned = np.arange(dims[0])
+    for turn0, _ in pairs:
+        scanned = scanned[scanned < turn0[scanned]]
     if step == dims[0]:
         tables = grid_payoff_tables(game, angles)
-        blocks = [(0, tables[0], tables[1:])]
-        masks = np.empty((2, tables[0].size), dtype=bool)
+
+        def tables_of(rows, players):
+            # views of the whole tables where the rows are all of theirs
+            return [t if len(rows) == len(t) else t[rows] for t in tables[players]]
+
     else:
         core, feats = _operands(game, angles)
-        turns = [grid.half_turn(s) for s in game.spaces]
-        if all(t is not None for t in turns):
-            scanned = np.flatnonzero(scanned < turns[0])
-            mirror = np.zeros(1, np.intp)
-            for t in turns[1:]:
-                mirror = (mirror[:, None] * len(t) + t).reshape(-1)
-        feats0 = feats[0] if mirror is None else feats[0][scanned]
-        # every block is contracted into this one buffer: player 0's table
-        # at the front, the other players' tables on its candidate rows
-        # behind it; a block's tables are used up before the next is
-        # contracted
+        # every block is contracted into this one buffer, player 0's table
+        # at the front and the other players' tables behind it; a block's
+        # tables are used up before the next is contracted
         buffer = np.empty(n * step * rest)
-        masks = np.empty((3, step * rest), dtype=bool)
 
-        def player0(start):
-            return _tables(core[:1], [feats0[start : start + step], *feats[1:]], buffer)[0]
+        def tables_of(rows, players):
+            into = buffer[step * rest :] if players.start else buffer
+            return _tables(core[players], [feats[0][rows], *feats[1:]], into)
 
-        blocks = ((start, player0(start), None) for start in range(0, len(scanned), step))
+    masks = np.empty((3, step * rest), dtype=bool)
     best0 = np.full([1, *dims[1:]], -np.inf)
     # the rows held so far, as blocks of flat profile indices, payoffs and
     # the other players' improvement; an empty block gives a search without
     # rows arrays of the right shapes
     held = [(np.empty(0, np.intp), np.empty((0, n)), np.empty(0))]
     count = 0
-    for start, t0, others in blocks:
+    for start in range(0, len(scanned), step):
+        (t0,) = tables_of(scanned[start : start + step], slice(0, 1))
         np.maximum(best0, t0.max(axis=0, keepdims=True), out=best0)
-        if mirror is not None:
+        for _, mirror in pairs:
             # player 0's best reply to r covers r's partner's too
             np.maximum(best0, best0.reshape(-1)[mirror].reshape(best0.shape), out=best0)
         mask = masks[0][: t0.size].reshape(t0.shape)
         np.greater_equal(t0, best0 - eps, out=mask)
-        live = np.arange(len(t0))
-        if others is None:
-            # the block's player-0 strategies that hold a candidate
-            live = np.flatnonzero(mask.reshape(len(t0), -1).any(axis=1))
-            if not len(live):
-                continue
-            live_feats = [feats0[start + live], *feats[1:]]
-            others = _tables(core[1:], live_feats, buffer[t0.size :])
-            if len(live) < len(t0):
-                into = masks[1][: len(live) * rest].reshape(len(live), *t0.shape[1:])
-                mask = np.take(mask, live, axis=0, out=into)
-        holds = masks[-1][: mask.size].reshape(mask.shape)
+        # the block's player-0 strategies that hold a candidate
+        live = np.flatnonzero(mask.reshape(len(t0), -1).any(axis=1))
+        if not len(live):
+            continue
+        others = tables_of(scanned[start + live], slice(1, None))
+        if len(live) < len(t0):
+            into = masks[1][: len(live) * rest].reshape(len(live), *t0.shape[1:])
+            mask = np.take(mask, live, axis=0, out=into)
+        holds = masks[2][: mask.size].reshape(mask.shape)
         bests = [t.max(axis=i, keepdims=True) for i, t in enumerate(others, 1)]
         for t, b in zip(others, bests):
             mask &= np.greater_equal(t, b - eps, out=holds)
@@ -331,10 +332,10 @@ def grid_equilibria(
         for i, b in enumerate(bests, 1):
             np.maximum(gaps, np.broadcast_to(b, mask.shape)[idx] - pays[:, i], out=gaps)
         profiles = flat + (scanned[start + rows0] - idx[0]) * rest
-        if mirror is not None:
+        for turn0, mirror in pairs:
             # each row's partner, with a copy of its payoffs and improvement:
             # player 0's running best replies are the same at both
-            partners = turns[0][profiles // rest] * rest + mirror[profiles % rest]
+            partners = turn0[profiles // rest] * rest + mirror[profiles % rest]
             profiles = np.concatenate([profiles, partners])
             pays, gaps = np.concatenate([pays, pays]), np.concatenate([gaps, gaps])
         held.append((profiles, pays, gaps))
@@ -343,8 +344,7 @@ def grid_equilibria(
             count = len(_allowed(held, best0, eps, rest)[0])
             if count > max_rows:
                 # the player-0 strategies scanned, and their partners
-                covered = (start + len(t0)) * (1 if mirror is None else 2)
-                searched, total = covered * rest, math.prod(dims)
+                searched, total = (start + len(t0)) * 2 ** len(pairs) * rest, math.prod(dims)
                 raise ValueError(
                     f"more than {max_rows:,} equilibrium rows: {count:,} in the first "
                     f"{searched:,} of {total:,} profiles, about "
@@ -353,12 +353,11 @@ def grid_equilibria(
     profiles, payoffs, improvements, best = _allowed(held, best0, eps, rest)
     # player 0's improvement, then the other players'
     np.maximum(best - payoffs[:, 0], improvements, out=improvements)
-    if mirror is not None:
-        # row-major order: the partner rows come after each block's rows
-        order = np.argsort(profiles)
-        profiles, payoffs, improvements = profiles[order], payoffs[order], improvements[order]
-    index = np.stack(np.unravel_index(profiles, dims), axis=1)
-    return GridEquilibria(angles, index, improvements, payoffs)
+    # row-major order: partner rows come after each block's rows; a stable
+    # sort takes linear time on rows already in order
+    order = np.argsort(profiles, kind="stable")
+    index = np.stack(np.unravel_index(profiles[order], dims), axis=1)
+    return GridEquilibria(angles, index, improvements[order], payoffs[order])
 
 
 def grid_pure_ne(game: EwlGame, grid: ParamGrid, eps: float = 1e-9) -> list[EpsEquilibrium]:

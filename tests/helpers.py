@@ -160,8 +160,10 @@ def parse_game_file_oracle(text: str) -> GameFile:
             continue
         m = _STRATEGIES_RE.fullmatch(line)
         if m:
+            if n is None:
+                raise GameFileError("strategies line before the players line", lineno)
             idx = int(m.group(1))
-            if n is None or not 1 <= idx <= n:
+            if not 1 <= idx <= n:
                 raise GameFileError(f"bad player index {idx}", lineno)
             if idx in labels:
                 raise GameFileError(f"duplicate strategies line for player {idx}", lineno)
@@ -175,8 +177,10 @@ def parse_game_file_oracle(text: str) -> GameFile:
             continue
         m = _SPACE_RE.fullmatch(line)
         if m:
+            if n is None:
+                raise GameFileError("space line before the players line", lineno)
             idx = int(m.group(1))
-            if n is None or not 1 <= idx <= n:
+            if not 1 <= idx <= n:
                 raise GameFileError(f"bad player index {idx}", lineno)
             if idx in spaces:
                 raise GameFileError(f"duplicate space line for player {idx}", lineno)

@@ -1182,6 +1182,17 @@ class TestPreflightMemoryCheck:
         peak, need = self.ne_peak_and_estimate(game, spaces, grid, 1.0, csv=True)
         assert peak <= need
 
+    def test_ne_peak_of_a_one_block_half_scan_stays_within_the_estimate(self):
+        # one block of 192 x 192 profiles: the whole grid's tables, player
+        # 0's table on the half of its strategies scanned, and the other
+        # player's tables on their rows that hold a candidate. 1.11 MB
+        # against an estimate of 4.46 MB
+        dims = [ParamGrid(3, 9, 9).size(StrategySpace.FULL_SU2)] * 2
+        assert _block_strategies(dims) == dims[0]
+        game = ClassicalGame((("a", "b"),) * 2, np.random.default_rng(2).uniform(0, 10, (2, 2, 2)))
+        peak, need = self.ne_peak_and_estimate(game, "full,full", "3,9,9", 1.0, csv=True)
+        assert peak <= need
+
     def test_ne_peak_grows_within_the_row_count(self):
         # every profile is a row, and no two payoffs are equal: from 625 to
         # 6,561 rows the peak grows by no more than the estimate does

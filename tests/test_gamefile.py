@@ -102,6 +102,7 @@ MUTATIONS = [
     "duplicate players",
     "duplicate strategies",
     "bad player index",
+    "before players",
     "missing players",
     "incomplete table",
     "zero players",
@@ -158,6 +159,10 @@ def mutate(data, kind, n, labels, lines):
         idx = data.draw(st.sampled_from([0, n + 1, n + 7]))
         line = data.draw(st.sampled_from([f"strategies {idx}: p q", f"space {idx}: full"]))
         lines.insert(data.draw(st.integers(players + 1, len(lines))), line)
+    elif kind == "before players":
+        idx = data.draw(st.integers(1, n))
+        line = data.draw(st.sampled_from([f"strategies {idx}: p q", f"space {idx}: full"]))
+        lines.insert(data.draw(st.integers(0, players)), line)
     elif kind == "missing players":
         del lines[players]
     elif kind == "incomplete table":
@@ -230,6 +235,15 @@ class TestParserAgainstOracle:
     )
     def test_edge_files_parse_alike(self, text):
         assert parsed(parse_game_file, text) == parsed(parse_game_file_oracle, text)
+
+    @pytest.mark.parametrize("line", ["strategies 1: a b", "space 1: alpha"])
+    def test_a_player_line_before_the_players_line_says_so(self, line):
+        # player 1 is a valid index once the players line is read
+        text = f"# a comment\n{line}\nplayers: 1\nstrategies 1: a b\npayoff (a): 1\npayoff (b): 2\n"
+        with pytest.raises(GameFileError) as err:
+            parse_game_file(text)
+        assert (str(err.value), err.value.line) == (f"line 2: {line.split()[0]} line before the players line", 2)
+        assert parsed(parse_game_file_oracle, text) == (str(err.value), 2)
 
     def test_payoffs_fill_the_tensor_in_profile_order(self):
         text = (

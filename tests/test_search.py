@@ -208,10 +208,16 @@ class TestFlatIndices:
         for a, b in zip(got.angles, want.angles):
             assert np.array_equal(a, b)
         for name in ("index", "eps", "payoffs"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+            assert getattr(got, name).dtype == getattr(want, name).dtype
         assert len(got.eps) > 0
+        if (turns := half_turns(grid, spaces)) is None:
+            for name in ("index", "eps", "payoffs"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            every = grid_equilibria_oracle(game, grid, math.inf)
+            flat = assert_rows_match_the_oracle(every, eps, got)
+            assert_half_scan_reads_the_tables(got, every, flat, turns)
 
 
 def random_search(seed, spaces, steps):
@@ -240,6 +246,32 @@ def half_turns(grid, spaces):
     return None if any(t is None for t in turns) else turns
 
 
+def assert_rows_match_the_oracle(every, eps, got):
+    """`got`'s rows are those of `every`, the dense oracle's rows at every
+    profile, with an improvement of at most eps, in row-major order, but
+    for ties: profiles whose improvement is within 1e-12 of eps. Their
+    payoffs and improvements are the oracle's within PAYOFF_TOL. Returns
+    the flat profile indices of `got`'s rows."""
+    flat = np.ravel_multi_index(got.index.T, [len(a) for a in every.angles])
+    assert np.all(np.diff(flat) > 0)
+    ties = np.setxor1d(flat, np.flatnonzero(every.eps <= eps))
+    assert np.all(np.abs(every.eps[ties] - eps) <= 1e-12)
+    assert np.abs(got.payoffs - every.payoffs[flat]).max(initial=0.0) <= PAYOFF_TOL
+    assert np.abs(got.eps - every.eps[flat]).max(initial=0.0) <= PAYOFF_TOL
+    return flat
+
+
+def assert_half_scan_reads_the_tables(got, every, flat, turns):
+    """The rows of a one-block search that scans the player-0 strategies
+    below their half-turn partners: the scanned rows' payoffs are the
+    whole tables' bit for bit, and each partner row is a bitwise copy of
+    its row."""
+    s = got.index[:, 0]
+    scanned = s < turns[0][s]
+    assert got.payoffs[scanned].tobytes() == every.payoffs[flat[scanned]].tobytes()
+    assert_closed_under_the_half_turn(got, turns)
+
+
 def held_rows(game, grid, eps, step):
     """(end, held, unpruned) for each block of `step` player-0 strategies
     that a search scans, from the whole payoff tables: the number of
@@ -247,16 +279,16 @@ def held_rows(game, grid, eps, step):
     search holds after it once player 0's running best replies have
     dropped what they rule out, and the rows it holds if it drops none.
 
-    A blocked search on a grid where every player has half-turn partners
-    scans the strategies below their partners; each row it finds stands
-    for its partner row too, and its best replies to the others' profile
-    r cover r's partner as well."""
+    A search on a grid where every player has half-turn partners scans
+    the strategies below their partners; each row it finds stands for its
+    partner row too, and its best replies to the others' profile r cover
+    r's partner as well."""
     tables = grid_payoff_tables(game, [grid.angles(s) for s in game.spaces])
     others = np.ones(tables[0].shape, dtype=bool)
     for i, t in enumerate(tables[1:], 1):
         others &= t >= t.max(axis=i, keepdims=True) - eps
     m = len(tables[0])
-    turns = half_turns(grid, game.spaces) if step < m else None
+    turns = half_turns(grid, game.spaces)
     scanned = np.arange(m) if turns is None else np.flatnonzero(np.arange(m) < turns[0])
     copies = 1 if turns is None else 2
     t0, others = tables[0][scanned], others[scanned]
@@ -309,21 +341,16 @@ class TestBlockedSearch:
         for i, a in enumerate(got.angles):
             assert not a.flags.writeable
             assert [a is b for b in got.angles] == [spaces[i] == s for s in spaces]
-        improvement = dict(zip(map(tuple, every.index.tolist()), every.eps.tolist()))
-        rows = [tuple(r) for r in got.index.tolist()]
-        assert rows == sorted(set(rows))
-        want = {p for p, v in improvement.items() if v <= eps}
-        for p in want.symmetric_difference(rows):
-            assert abs(improvement[p] - eps) <= 1e-12
-        flat = np.ravel_multi_index(got.index.T, dims)
-        assert np.abs(got.payoffs - every.payoffs[flat]).max(initial=0.0) <= PAYOFF_TOL
-        assert np.abs(got.eps - every.eps[flat]).max(initial=0.0) <= PAYOFF_TOL
-        if blocks == 1:
+        flat = assert_rows_match_the_oracle(every, eps, got)
+        turns = half_turns(grid, spaces)
+        if turns is not None:
+            assert_closed_under_the_half_turn(got, turns)
+        if blocks == 1 and turns is None:
             want = grid_equilibria_oracle(game, grid, eps)
             for name in ("index", "eps", "payoffs"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        elif (turns := half_turns(grid, spaces)) is not None:
-            assert_closed_under_the_half_turn(got, turns)
+        elif blocks == 1:
+            assert_half_scan_reads_the_tables(got, every, flat, turns)
 
     @pytest.mark.parametrize("blocks", [1, 2, "many"])
     def test_row_limit_stops_before_the_rows_pass_it(self, blocks):
@@ -442,16 +469,44 @@ class TestBlockedSearch:
         want = grid_equilibria_oracle(game, grid, 1.0)
         assert found.index.tobytes() == want.index.tobytes()
 
+    @pytest.mark.parametrize("blocks", [1, 2, "many"])
+    def test_only_a_one_block_search_takes_the_whole_grid_tables(self, blocks):
+        # the one fork left in the search is where its tables come from: a
+        # grid of one block from one `grid_payoff_tables` call over the
+        # whole grid, a larger one from its block buffer
+        game, grid, dims = random_search(3, (D, StrategySpace.FULL_SU2), (5, 5, 3))
+        with (
+            mock.patch.object(search, "BLOCK_BYTES", blocks_of(dims, blocks)),
+            mock.patch.object(search, "grid_payoff_tables", wraps=grid_payoff_tables) as whole,
+        ):
+            found = grid_equilibria(game, grid, 2.0)
+        if blocks == 1:
+            whole.assert_called_once()
+            (called, angles), _ = whole.call_args
+            assert called is game and [len(a) for a in angles] == dims
+            assert all(np.array_equal(a, grid.angles(s)) for a, s in zip(angles, game.spaces))
+        else:
+            whole.assert_not_called()
+        assert len(found.eps) > 10
+
     @pytest.mark.parametrize(
-        "space,steps,eps", [(D, (17, 33, 1), 1.0), (StrategySpace.FULL_SU2, (9, 17, 17), 2.0)]
+        "space,steps,eps,rows",
+        [
+            (D, (17, 33, 1), 1.0, 1000),
+            (StrategySpace.FULL_SU2, (9, 17, 17), 2.0, 1000),
+            # grids of one block, whose tables come from one
+            # `grid_payoff_tables` call
+            (D, (9, 17, 1), 1.0, 500),
+            (StrategySpace.FULL_SU2, (3, 9, 9), 2.0, 1000),
+        ],
     )
-    def test_pd_rows_are_closed_under_the_half_turn(self, space, steps, eps):
+    def test_pd_rows_are_closed_under_the_half_turn(self, space, steps, eps, rows):
         # integer payoffs at an integer eps: many rows have an improvement
         # of eps up to rounding, and a scan of every player-0 strategy kept
         # some of these rows but not their partners
         game, grid = EwlGame(PD, (space,) * 2), ParamGrid(*steps)
         found = grid_equilibria(game, grid, eps)
-        assert len(found.eps) > 1000
+        assert len(found.eps) > rows
         assert_closed_under_the_half_turn(found, half_turns(grid, game.spaces))
 
     @pytest.mark.parametrize("blocks", [2, "many"])
